@@ -2,6 +2,10 @@
 
 Frames are stored row-wise: ``frame[i, :]`` holds the chart components of
 the i-th frame vector, so orthonormality reads ``frame @ g @ frame.T = I``.
+
+``haar_orthogonal`` is the package's one Haar sampler: the ``haar`` frame
+strategy and the ``gamma_mc`` estimator both draw a node's rotations from it
+in one batch, from that node's own ``point_rng`` stream.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ __all__ = [
     "gram_schmidt_frames",
     "rotate_frame",
     "haar_orthogonal",
-    "haar_frames",
     "check_orthonormal",
     "point_rng",
 ]
@@ -79,30 +82,17 @@ def rotate_frame(frame, i, j, angle):
     return out
 
 
-def haar_orthogonal(n, rng):
-    """One draw from the Haar measure on O(n).
+def haar_orthogonal(n, rng, count=None):
+    """Draws from the Haar measure on O(n) (Mezzadri 2007, math-ph/0609050).
 
     QR of a Gaussian matrix with the sign of R's diagonal pushed into Q,
     which removes the sign ambiguity that would otherwise bias the draw.
+    With ``count`` set, returns a (count, n, n) stack from one stacked QR;
+    its bits equal ``count`` sequential single draws from the same ``rng``.
     """
-    z = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    q = q * np.sign(np.diag(r))[None, :]
-    return q
-
-def haar_frames(g, base_frames, rng):
-    """Haar-random orthonormal frames on top of base orthonormal frames.
-
-    ``base_frames[p]`` must already be g-orthonormal; left-multiplying by an
-    orthogonal matrix keeps it so while uniformizing the orientation of the
-    frame over O(n).  One independent draw per point.
-    """
-    base_frames = np.asarray(base_frames, dtype=float)
-    npts, n = base_frames.shape[0], base_frames.shape[1]
-    out = np.empty_like(base_frames)
-    for p in range(npts):
-        out[p] = haar_orthogonal(n, rng) @ base_frames[p]
-    return out
+    shape = (n, n) if count is None else (count, n, n)
+    q, r = np.linalg.qr(rng.standard_normal(shape))
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
 
 def point_rng(seed, node_index):

@@ -15,10 +15,12 @@ Three pointwise densities on a 2d-dimensional Riemannian manifold:
   an alignment permutation, with the within-pair orientation flips cancelling
   against the antisymmetries of the Riemann tensor.
 
-* ``haar_product_estimate`` -- the frame-averaged density: expectation over
+* ``haar_pair_average`` -- the frame-averaged density: expectation over
   Haar-random orthonormal frames of the product of sectional curvatures of
   consecutive frame planes, times (2d)! and the same normalization constant.
-  Estimated by Monte Carlo with a standard-error report.
+  It is the one Monte Carlo estimator, batched over points and samples, with
+  a standard-error report; the ``gamma_mc`` quadrature density and the
+  single-point wrapper ``haar_product_estimate`` both call it.
 
 Brute-force implementations of both permutation sums are kept alongside the
 reduced ones; they are slow and exist so the reductions can be checked
@@ -48,6 +50,7 @@ __all__ = [
     "k_gbc",
     "GBCValue",
     "scalar_curvature",
+    "haar_pair_average",
     "haar_product_estimate",
     "HaarEstimate",
 ]
@@ -325,31 +328,44 @@ class HaarEstimate:
     nsamples: int
 
 
+def haar_pair_average(riem, frames):
+    """Monte Carlo average of the consecutive-pair product over given frames.
+
+    ``riem`` is a batch (P, n, n, n, n) of Riemann tensors and ``frames`` a
+    batch (P, S, n, n) of S g-orthonormal frames per point, normally Haar
+    rotations of a base frame.  For each frame the product
+    prod_k K(t_{2k-1}, t_{2k}) of sectional curvatures of consecutive frame
+    planes is formed; returns per-point arrays of (2d)! C_d times the sample
+    mean and the matching standard error.
+    """
+    riem = np.asarray(riem, dtype=float)
+    frames = np.asarray(frames, dtype=float)
+    npts, nsamples, n = frames.shape[:3]
+    d = _check_even(n)
+    if nsamples < 2:
+        raise ValueError("a Monte Carlo standard error needs at least 2 samples")
+    prods = np.ones((npts, nsamples))
+    for k in range(d):
+        u = frames[:, :, 2 * k, :]
+        v = frames[:, :, 2 * k + 1, :]
+        prods *= np.einsum("psa,psb,psc,psd,pabcd->ps", u, v, u, v, riem, optimize=True)
+    scale = math.factorial(n) * normalization_constant(d)
+    return scale * prods.mean(axis=1), scale * prods.std(axis=1, ddof=1) / math.sqrt(nsamples)
+
+
 def haar_product_estimate(riem, g, nsamples, rng, base_frame=None):
-    """Estimate the Haar frame average of the consecutive-pair product.
+    """Single-point Haar estimate of the consecutive-pair product average.
 
     Draws ``nsamples`` Haar-orthogonal rotations of a g-orthonormal base
-    frame, computes prod_k K(t_{2k-1}, t_{2k}) for each, and returns
-    (2d)! C_d times the sample mean, with the matching standard error.
+    frame (Gram-Schmidt of the chart basis unless ``base_frame`` is given)
+    and averages with :func:`haar_pair_average`.
     """
     from .frames import gram_schmidt_frame, haar_orthogonal
 
     riem = np.asarray(riem, dtype=float)
     n = riem.shape[0]
-    d = _check_even(n)
     if base_frame is None:
         base_frame = gram_schmidt_frame(np.asarray(g, dtype=float), np.eye(n))
-    frames = np.empty((nsamples, n, n))
-    for s in range(nsamples):
-        frames[s] = haar_orthogonal(n, rng) @ base_frame
-    # sectional curvatures of consecutive frame planes only
-    prods = np.ones(nsamples)
-    for k in range(d):
-        u = frames[:, 2 * k, :]
-        v = frames[:, 2 * k + 1, :]
-        kuv = np.einsum("sa,sb,sc,sd,abcd->s", u, v, u, v, riem, optimize=True)
-        prods *= kuv
-    scale = math.factorial(n) * normalization_constant(d)
-    mean = prods.mean()
-    stderr = prods.std(ddof=1) / math.sqrt(nsamples) if nsamples > 1 else float("inf")
-    return HaarEstimate(value=scale * mean, stderr=scale * stderr, nsamples=nsamples)
+    frames = haar_orthogonal(n, rng, nsamples) @ base_frame
+    value, stderr = haar_pair_average(riem[None], frames[None])
+    return HaarEstimate(value=float(value[0]), stderr=float(stderr[0]), nsamples=nsamples)

@@ -62,12 +62,6 @@ def _as_points(x, dim):
     return x, single
 
 
-def _zeros_like_value(value, shape, dtype):
-    if dtype == object:
-        return np.zeros(shape, dtype=object)
-    return np.zeros(shape, dtype=dtype)
-
-
 class MetricField:
     """A metric tensor field on a chart.
 
@@ -207,9 +201,9 @@ def _validate_metric_value(g, x):
 def _assemble_matrix_jets(rows, points, dim):
     npts = len(points)
     dtype = points.dtype if points.dtype == object else np.float64
-    g = _zeros_like_value(None, (npts, dim, dim), dtype)
-    dg = _zeros_like_value(None, (npts, dim, dim, dim), dtype)
-    d2g = _zeros_like_value(None, (npts, dim, dim, dim, dim), dtype)
+    g = np.zeros((npts, dim, dim), dtype=dtype)
+    dg = np.zeros((npts, dim, dim, dim), dtype=dtype)
+    d2g = np.zeros((npts, dim, dim, dim, dim), dtype=dtype)
     for i in range(dim):
         for j in range(dim):
             e = rows[i][j]
@@ -234,11 +228,6 @@ class EmbeddingMap:
     ambient_dim: int
     components: callable
 
-    def eval(self, x):
-        x = np.asarray(x, dtype=float)
-        comps = self.components(J.variables(x[None, :], order=2))
-        return np.array([c.value[0] if isinstance(c, J.Jet2) else float(c) for c in comps])
-
     def jacobian(self, x):
         x = np.asarray(x, dtype=float)
         comps = self.components(J.variables(x[None, :], order=2))
@@ -257,9 +246,9 @@ def _embedding_jet_arrays(embedding, points):
     m = embedding.ambient_dim
     dtype = points.dtype if points.dtype == object else np.float64
     comps = embedding.components(J.variables(points, order=3))
-    G = _zeros_like_value(None, (npts, m, n), dtype)
-    H = _zeros_like_value(None, (npts, m, n, n), dtype)
-    T = _zeros_like_value(None, (npts, m, n, n, n), dtype)
+    G = np.zeros((npts, m, n), dtype=dtype)
+    H = np.zeros((npts, m, n, n), dtype=dtype)
+    T = np.zeros((npts, m, n, n, n), dtype=dtype)
     for a, c in enumerate(comps):
         if isinstance(c, J.Jet2):
             G[:, a, :] = c.grad

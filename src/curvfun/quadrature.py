@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ChartSingularityError, NonFiniteError, SingularMetricError
 from .frames import gram_schmidt_frames, haar_orthogonal, point_rng
-from .functionals import k_discrete, k_gbc, scalar_curvature, normalization_constant
+from .functionals import haar_pair_average, k_discrete, k_gbc, scalar_curvature
 from .geometry import riemann_arrays, riemann_in_frame, sectional_from_riemann
 
 __all__ = [
@@ -173,16 +173,35 @@ def integrate(density, grid, workers=1, chunk=DEFAULT_CHUNK):
     return value, stderr
 
 
+def _haar_node_frames(base, node_idx, seed, count):
+    """``count`` Haar rotations of each node's base frame, (P, count, n, n).
+
+    Node ``node_idx[row]`` draws from its own ``point_rng(seed, node)``
+    stream, so the frames do not depend on chunking or worker count.
+    """
+    npts, n = base.shape[0], base.shape[1]
+    out = np.empty((npts, count, n, n))
+    for row, ni in enumerate(node_idx):
+        out[row] = haar_orthogonal(n, point_rng(seed, int(ni)), count) @ base[row]
+    return out
+
+
 def functional_density(metric, functional, frame="coordinate", seed=0, nsamples=64):
     """Build the pointwise density (including the volume element) to integrate.
 
     ``frame`` is "coordinate" (metric Gram-Schmidt of the chart basis),
     "haar" (one Haar rotation per node, seeded by the node index), or an
     explicit (n, n) frame-shaped array of rotation coefficients applied on
-    top of the Gram-Schmidt base frame.
+    top of the Gram-Schmidt base frame.  ``gamma_mc`` averages over
+    ``nsamples`` Haar rotations of the Gram-Schmidt frame per node instead,
+    and needs at least two of them for its standard error.
     """
     if functional not in FUNCTIONALS:
         raise ValueError("unknown functional %r" % (functional,))
+    if isinstance(frame, str) and frame not in ("coordinate", "haar"):
+        raise ValueError("unknown frame strategy %r" % (frame,))
+    if functional == "gamma_mc" and nsamples < 2:
+        raise ValueError("gamma_mc needs at least 2 samples, got %d" % nsamples)
     n = metric.dim
     eye = np.eye(n)
 
@@ -194,44 +213,23 @@ def functional_density(metric, functional, frame="coordinate", seed=0, nsamples=
             return vol, None
         riem, _ = riemann_arrays(g, dg, d2g)
         base = gram_schmidt_frames(g, np.broadcast_to(eye, g.shape))
+        if functional == "gamma_mc":
+            sframes = _haar_node_frames(base, node_idx, seed, nsamples)
+            vals, stderrs = haar_pair_average(riem, sframes)
+            return vals * vol, stderrs * vol
         if isinstance(frame, str) and frame == "coordinate":
             frames = base
-        elif isinstance(frame, str) and frame == "haar":
-            frames = np.empty_like(base)
-            for row, ni in enumerate(node_idx):
-                q = haar_orthogonal(n, point_rng(seed, int(ni)))
-                frames[row] = q @ base[row]
         elif isinstance(frame, str):
-            raise ValueError("unknown frame strategy %r" % (frame,))
+            frames = _haar_node_frames(base, node_idx, seed, 1)[:, 0]
         else:
             frames = np.einsum("ia,pab->pib", np.asarray(frame, dtype=float), base)
         if functional == "gamma_d":
             vals = k_discrete(sectional_from_riemann(riem, frames))
-            return vals * vol, None
-        if functional == "gbc":
+        elif functional == "gbc":
             vals = k_gbc(riemann_in_frame(riem, frames)).value
-            return vals * vol, None
-        if functional == "hilbert":
+        else:
             vals = scalar_curvature(sectional_from_riemann(riem, frames))
-            return vals * vol, None
-        # gamma_mc: average the consecutive-pair product over Haar frames
-        d = n // 2
-        scale = math.factorial(n) * normalization_constant(d)
-        sframes = np.empty((len(pts), nsamples, n, n))
-        for row, ni in enumerate(node_idx):
-            rng = point_rng(seed, int(ni))
-            for s in range(nsamples):
-                sframes[row, s] = haar_orthogonal(n, rng) @ base[row]
-        prods = np.ones((len(pts), nsamples))
-        for k in range(d):
-            u = sframes[:, :, 2 * k, :]
-            v = sframes[:, :, 2 * k + 1, :]
-            prods *= np.einsum(
-                "psa,psb,psc,psd,pabcd->ps", u, v, u, v, riem, optimize=True
-            )
-        vals = scale * prods.mean(axis=1)
-        stderrs = scale * prods.std(axis=1, ddof=1) / math.sqrt(nsamples)
-        return vals * vol, stderrs * vol
+        return vals * vol, None
 
     return density
 

@@ -42,7 +42,6 @@ __all__ = [
     "klembeck_patch",
     "flat_torus",
     "product",
-    "cp2_sectional",
     "cp2_sectional_exact",
     "CP2_J",
     "manifold_by_name",
@@ -629,26 +628,6 @@ CP2_J = np.array(
 )
 
 
-def cp2_sectional(frame, tol=1e-8):
-    """Sectional-curvature matrix of CP^2 in a given orthonormal 4-frame.
-
-    K(t_i, t_j) = 1 + 3 <J t_i, t_j>^2 where J is the complex structure
-    (the squared pairing; the unsquared form fails to reproduce the known
-    values).  ``frame`` has the frame vectors as rows.
-    """
-    f = np.asarray(frame, dtype=float)
-    if f.shape != (4, 4):
-        raise BadDimensionError("CP^2 frames are 4x4 matrices of row vectors")
-    gram = f @ f.T
-    if np.max(np.abs(gram - np.eye(4))) > tol:
-        raise NonOrthonormalFrameError("frame is not orthonormal in R^4")
-    pair = f @ CP2_J.T @ f.T  # pair[i, j] = <J t_i, t_j>
-    k = 1.0 + 3.0 * pair.T**2
-    k = (k + k.T) / 2
-    np.fill_diagonal(k, 0.0)
-    return k
-
-
 def cp2_sectional_exact(rows):
     """Exact rational CP^2 sectional matrix from integer frame rows.
 
@@ -657,12 +636,7 @@ def cp2_sectional_exact(rows):
     like (1, 0, 1, 0) stand for the unit vector along that direction.
     """
     f = [[Fraction(v) for v in row] for row in rows]
-    jmat = [
-        [Fraction(0), Fraction(-1), Fraction(0), Fraction(0)],
-        [Fraction(1), Fraction(0), Fraction(0), Fraction(0)],
-        [Fraction(0), Fraction(0), Fraction(0), Fraction(-1)],
-        [Fraction(0), Fraction(0), Fraction(1), Fraction(0)],
-    ]
+    jmat = [[Fraction(v) for v in row] for row in CP2_J]
     norms = [sum(x * x for x in row) for row in f]
     if any(n == 0 for n in norms):
         raise NonOrthonormalFrameError("zero frame vector")

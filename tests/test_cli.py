@@ -8,6 +8,7 @@ import math
 import pytest
 
 from curvfun.cli import main
+from curvfun.quadrature import DEFAULT_CHUNK
 
 S2_ARGS = ["compute", "--manifold", "s2", "--grid", "9,8", "--no-timing"]
 
@@ -52,16 +53,32 @@ def test_wall_time_present_by_default(capsys):
 
 
 def test_byte_identity_across_worker_counts(tmp_path):
-    paths = []
-    for w in (1, 2, 8):
-        p = tmp_path / ("w%d.json" % w)
-        code = main(
-            ["compute", "--manifold", "taubes", "--workers", str(w),
-             "--grid", "17,17,1,1", "--no-timing", "--out", str(p)]
-        )
-        assert code == 0
-        paths.append(p.read_bytes())
-    assert paths[0] == paths[1] == paths[2]
+    # 65 x 65 nodes exceed one chunk, so the thread pool runs two chunks
+    cases = (
+        ["--functional", "gamma_d"],
+        ["--functional", "gamma_mc", "--samples", "8"],
+        ["--frame", "haar"],
+    )
+    for case, extra in enumerate(cases):
+        outputs = []
+        for w in (1, 2, 8):
+            p = tmp_path / ("c%d_w%d.json" % (case, w))
+            code = main(
+                ["compute", "--manifold", "taubes", "--workers", str(w),
+                 "--grid", "65,65,1,1", "--no-timing", "--out", str(p)] + extra
+            )
+            assert code == 0
+            outputs.append(p.read_bytes())
+        assert json.loads(outputs[0])["n_points"] > DEFAULT_CHUNK
+        assert outputs[0] == outputs[1] == outputs[2], extra
+
+
+@pytest.mark.parametrize("samples", ["0", "1"])
+def test_gamma_mc_needs_two_samples(capsys, samples):
+    code, out, _ = run(capsys, ["compute", "--manifold", "s2", "--functional",
+                                "gamma_mc", "--samples", samples])
+    assert code == 2
+    assert out == ""
 
 
 def test_unknown_manifold_exits_2(capsys):

@@ -72,6 +72,16 @@ def test_haar_orthogonal_is_orthogonal():
         assert np.max(np.abs(q @ q.T - np.eye(n))) < 1e-12
 
 
+def test_haar_batch_matches_sequential_draws():
+    """A batched draw has the bits of as many single draws from the same stream."""
+    for n in (2, 4, 8):
+        batch = haar_orthogonal(n, point_rng(11, n), 5)
+        rng = point_rng(11, n)
+        sequential = np.array([haar_orthogonal(n, rng) for _ in range(5)])
+        assert batch.shape == (5, n, n)
+        assert np.array_equal(batch, sequential)
+
+
 def test_haar_first_component_second_moment():
     """For Haar-random q, E[(q row . e)^2] = 1/n by symmetry."""
     rng = np.random.default_rng(4)

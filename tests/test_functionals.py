@@ -23,6 +23,9 @@ from curvfun.functionals import (
     scalar_curvature,
 )
 from curvfun.frames import point_rng
+from curvfun.geometry import riemann_arrays
+from curvfun.quadrature import functional_density
+from curvfun.zoo import taubes_torus
 
 
 def symmetric_zero_diag(values, n):
@@ -181,3 +184,19 @@ def test_haar_estimate_converges_on_anisotropic_tensor():
     e1 = haar_product_estimate(r, np.eye(4), 4000, point_rng(1, 0))
     e2 = haar_product_estimate(r, np.eye(4), 4000, point_rng(2, 0))
     assert abs(e1.value - e2.value) < 4 * math.hypot(e1.stderr, e2.stderr)
+
+
+def test_gamma_mc_density_is_the_single_point_estimate():
+    """The quadrature density at a node is the single-point estimate, seeded
+    by that node's stream, times the volume element."""
+    metric = taubes_torus().metric
+    pts = np.array([[0.9, 0.4, 0.0, 0.0], [1.3, 2.1, 0.5, 0.2]])
+    nodes = np.array([3, 17])
+    vals, stderrs = functional_density(metric, "gamma_mc", seed=5, nsamples=16)(pts, nodes)
+    g, dg, d2g = metric.jets(pts, order=2)
+    riem, _ = riemann_arrays(g, dg, d2g)
+    for row, node in enumerate(nodes):
+        est = haar_product_estimate(riem[row], g[row], 16, point_rng(5, node))
+        dv = math.sqrt(np.linalg.det(g[row]))
+        assert vals[row] == pytest.approx(est.value * dv, rel=1e-12)
+        assert stderrs[row] == pytest.approx(est.stderr * dv, rel=1e-12)
