@@ -19,8 +19,8 @@ kb = klembeck_patch()
 print(kb.notes, "\n")
 
 origin = np.full((1, 6), Fraction(0), dtype=object)
-g, dg, d2g = kb.metric.jets(origin, order=2)
-riem, _ = riemann_arrays(g, dg, d2g)
+g, dg, d2g = kb.metric.jets(origin)
+riem = riemann_arrays(g, dg, d2g)
 
 frame = np.full((1, 6, 6), Fraction(0), dtype=object)
 for i in range(6):

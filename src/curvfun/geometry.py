@@ -3,7 +3,9 @@
 The pipeline is ``metric -> christoffel -> riemann -> sectional matrix``.
 Metrics come in three flavors: closed-form entries (differentiated with
 hyper-dual jets), embedding-induced (first fundamental form of a chart into
-Euclidean space, needing third-order jets of the embedding), and constant.
+Euclidean space, from second-order jets of the embedding), and constant;
+``block_diagonal`` combines two of them into a product.  All of them feed
+the same Riemann formula.
 
 Everything is evaluated in chart coordinates; scalar outputs (sectional
 curvatures and the functionals built on them) are obtained by contracting
@@ -14,7 +16,8 @@ Index conventions, used consistently below:
 
 * ``g[p, i, j]``            metric at point ``p``
 * ``dg[p, i, j, k]``        del_k g_ij
-* ``d2g[p, i, j, k, l]``    del_k del_l g_ij
+* ``d2g[p, i, j, k, l]``    del_k del_l g_ij, up to terms the Riemann
+  tensor cancels (see :meth:`MetricField.jets`)
 * ``gamma[p, k, i, j]``     Gamma^k_ij
 * ``riem[p, i, j, k, l]``   R_ijkl, lowered, with R(t_i, t_j, t_i, t_j) the
   sectional curvature of the (t_i, t_j) plane (so the round sphere has
@@ -24,6 +27,7 @@ Index conventions, used consistently below:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -88,10 +92,8 @@ class MetricField:
         object dtype.
         """
 
-        def jets_fn(points, order):
-            vars_ = J.variables(points, order=max(order, 2))
-            rows = entries(vars_)
-            return _assemble_matrix_jets(rows, points, dim)
+        def jets_fn(points):
+            return _assemble_matrix_jets(entries(J.variables(points)), points, dim)
 
         return cls(dim, jets_fn, provenance)
 
@@ -100,7 +102,7 @@ class MetricField:
         matrix = np.asarray(matrix, dtype=float)
         dim = matrix.shape[0]
 
-        def jets_fn(points, order):
+        def jets_fn(points):
             npts = len(points)
             g = np.broadcast_to(matrix, (npts, dim, dim)).copy()
             dg = np.zeros((npts, dim, dim, dim))
@@ -113,7 +115,7 @@ class MetricField:
     def from_embedding(cls, embedding):
         """First fundamental form of an :class:`EmbeddingMap`."""
 
-        def jets_fn(points, order):
+        def jets_fn(points):
             return _induced_metric_jets(embedding, points)
 
         return cls(embedding.chart_dim, jets_fn, "embedding", embedding=embedding)
@@ -124,9 +126,9 @@ class MetricField:
         n1, n2 = first.dim, second.dim
         dim = n1 + n2
 
-        def jets_fn(points, order):
-            g1, dg1, d2g1 = first.jets(points[:, :n1], order=order)
-            g2, dg2, d2g2 = second.jets(points[:, n1:], order=order)
+        def jets_fn(points):
+            g1, dg1, d2g1 = first.jets(points[:, :n1])
+            g2, dg2, d2g2 = second.jets(points[:, n1:])
             npts = len(points)
             dtype = np.result_type(g1, g2)
             g = np.zeros((npts, dim, dim), dtype=dtype)
@@ -145,10 +147,20 @@ class MetricField:
 
     # -- evaluation ----------------------------------------------------------
 
-    def jets(self, points, order=2):
-        """Batched ``(g, dg, d2g)`` at ``points`` of shape (npoints, dim)."""
+    def jets(self, points):
+        """Batched ``(g, dg, d2g)`` at ``points`` of shape (npoints, dim).
+
+        ``g`` and ``dg`` are the metric and its first derivatives.  ``d2g``
+        only has to be right where :func:`riemann_arrays` reads it, in the
+        combination
+        ``d2g[r,v,m,s] + d2g[s,m,v,r] - d2g[s,v,m,r] - d2g[r,m,v,s]``.
+        Closed-form entries give the true second derivatives; an embedding
+        gives ``<H_ik, H_jl> + <H_il, H_jk>`` from the Hessians ``H`` of its
+        components, leaving out the terms with third derivatives of the
+        embedding, which cancel in that combination (the Gauss equation).
+        """
         points = np.asarray(points)
-        g, dg, d2g = self._jets_fn(points, order)
+        g, dg, d2g = self._jets_fn(points)
         if g.dtype != object:
             if not (np.all(np.isfinite(g)) and np.all(np.isfinite(dg)) and np.all(np.isfinite(d2g))):
                 raise NonFiniteError("metric derivatives are not finite")
@@ -157,7 +169,7 @@ class MetricField:
     def value(self, x, validate=True):
         """Metric matrix at one point, with symmetry and SPD validation."""
         pts, _ = _as_points(x, self.dim)
-        g = self.jets(pts, order=2)[0][0]
+        g = self.jets(pts)[0][0]
         if validate:
             _validate_metric_value(g, x)
         return g
@@ -166,8 +178,6 @@ class MetricField:
         """sqrt(det g) at one point (> 0 for a valid metric)."""
         g = self.value(x)
         if g.dtype == object:
-            from fractions import Fraction
-
             d = exact_det(g.tolist())
             if d <= 0:
                 raise SingularMetricError("nonpositive metric determinant at %r" % (x,))
@@ -230,7 +240,7 @@ class EmbeddingMap:
 
     def jacobian(self, x):
         x = np.asarray(x, dtype=float)
-        comps = self.components(J.variables(x[None, :], order=2))
+        comps = self.components(J.variables(x[None, :]))
         rows = []
         for c in comps:
             if isinstance(c, J.Jet2):
@@ -240,33 +250,24 @@ class EmbeddingMap:
         return np.array(rows)  # (ambient_dim, chart_dim)
 
 
-def _embedding_jet_arrays(embedding, points):
-    """Stacked (value, grad, hess, third) arrays of all components."""
+def _induced_metric_jets(embedding, points):
+    """``(g, dg, d2g)`` of J^T J from second-order jets of the components.
+
+    ``d2g`` omits the third-derivative terms; see :meth:`MetricField.jets`.
+    """
     npts, n = points.shape
     m = embedding.ambient_dim
     dtype = points.dtype if points.dtype == object else np.float64
-    comps = embedding.components(J.variables(points, order=3))
     G = np.zeros((npts, m, n), dtype=dtype)
     H = np.zeros((npts, m, n, n), dtype=dtype)
-    T = np.zeros((npts, m, n, n, n), dtype=dtype)
-    for a, c in enumerate(comps):
+    for a, c in enumerate(embedding.components(J.variables(points))):
         if isinstance(c, J.Jet2):
             G[:, a, :] = c.grad
             H[:, a, :, :] = c.hess
-            T[:, a, :, :, :] = c.third
-    return G, H, T
-
-
-def _induced_metric_jets(embedding, points):
-    G, H, T = _embedding_jet_arrays(embedding, points)
     g = np.einsum("pai,paj->pij", G, G)
     dg = np.einsum("paik,paj->pijk", H, G) + np.einsum("pai,pajk->pijk", G, H)
-    d2g = (
-        np.einsum("paikl,paj->pijkl", T, G)
-        + np.einsum("paik,pajl->pijkl", H, H)
-        + np.einsum("pail,pajk->pijkl", H, H)
-        + np.einsum("pai,pajkl->pijkl", G, T)
-    )
+    hh = np.einsum("paik,pajl->pijkl", H, H)
+    d2g = hh + np.einsum("pijkl->pijlk", hh)  # <H_ik, H_jl> + <H_il, H_jk>
     return g, dg, d2g
 
 
@@ -299,39 +300,43 @@ def _batched_inverse(g):
         raise SingularMetricError("metric not invertible") from None
 
 
+def _half(a):
+    """a / 2, kept exact on object (Fraction) arrays."""
+    return a * (Fraction(1, 2) if a.dtype == object else 0.5)
+
+
 def christoffel_arrays(g, dg):
-    """Batched Christoffel symbols Gamma^k_ij from metric jets."""
-    ginv = _batched_inverse(g)
-    bracket = (
-        np.einsum("pjli->pijl", dg) + np.einsum("pilj->pijl", dg) - dg
-    )  # del_i g_jl + del_j g_il - del_l g_ij at [p, i, j, l]
-    gamma = np.einsum("pkl,pijl->pkij", ginv, bracket) / 2
-    return gamma, ginv, bracket
+    """Batched Christoffel symbols of both kinds from metric jets.
+
+    Returns ``(gamma, first)`` with ``gamma[p, k, i, j] = Gamma^k_ij`` and
+    ``first[p, l, i, j] = Gamma_{l,ij} = (del_i g_jl + del_j g_il - del_l g_ij) / 2``.
+    """
+    first = _half(
+        np.einsum("pjli->plij", dg) + np.einsum("pilj->plij", dg) - np.einsum("pijl->plij", dg)
+    )
+    gamma = np.einsum("pkl,plij->pkij", _batched_inverse(g), first)
+    return gamma, first
 
 
 def riemann_arrays(g, dg, d2g):
-    """Batched lowered Riemann tensor R[p, i, j, k, l].
+    """Batched lowered Riemann tensor R[p, r, s, m, v].
+
+    R_rsmv = (d2g[r,v,m,s] + d2g[s,m,v,r] - d2g[s,v,m,r] - d2g[r,m,v,s]) / 2
+             + Gamma_{a,ms} Gamma^a_rv - Gamma_{a,vs} Gamma^a_rm,
+
+    with one metric inverse.  ``d2g`` enters only through that
+    antisymmetrised combination, which is all :meth:`MetricField.jets`
+    promises of it.  Both parts are antisymmetric in (m, v), so R is
+    computed as B[r,s,m,v] - B[r,s,v,m] with
+    B = (d2g[r,v,m,s] + d2g[s,m,v,r]) / 2 + Gamma_{a,ms} Gamma^a_rv.
 
     Sign convention: R(t_i, t_j, t_i, t_j) is the sectional curvature, so
     the round sphere gives R_1212 = +1 in an orthonormal frame.
     """
-    gamma, ginv, bracket = christoffel_arrays(g, dg)
-    dginv = -np.einsum("pka,pabm,pbl->pklm", ginv, dg, ginv)
-    dbracket = (
-        np.einsum("pjlim->pijlm", d2g) + np.einsum("piljm->pijlm", d2g) - d2g
-    )
-    dgamma = (
-        np.einsum("pklm,pijl->pmkij", dginv, bracket)
-        + np.einsum("pkl,pijlm->pmkij", ginv, dbracket)
-    ) / 2  # dgamma[p, m, k, i, j] = del_m Gamma^k_ij
-    rup = (
-        np.einsum("pmkvs->pksmv", dgamma)
-        - np.einsum("pvkms->pksmv", dgamma)
-        + np.einsum("pkml,plvs->pksmv", gamma, gamma)
-        - np.einsum("pkvl,plms->pksmv", gamma, gamma)
-    )  # R^k_{s m v}
-    riem = np.einsum("prk,pksmv->prsmv", g, rup)
-    return riem, gamma
+    gamma, first = christoffel_arrays(g, dg)
+    b = _half(np.einsum("prvms->prsmv", d2g) + np.einsum("psmvr->prsmv", d2g))
+    b = b + np.einsum("pams,parv->prsmv", first, gamma, optimize=True)
+    return b - np.einsum("prsvm->prsmv", b)
 
 
 def sectional_from_riemann(riem, frames):
@@ -375,7 +380,7 @@ class CurvatureAtPoint:
 def christoffel(metric, x):
     """Christoffel symbols Gamma^k_ij at a point (hyper-dual derivatives)."""
     pts, _ = _as_points(x, metric.dim)
-    g, dg, _ = metric.jets(pts, order=2)
+    g, dg, _ = metric.jets(pts)
     _validate_metric_value(g[0], x)
     return christoffel_arrays(g, dg)[0][0]
 
@@ -409,9 +414,9 @@ def christoffel_fd(metric, x, h=1e-5):
 def riemann(metric, x):
     """Lowered Riemann tensor R_ijkl at one point in the chart basis."""
     pts, _ = _as_points(x, metric.dim)
-    g, dg, d2g = metric.jets(pts, order=2)
+    g, dg, d2g = metric.jets(pts)
     _validate_metric_value(g[0], x)
-    riem, _ = riemann_arrays(g, dg, d2g)
+    riem = riemann_arrays(g, dg, d2g)
     return riem[0]
 
 
@@ -433,8 +438,8 @@ def curvature_batch(metric, points, frames=None):
     from .frames import gram_schmidt_frames
 
     points = np.asarray(points)
-    g, dg, d2g = metric.jets(points, order=2)
-    riem, _ = riemann_arrays(g, dg, d2g)
+    g, dg, d2g = metric.jets(points)
+    riem = riemann_arrays(g, dg, d2g)
     if frames is None:
         eye = np.eye(metric.dim)
         frames = gram_schmidt_frames(g, np.broadcast_to(eye, g.shape))
@@ -451,9 +456,9 @@ def curvature_at(metric, x, frame=None):
     from .frames import gram_schmidt_frame
 
     pts, _ = _as_points(x, metric.dim)
-    g, dg, d2g = metric.jets(pts, order=2)
+    g, dg, d2g = metric.jets(pts)
     _validate_metric_value(g[0], x)
-    riem, _ = riemann_arrays(g, dg, d2g)
+    riem = riemann_arrays(g, dg, d2g)
     if frame is None:
         frame = gram_schmidt_frame(g[0], np.eye(metric.dim))
     frames = np.asarray(frame)[None, :, :]

@@ -1,12 +1,13 @@
-"""Forward-mode automatic differentiation to second and third order.
+"""Forward-mode automatic differentiation to second order.
 
 A :class:`Jet2` carries the value, gradient and Hessian of a scalar quantity
-with respect to ``n`` chart variables; a :class:`Jet3` additionally carries
-the symmetric third-derivative tensor (needed when a metric is induced by an
-embedding, since the metric's second derivatives involve third derivatives of
-the embedding).  Both are batched: every component has a leading axis of
-``npoints`` so that whole quadrature grids are differentiated with numpy
-arithmetic instead of per-point Python loops.
+with respect to ``n`` chart variables.  Second order is all the curvature
+pipeline needs, for embedded charts too: the Riemann tensor reads the
+metric's second derivatives only through a combination in which the
+embedding's third derivatives cancel (the Gauss equation).  Jets are
+batched: every component has a leading axis of ``npoints`` so that whole
+quadrature grids are differentiated with numpy arithmetic instead of
+per-point Python loops.
 
 The arithmetic is dtype-generic.  With ``float64`` arrays it is the fast
 path; with ``object`` arrays of :class:`fractions.Fraction` the same code
@@ -19,13 +20,14 @@ Central finite differences are provided as an independent oracle
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from .errors import NonFiniteError
 
 __all__ = [
     "Jet2",
-    "Jet3",
     "variables",
     "second_jet",
     "finite_difference_jet",
@@ -42,15 +44,6 @@ def _outer(a, b):
     return a[:, :, None] * b[:, None, :]
 
 
-def _sym3(g, h):
-    # symmetrized grad (x) hess: (N,n) x (N,n,n) -> (N,n,n,n)
-    return (
-        g[:, :, None, None] * h[:, None, :, :]
-        + g[:, None, :, None] * h[:, :, None, :]
-        + g[:, None, None, :] * h[:, :, :, None]
-    )
-
-
 class Jet2:
     """Value, gradient and Hessian of a scalar, batched over points.
 
@@ -61,7 +54,6 @@ class Jet2:
     hess : ndarray, shape (npoints, nvars, nvars), symmetric
     """
 
-    order = 2
     __array_priority__ = 100  # our dunders win over ndarray's
 
     def __init__(self, value, grad, hess):
@@ -73,29 +65,17 @@ class Jet2:
     def nvars(self):
         return self.grad.shape[1]
 
-    def _like(self, value, grad, hess, third=None):
-        return Jet2(value, grad, hess)
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Jet2):
-            out = [self.value + other.value, self.grad + other.grad, self.hess + other.hess]
-            if self.order == 3:
-                out.append(self.third + other.third)
-            return self._like(*out)
-        out = [self.value + other, self.grad, self.hess]
-        if self.order == 3:
-            out.append(self.third)
-        return self._like(*out)
+            return Jet2(self.value + other.value, self.grad + other.grad, self.hess + other.hess)
+        return Jet2(self.value + other, self.grad, self.hess)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = [-self.value, -self.grad, -self.hess]
-        if self.order == 3:
-            out.append(-self.third)
-        return self._like(*out)
+        return Jet2(-self.value, -self.grad, -self.hess)
 
     def __sub__(self, other):
         return self + (-other)
@@ -114,19 +94,8 @@ class Jet2:
                 + _outer(a.grad, b.grad)
                 + _outer(b.grad, a.grad)
             )
-            if self.order == 3:
-                third = (
-                    a.value[:, None, None, None] * b.third
-                    + b.value[:, None, None, None] * a.third
-                    + _sym3(a.grad, b.hess)
-                    + _sym3(b.grad, a.hess)
-                )
-                return self._like(value, grad, hess, third)
-            return self._like(value, grad, hess)
-        out = [self.value * other, self.grad * other, self.hess * other]
-        if self.order == 3:
-            out.append(self.third * other)
-        return self._like(*out)
+            return Jet2(value, grad, hess)
+        return Jet2(self.value * other, self.grad * other, self.hess * other)
 
     __rmul__ = __mul__
 
@@ -152,51 +121,22 @@ class Jet2:
 
     # -- composition with scalar functions ---------------------------------
 
-    def _compose(self, d0, d1, d2, d3=None):
-        """Chain rule for a scalar function with derivative values d0..d3."""
-        value = d0
+    def _compose(self, d0, d1, d2):
+        """Chain rule for a scalar function with derivative values d0..d2."""
         grad = d1[:, None] * self.grad
         hess = d1[:, None, None] * self.hess + d2[:, None, None] * _outer(self.grad, self.grad)
-        if self.order == 3:
-            gg = _outer(self.grad, self.grad)
-            third = (
-                d1[:, None, None, None] * self.third
-                + d2[:, None, None, None] * _sym3(self.grad, self.hess)
-                + d3[:, None, None, None] * (gg[:, :, :, None] * self.grad[:, None, None, :])
-            )
-            return self._like(value, grad, hess, third)
-        return self._like(value, grad, hess)
+        return Jet2(d0, grad, hess)
 
     def _reciprocal(self):
-        v = self.value
-        inv = _invert_array(v)
+        inv = _invert_array(self.value)
         inv2 = inv * inv
-        d3 = (-6) * inv2 * inv2 if self.order == 3 else None
-        return self._compose(inv, -inv2, 2 * inv2 * inv, d3)
+        return self._compose(inv, -inv2, 2 * inv2 * inv)
 
     def __repr__(self):
         return "%s(npoints=%d, nvars=%d)" % (type(self).__name__, len(self.value), self.nvars)
 
 
-class Jet3(Jet2):
-    """Like :class:`Jet2` with the symmetric third-derivative tensor added.
-
-    ``third`` has shape (npoints, nvars, nvars, nvars).
-    """
-
-    order = 3
-
-    def __init__(self, value, grad, hess, third):
-        super().__init__(value, grad, hess)
-        self.third = third
-
-    def _like(self, value, grad, hess, third=None):
-        return Jet3(value, grad, hess, third)
-
-
 def _invert_scalar(c):
-    from fractions import Fraction
-
     if isinstance(c, (int, Fraction)):
         return Fraction(1, 1) / c
     return 1.0 / c
@@ -204,25 +144,21 @@ def _invert_scalar(c):
 
 def _invert_array(v):
     if v.dtype == object:
-        from fractions import Fraction
-
         return np.array([Fraction(1, 1) / x for x in v.ravel()], dtype=object).reshape(v.shape)
     return 1.0 / v
 
 
-def variables(x, order=2):
+def variables(x):
     """Seed independent variables from chart points.
 
     Parameters
     ----------
     x : array_like, shape (npoints, nvars) or (nvars,)
         Chart coordinates.  dtype may be float or object (Fraction).
-    order : int
-        2 for :class:`Jet2`, 3 for :class:`Jet3`.
 
     Returns
     -------
-    list of Jet2/Jet3, one per chart variable.
+    list of Jet2, one per chart variable.
     """
     x = np.asarray(x)
     if x.ndim == 1:
@@ -236,14 +172,7 @@ def variables(x, order=2):
             grad[:, k] = 1
         else:
             grad[:, k] = 1.0
-        hess = np.zeros((npts, n, n), dtype=dtype)
-        if order == 2:
-            out.append(Jet2(x[:, k].copy(), grad, hess))
-        elif order == 3:
-            third = np.zeros((npts, n, n, n), dtype=dtype)
-            out.append(Jet3(x[:, k].copy(), grad, hess, third))
-        else:
-            raise ValueError("order must be 2 or 3")
+        out.append(Jet2(x[:, k].copy(), grad, np.zeros((npts, n, n), dtype=dtype)))
     return out
 
 
@@ -272,7 +201,7 @@ def second_jet(field, x):
         If any derivative is NaN or infinite.
     """
     x = np.asarray(x)
-    jet = field(variables(x[None, :], order=2))
+    jet = field(variables(x[None, :]))
     if not isinstance(jet, Jet2):  # constant field
         z = np.zeros(len(x))
         return float(jet), z, np.zeros((len(x), len(x)))
@@ -293,9 +222,7 @@ def second_jet(field, x):
 def _dispatch(x, fn, derivs):
     if isinstance(x, Jet2):
         v = fn(x.value)
-        ds = derivs(x.value)
-        d3 = ds[2] if x.order == 3 else None
-        out = x._compose(v, ds[0], ds[1], d3)
+        out = x._compose(v, *derivs(x.value))
         if out.value.dtype != object and not np.all(np.isfinite(out.value)):
             raise NonFiniteError("non-finite value in %s" % fn.__name__)
         return out
@@ -303,27 +230,27 @@ def _dispatch(x, fn, derivs):
 
 
 def sin(x):
-    return _dispatch(x, np.sin, lambda v: (np.cos(v), -np.sin(v), -np.cos(v)))
+    return _dispatch(x, np.sin, lambda v: (np.cos(v), -np.sin(v)))
 
 
 def cos(x):
-    return _dispatch(x, np.cos, lambda v: (-np.sin(v), -np.cos(v), np.sin(v)))
+    return _dispatch(x, np.cos, lambda v: (-np.sin(v), -np.cos(v)))
 
 
 def exp(x):
-    return _dispatch(x, np.exp, lambda v: (np.exp(v), np.exp(v), np.exp(v)))
+    return _dispatch(x, np.exp, lambda v: (np.exp(v), np.exp(v)))
 
 
 def sqrt(x):
     def derivs(v):
         r = np.sqrt(v)
-        return (0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v))
+        return (0.5 / r, -0.25 / (r * v))
 
     return _dispatch(x, np.sqrt, derivs)
 
 
 def log(x):
-    return _dispatch(x, np.log, lambda v: (1.0 / v, -1.0 / v**2, 2.0 / v**3))
+    return _dispatch(x, np.log, lambda v: (1.0 / v, -1.0 / v**2))
 
 
 # -- independent oracle ------------------------------------------------------

@@ -194,24 +194,28 @@ def functional_density(metric, functional, frame="coordinate", seed=0, nsamples=
     explicit (n, n) frame-shaped array of rotation coefficients applied on
     top of the Gram-Schmidt base frame.  ``gamma_mc`` averages over
     ``nsamples`` Haar rotations of the Gram-Schmidt frame per node instead,
-    and needs at least two of them for its standard error.
+    so it accepts only the "coordinate" frame, and needs at least two
+    samples for its standard error.
     """
     if functional not in FUNCTIONALS:
         raise ValueError("unknown functional %r" % (functional,))
     if isinstance(frame, str) and frame not in ("coordinate", "haar"):
         raise ValueError("unknown frame strategy %r" % (frame,))
-    if functional == "gamma_mc" and nsamples < 2:
-        raise ValueError("gamma_mc needs at least 2 samples, got %d" % nsamples)
+    if functional == "gamma_mc":
+        if not (isinstance(frame, str) and frame == "coordinate"):
+            raise ValueError("gamma_mc draws its own Haar frames; use the coordinate frame")
+        if nsamples < 2:
+            raise ValueError("gamma_mc needs at least 2 samples, got %d" % nsamples)
     n = metric.dim
     eye = np.eye(n)
 
     def density(pts, node_idx):
-        g, dg, d2g = metric.jets(pts, order=2)
+        g, dg, d2g = metric.jets(pts)
         np.linalg.cholesky(g)  # raises LinAlgError when not positive definite
         vol = np.sqrt(np.linalg.det(g))
         if functional == "volume":
             return vol, None
-        riem, _ = riemann_arrays(g, dg, d2g)
+        riem = riemann_arrays(g, dg, d2g)
         base = gram_schmidt_frames(g, np.broadcast_to(eye, g.shape))
         if functional == "gamma_mc":
             sframes = _haar_node_frames(base, node_idx, seed, nsamples)
@@ -245,12 +249,18 @@ def integrate_functional(
     chunk=DEFAULT_CHUNK,
     with_error_estimate=True,
 ):
-    """Integrate a curvature functional over a chart grid."""
+    """Integrate a curvature functional over a chart grid.
+
+    ``error_estimate`` is the difference against the half-resolution grid,
+    or ``None`` when it was not asked for or the grid does not coarsen
+    (every axis has one node).
+    """
     density = functional_density(metric, functional, frame=frame, seed=seed, nsamples=nsamples)
     value, stderr = integrate(density, grid, workers=workers, chunk=chunk)
     err = None
-    if with_error_estimate:
-        coarse, _ = integrate(density, grid.halved(), workers=workers, chunk=chunk)
+    coarse_grid = grid.halved() if with_error_estimate else grid
+    if coarse_grid != grid:
+        coarse, _ = integrate(density, coarse_grid, workers=workers, chunk=chunk)
         err = abs(value - coarse)
     return IntegralResult(value=value, error_estimate=err, n_points=grid.n_points, stderr=stderr)
 

@@ -26,8 +26,8 @@ import numpy as np
 from . import jets as J
 from .errors import BadDimensionError, NonOrthonormalFrameError
 from .expressions import parse_expression
-from .geometry import EmbeddingMap, MetricField
-from .quadrature import Axis, Grid
+from .geometry import SYMMETRY_TOL, EmbeddingMap, MetricField
+from .quadrature import DEFAULT_CHUNK, Axis, Grid
 
 __all__ = [
     "Reference",
@@ -356,7 +356,7 @@ def taubes_torus(u="cos(x2) + cos(x1)"):
     )
 
     def _u_jets(points):
-        v = J.variables(np.asarray(points, dtype=float)[:, :2], order=2)
+        v = J.variables(np.asarray(points, dtype=float)[:, :2])
         w = u_fn(v[0], v[1])
         if not isinstance(w, J.Jet2):
             w = v[0] * 0 + w
@@ -700,6 +700,49 @@ MANIFOLD_NAMES = (
 )
 
 
+def _spec_axis(k, a):
+    """One ``Axis`` from the k-th entry of a spec file's ``"axes"`` list."""
+    if not isinstance(a, dict):
+        raise ValueError('spec file: axis %d must be an object with "lo", "hi" and "n"' % k)
+    for key in ("lo", "hi", "n"):
+        if key not in a:
+            raise ValueError('spec file: axis %d has no "%s"' % (k, key))
+    for key in ("lo", "hi"):
+        if isinstance(a[key], bool) or not isinstance(a[key], (int, float, str)):
+            raise ValueError('spec file: axis %d "%s" must be a number or an expression' % (k, key))
+    if isinstance(a["n"], bool) or not isinstance(a["n"], int):
+        raise ValueError('spec file: axis %d "n" must be an integer' % k)
+
+    def bound(v):
+        return float(parse_expression(v)({})) if isinstance(v, str) else float(v)
+
+    return Axis(bound(a["lo"]), bound(a["hi"]), a["n"], bool(a.get("periodic", False)))
+
+
+def _check_symmetric(exprs, grid, var_names):
+    """Reject a metric whose (i, j) and (j, i) entries differ at a grid node.
+
+    The nodes are visited in chunks of ``DEFAULT_CHUNK``, so memory stays
+    bounded however large the grid.
+    """
+    axis_nodes = [a.nodes_weights()[0] for a in grid.axes]
+    shape = tuple(a.n for a in grid.axes)
+    for start in range(0, grid.n_points, DEFAULT_CHUNK):
+        idx = np.unravel_index(np.arange(start, min(start + DEFAULT_CHUNK, grid.n_points)), shape)
+        env = {nm: x[i] for nm, x, i in zip(var_names, axis_nodes, idx)}
+        for i in range(len(exprs)):
+            for j in range(i + 1, len(exprs)):
+                with np.errstate(all="ignore"):  # non-finite entries are left to the run
+                    gap = np.atleast_1d(np.abs(exprs[i][j](env) - exprs[j][i](env)))
+                gap = gap[gap > SYMMETRY_TOL]
+                if gap.size:
+                    raise ValueError(
+                        "spec file: metric entries (%d,%d) and (%d,%d) differ by %.3g at a "
+                        "default grid node; the metric must be symmetric"
+                        % (i + 1, j + 1, j + 1, i + 1, gap.max())
+                    )
+
+
 def load_manifold_file(path):
     """Load a user-defined chart manifold from a declarative JSON file.
 
@@ -711,27 +754,29 @@ def load_manifold_file(path):
 
     Axis bounds and metric entries are expression strings (or numbers) in
     the grammar of :mod:`curvfun.expressions`; metric entries may use the
-    chart variables x1..xn.
+    chart variables x1..xn.  A missing or ill-typed key, or a metric whose
+    transposed entries differ at a node of the default grid by more than
+    ``SYMMETRY_TOL``, raises ``ValueError`` naming the problem.
     """
     import json
 
-    with open(path) as fh:
-        data = json.load(fh)
-    axes_spec = data["axes"]
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ValueError("cannot read spec file: %s" % exc) from None
+    if not isinstance(data, dict):
+        raise ValueError("spec file must hold a JSON object")
+    axes_spec = data.get("axes")
+    if not isinstance(axes_spec, list) or not axes_spec:
+        raise ValueError('spec file needs "axes": a non-empty list of axis objects')
     dim = len(axes_spec)
-
-    def bound(v):
-        if isinstance(v, str):
-            return float(parse_expression(v)({}))
-        return float(v)
-
-    axes = tuple(
-        Axis(bound(a["lo"]), bound(a["hi"]), int(a["n"]), bool(a.get("periodic", False)))
-        for a in axes_spec
-    )
-    rows = data["metric"]
-    if len(rows) != dim or any(len(r) != dim for r in rows):
-        raise ValueError("metric must be a %dx%d matrix of expressions" % (dim, dim))
+    grid = Grid(tuple(_spec_axis(k + 1, a) for k, a in enumerate(axes_spec)))
+    rows = data.get("metric")
+    if not isinstance(rows, list) or len(rows) != dim or any(
+        not isinstance(r, list) or len(r) != dim for r in rows
+    ):
+        raise ValueError('spec file: "metric" must be a %dx%d matrix of expressions' % (dim, dim))
     var_names = ["x%d" % (i + 1) for i in range(dim)]
     exprs = []
     for r in rows:
@@ -743,6 +788,7 @@ def load_manifold_file(path):
                 raise ValueError("metric entry uses unknown variables %s" % sorted(bad))
             row_exprs.append(e)
         exprs.append(row_exprs)
+    _check_symmetric(exprs, grid, var_names)
 
     def entries(v):
         env = {nm: v[i] for i, nm in enumerate(var_names)}
@@ -753,6 +799,6 @@ def load_manifold_file(path):
         name=str(data.get("name", "user-manifold")),
         dim=dim,
         metric=metric,
-        default_grid=Grid(axes),
+        default_grid=grid,
         notes="user-defined chart",
     )

@@ -87,8 +87,8 @@ def test_criterion_04_gbc_exactness_and_flat_limit():
     kb = zoo.klembeck_patch()
     origin = np.zeros((1, 6), dtype=object)
     origin[...] = Fraction(0)
-    g, dg, d2g = kb.metric.jets(origin, order=2)
-    riem, _ = riemann_arrays(g, dg, d2g)
+    g, dg, d2g = kb.metric.jets(origin)
+    riem = riemann_arrays(g, dg, d2g)
     frames = np.zeros((1, 6, 6), dtype=object)
     for i in range(6):
         frames[0, i, i] = Fraction(1)

@@ -101,12 +101,43 @@ def test_bad_plane_indices_exit_2(capsys):
     assert code == 2
 
 
-def test_odd_dimensional_gamma_rejected(capsys):
-    # a 1-axis user chart cannot carry the even-dimensional functionals
-    code, _, err = run(capsys, ["compute", "--manifold", "s2", "--functional",
-                                "gamma_d", "--grid", "9"])
-    # 9 replicated over both axes is fine; force the error through a spec file instead
-    assert code == 0
+def test_odd_dimensional_gamma_rejected(tmp_path, capsys):
+    # a 3-axis user chart cannot carry the even-dimensional functionals
+    spec = {
+        "name": "flat-box",
+        "axes": [{"lo": 0, "hi": 1, "n": 3} for _ in range(3)],
+        "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    }
+    p = tmp_path / "box.json"
+    p.write_text(json.dumps(spec))
+    code, _, err = run(capsys, ["compute", "--spec-file", str(p), "--functional", "gamma_d"])
+    assert code == 2
+    assert "even-dimensional" in err
+
+
+@pytest.mark.parametrize("frame", [["--frame", "haar"],
+                                   ["--frame", "rotated", "--rotate-plane", "1,2"]])
+def test_gamma_mc_rejects_non_coordinate_frame(capsys, frame):
+    # gamma_mc averages over its own Haar frames; a requested frame would be ignored
+    code, out, err = run(capsys, ["compute", "--manifold", "s2", "--grid", "5",
+                                  "--functional", "gamma_mc", "--samples", "4"] + frame)
+    assert code == 2
+    assert out == ""
+    assert "coordinate frame" in err
+
+
+@pytest.mark.parametrize("payload", [
+    {"name": "no-axes", "metric": [["1", "0"], ["0", "1"]]},
+    {"name": "asymmetric", "axes": [{"lo": 0, "hi": 1, "n": 5}, {"lo": 0, "hi": 1, "n": 5}],
+     "metric": [["2", "x1"], ["0", "1"]]},
+])
+def test_bad_spec_file_exits_2(tmp_path, capsys, payload):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(payload))
+    code, out, err = run(capsys, ["compute", "--spec-file", str(p), "--functional", "hilbert"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("configuration error")
 
 
 def test_singular_spec_file_exits_3_with_point(tmp_path, capsys):

@@ -48,7 +48,7 @@ def test_unknown_variable_and_function_rejected():
 
 def test_evaluates_on_jets():
     pts = np.array([[0.3, 1.1]])
-    x1, x2 = variables(pts, order=2)
+    x1, x2 = variables(pts)
     out = parse_expression("cos(x2) + cos(x1)")({"x1": x1, "x2": x2})
     assert out.value[0] == pytest.approx(math.cos(1.1) + math.cos(0.3))
     assert out.grad[0, 0] == pytest.approx(-math.sin(0.3))
@@ -57,7 +57,7 @@ def test_evaluates_on_jets():
 
 def test_integer_float_exponents_on_jets():
     pts = np.array([[1.4]])
-    (x,) = variables(pts, order=2)
+    (x,) = variables(pts)
     out = parse_expression("x^2.0")({"x": x})
     assert out.value[0] == pytest.approx(1.4**2)
     assert out.grad[0, 0] == pytest.approx(2 * 1.4)

@@ -93,6 +93,30 @@ def test_riemann_tensor_symmetries_generic_metric():
     assert np.max(np.abs(bianchi)) < 1e-9
 
 
+def test_riemann_matches_textbook_formula_from_fd_christoffels():
+    # independent reference: R^k_smv = d_m G^k_vs - d_v G^k_ms + G^k_ml G^l_vs
+    # - G^k_vl G^l_ms, lowered with g, with dG by central differences
+    from curvfun.geometry import riemann
+
+    m = generic_3d_metric()
+    x = np.array([0.4, -0.7, 1.1])
+    h = 1e-5
+    gam = christoffel(m, x)
+    dgam = np.zeros((3, 3, 3, 3))  # dgam[m, k, i, j] = d_m Gamma^k_ij
+    for k in range(3):
+        e = np.zeros(3)
+        e[k] = h
+        dgam[k] = (christoffel(m, x + e) - christoffel(m, x - e)) / (2 * h)
+    rup = (
+        np.einsum("mkvs->ksmv", dgam)
+        - np.einsum("vkms->ksmv", dgam)
+        + np.einsum("kml,lvs->ksmv", gam, gam)
+        - np.einsum("kvl,lms->ksmv", gam, gam)
+    )
+    ref = np.einsum("rk,ksmv->rsmv", m.value(x), rup)
+    assert np.max(np.abs(riemann(m, x) - ref)) < 1e-8
+
+
 def test_constant_metric_is_flat():
     g0 = np.array([[2.0, 0.3], [0.3, 1.5]])
     m = MetricField.constant(g0)
@@ -108,14 +132,39 @@ def test_induced_metric_matches_polar_sphere():
     m = MetricField.from_embedding(emb)
     ref = sphere_metric()
     pts = np.array([[0.7, 0.3], [1.4, 2.0], [2.4, 4.4]])
-    ga, _, _ = m.jets(pts, order=2)
-    gb, _, _ = ref.jets(pts, order=2)
+    ga, _, _ = m.jets(pts)
+    gb, _, _ = ref.jets(pts)
     assert np.max(np.abs(ga - gb)) < 1e-12
     # pointwise constructor agrees with the batched jets
     assert induced_metric(emb, pts[0]) == pytest.approx(ga[0], abs=1e-12)
     # curvature through the embedding route agrees with the closed form
     ka, _, _, _ = curvature_batch(m, pts)
     assert ka[:, 0, 1] == pytest.approx(np.ones(3), abs=1e-9)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_embedding_route_matches_closed_form_sphere(dim):
+    # the embedding route (second-order jets, Gauss part of d2g) against the
+    # same polar chart written as entries diag(1, sin^2 x1, sin^2 x1 sin^2 x2, ...)
+    from curvfun.geometry import riemann_arrays
+    from curvfun.zoo import round_sphere
+
+    spec = round_sphere(dim)
+
+    def entries(v):
+        rows = [[0] * dim for _ in range(dim)]
+        scale = 1
+        for i in range(dim):
+            rows[i][i] = scale
+            scale = scale * sin(v[i]) * sin(v[i])
+        return rows
+
+    closed = MetricField.from_entries(dim, entries)
+    pts = spec.interior_points(20, seed=3)
+    assert spec.metric.provenance == "embedding"
+    riem_emb = riemann_arrays(*spec.metric.jets(pts))
+    riem_closed = riemann_arrays(*closed.jets(pts))
+    assert np.max(np.abs(riem_emb - riem_closed)) <= 1e-12
 
 
 def test_degenerate_embedding_rejected():
@@ -157,7 +206,7 @@ def test_exact_object_path_produces_fractions():
     pts = np.empty((1, 2), dtype=object)
     pts[0, 0] = Fraction(1, 2)
     pts[0, 1] = Fraction(1, 3)
-    g, _, _ = m.jets(pts, order=2)
+    g, _, _ = m.jets(pts)
     assert g[0, 0, 0] == Fraction(10, 9)
     _, riem, _, _ = curvature_batch(m, pts)
     assert isinstance(riem[0, 0, 1, 0, 1], Fraction)

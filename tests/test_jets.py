@@ -8,7 +8,6 @@ import pytest
 
 from curvfun.jets import (
     Jet2,
-    Jet3,
     constant_jet,
     cos,
     exp,
@@ -27,7 +26,7 @@ def f_scalar(x, y):
 
 def test_jet2_matches_finite_differences():
     pts = np.array([[0.4, -0.3], [1.1, 0.7], [-0.2, 0.05]])
-    xs, ys = variables(pts, order=2)
+    xs, ys = variables(pts)
     out = f_scalar(xs, ys)
     for row, (x0, y0) in enumerate(pts):
         val, grad, hess = finite_difference_jet(
@@ -38,17 +37,9 @@ def test_jet2_matches_finite_differences():
         assert out.hess[row] == pytest.approx(hess, abs=1e-4)
 
 
-def test_jet3_third_derivatives():
-    # f(x) = x^4 has f''' = 24x, captured exactly by the cubic jet
-    pts = np.array([[0.5], [2.0]])
-    (x,) = variables(pts, order=3)
-    out = x * x * x * x
-    assert out.third[:, 0, 0, 0] == pytest.approx(24 * pts[:, 0])
-
-
 def test_division_and_sqrt_chain():
     pts = np.array([[1.3, 0.4]])
-    x, y = variables(pts, order=2)
+    x, y = variables(pts)
     out = sqrt(x / (x + y * y))
     g = lambda v: math.sqrt(v[0] / (v[0] + v[1] ** 2))
     val, grad, hess = finite_difference_jet(g, pts[0])
@@ -59,7 +50,7 @@ def test_division_and_sqrt_chain():
 
 def test_log_derivative():
     pts = np.array([[2.0]])
-    (x,) = variables(pts, order=2)
+    (x,) = variables(pts)
     out = log(x)
     assert out.grad[0, 0] == pytest.approx(0.5)
     assert out.hess[0, 0, 0] == pytest.approx(-0.25)
@@ -69,7 +60,7 @@ def test_exact_fraction_polynomials_stay_rational():
     pts = np.empty((1, 2), dtype=object)
     pts[0, 0] = Fraction(1, 3)
     pts[0, 1] = Fraction(2, 5)
-    x, y = variables(pts, order=2)
+    x, y = variables(pts)
     out = x * x * y + y * y
     assert out.value[0] == Fraction(1, 3) ** 2 * Fraction(2, 5) + Fraction(2, 5) ** 2
     assert isinstance(out.value[0], Fraction)
@@ -79,7 +70,7 @@ def test_exact_fraction_polynomials_stay_rational():
 
 def test_trig_identity_along_jet():
     pts = np.array([[0.9]])
-    (x,) = variables(pts, order=2)
+    (x,) = variables(pts)
     out = sin(x) * sin(x) + cos(x) * cos(x)
     assert out.value[0] == pytest.approx(1.0)
     assert abs(out.grad[0, 0]) < 1e-14
@@ -88,7 +79,7 @@ def test_trig_identity_along_jet():
 
 def test_constant_and_second_jet_helpers():
     pts = np.array([[0.1, 0.2], [0.3, 0.4]])
-    x, _ = variables(pts, order=2)
+    x, _ = variables(pts)
     c = constant_jet(7.0, x)
     assert np.all(c.value == 7.0)
     assert np.all(c.grad == 0.0)
@@ -100,7 +91,7 @@ def test_constant_and_second_jet_helpers():
 
 def test_jet2_scalar_mixing_with_plain_numbers():
     pts = np.array([[0.5]])
-    (x,) = variables(pts, order=2)
+    (x,) = variables(pts)
     out = 2.0 * x + 3 - x / 2 + (1 - x)
     assert out.value[0] == pytest.approx(2.0 * 0.5 + 3 - 0.25 + 0.5)
     assert out.grad[0, 0] == pytest.approx(2.0 - 0.5 - 1.0)
@@ -108,8 +99,8 @@ def test_jet2_scalar_mixing_with_plain_numbers():
 
 def test_pow_integer_exponent():
     pts = np.array([[1.7]])
-    (x,) = variables(pts, order=3)
+    (x,) = variables(pts)
     out = x**5
     assert out.value[0] == pytest.approx(1.7**5)
     assert out.grad[0, 0] == pytest.approx(5 * 1.7**4)
-    assert out.third[0, 0, 0, 0] == pytest.approx(60 * 1.7**2)
+    assert out.hess[0, 0, 0] == pytest.approx(20 * 1.7**3)

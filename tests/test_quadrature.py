@@ -105,6 +105,22 @@ def test_volume_and_error_estimate():
     assert res.n_points == 24 * 24
 
 
+def test_one_node_grid_has_no_error_estimate(monkeypatch):
+    # a one-node grid halves to itself, so a second pass would report 0.0
+    import curvfun.quadrature as Q
+
+    passes = []
+    real = Q.integrate
+    monkeypatch.setattr(Q, "integrate", lambda *a, **k: passes.append(a[1]) or real(*a, **k))
+    grid = Grid((Axis(0, math.pi, 1), Axis(0, 2 * math.pi, 1, periodic=True)))
+    assert grid.halved() == grid
+    res = integrate_functional(sphere_metric(), grid)
+    assert res.error_estimate is None
+    assert passes == [grid]
+    two = Grid((Axis(0, math.pi, 2), Axis(0, 2 * math.pi, 1, periodic=True)))
+    assert integrate_functional(sphere_metric(), two).error_estimate is not None
+
+
 def test_functional_density_rejects_unknown():
     with pytest.raises(ValueError):
         functional_density(sphere_metric(), "nope")

@@ -129,7 +129,7 @@ def test_load_manifold_file_round_trip(tmp_path):
     assert spec.dim == 2
     assert spec.default_grid.axes[0].hi == pytest.approx(2 * math.pi)
     pts = spec.interior_points(4, seed=1)
-    g, _, _ = spec.metric.jets(pts, order=2)
+    g, _, _ = spec.metric.jets(pts)
     assert g[:, 0, 0] == pytest.approx(1 + 0.1 * np.sin(pts[:, 0]))
     assert g[:, 1, 1] == pytest.approx(1 + pts[:, 1] ** 2)
 
@@ -144,6 +144,36 @@ def test_load_manifold_file_rejects_bad_shapes(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError):
         load_manifold_file(path)
+
+
+@pytest.mark.parametrize("payload, key", [
+    ({"metric": [["1"]]}, "axes"),
+    ({"axes": {"lo": 0, "hi": 1, "n": 4}, "metric": [["1"]]}, "axes"),
+    ({"axes": [{"lo": 0, "n": 4}], "metric": [["1"]]}, '"hi"'),
+    ({"axes": [{"lo": 0, "hi": 1}], "metric": [["1"]]}, '"n"'),
+    ({"axes": [{"lo": 0, "hi": 1, "n": "four"}], "metric": [["1"]]}, '"n"'),
+    ({"axes": [{"lo": None, "hi": 1, "n": 4}], "metric": [["1"]]}, '"lo"'),
+    ({"axes": [{"lo": 0, "hi": 1, "n": 4}]}, "metric"),
+    ({"axes": [{"lo": 0, "hi": 1, "n": 4}], "metric": "1"}, "metric"),
+])
+def test_load_manifold_file_names_the_bad_key(tmp_path, payload, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=key):
+        load_manifold_file(path)
+
+
+def test_load_manifold_file_rejects_asymmetric_metric(tmp_path):
+    axes = [{"lo": -1, "hi": 1, "n": 4}, {"lo": 0, "hi": 1, "n": 5}]
+    path = tmp_path / "asym.json"
+    # sqrt(x1) is NaN on half the nodes; the finite half must still be caught
+    for upper in ("x1", "sqrt(x1)"):
+        path.write_text(json.dumps({"axes": axes, "metric": [["2", upper], ["0", "1"]]}))
+        with pytest.raises(ValueError, match="symmetric"):
+            load_manifold_file(path)
+    # transposed entries that agree as functions pass, whatever their text
+    path.write_text(json.dumps({"axes": axes, "metric": [["2", "x1*x2"], ["x2*x1", "1"]]}))
+    assert load_manifold_file(path).dim == 2
 
 
 def test_cp2_exact_sectional_requires_orthogonal_rows():
