@@ -5,9 +5,13 @@ malformed spec files); 3 numerical failure during evaluation, with the
 failing chart point in the report; 4 reproduction run with at least one
 non-documented failing reference.
 
-Output records are emitted as JSON (sorted keys), CSV (fixed column
-order), or plain text.  With identical configuration, seed, and
-``--no-timing``, output bytes are identical regardless of worker count.
+Each command returns its record and exit code; one writer stamps the
+record and emits it as JSON (sorted keys), CSV (fixed column order), or
+plain text.  Records are always finite: a NaN or infinite density, a
+rank-deficient frame, or an asymmetric metric at any evaluated node (the
+``--grid`` nodes and the halved error-estimate grid included) exits 3 and
+names the node.  With identical configuration, seed, and ``--no-timing``,
+output bytes are identical regardless of worker count.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from . import __version__
 from .errors import ChartSingularityError, CurvfunError, NonFiniteError, SingularMetricError
 from .frames import rotate_frame
 from .functionals import k_discrete
-from .quadrature import FUNCTIONALS, Axis, Grid, integrate_functional
+from .quadrature import FUNCTIONALS, Axis, Grid, integrate, integrate_functional
 from .reproduce import CASE_NAMES, run_case
 from .zoo import MANIFOLD_NAMES, load_manifold_file, manifold_by_name
 
@@ -46,14 +50,6 @@ class ConfigError(Exception):
     pass
 
 
-def _versions():
-    return {
-        "package": __version__,
-        "python": "%d.%d.%d" % sys.version_info[:3],
-        "numpy": np.__version__,
-    }
-
-
 def _parse_params(items):
     out = {}
     for item in items or []:
@@ -62,17 +58,6 @@ def _parse_params(items):
         k, v = item.split("=", 1)
         out[k.strip()] = v.strip()
     return out
-
-
-def _parse_grid(text, dim):
-    ns = [int(v) for v in text.split(",")]
-    if len(ns) == 1:
-        ns = ns * dim
-    if len(ns) != dim:
-        raise ConfigError("--grid needs 1 or %d sizes, got %d" % (dim, len(ns)))
-    if any(n < 1 for n in ns):
-        raise ConfigError("grid sizes must be positive")
-    return ns
 
 
 def _resolve_manifold(args):
@@ -84,43 +69,55 @@ def _resolve_manifold(args):
     return manifold_by_name(args.manifold, params)
 
 
-def _frame_config(args, dim):
-    if args.frame == "coordinate":
-        return "coordinate", None, None
-    if args.frame == "haar":
-        return "haar", None, None
-    if args.frame == "rotated":
-        if not args.rotate_plane:
-            raise ConfigError("--frame rotated requires --rotate-plane a,b")
-        try:
-            a, b = (int(v) for v in args.rotate_plane.split(","))
-        except ValueError:
-            raise ConfigError("--rotate-plane expects two comma-separated indices") from None
-        if not (1 <= a <= dim and 1 <= b <= dim) or a == b:
-            raise ConfigError("rotation plane indices must be distinct and in 1..%d" % dim)
-        angle = float(args.rotate_angle)
-        rot = rotate_frame(np.eye(dim), a - 1, b - 1, angle)
-        return "rotated", (a, b), (angle, rot)
-    raise ConfigError("unknown frame strategy %r" % args.frame)
+def _grid(args, spec):
+    """The spec's default grid, or its axes with the ``--grid`` node counts."""
+    if not args.grid:
+        return spec.default_grid
+    ns = [int(v) for v in args.grid.split(",")]
+    if len(ns) == 1:
+        ns = ns * spec.dim
+    if len(ns) != spec.dim:
+        raise ConfigError("--grid needs 1 or %d sizes, got %d" % (spec.dim, len(ns)))
+    if any(n < 1 for n in ns):
+        raise ConfigError("grid sizes must be positive")
+    return Grid(tuple(Axis(a.lo, a.hi, n, a.periodic) for a, n in zip(spec.default_grid.axes, ns)))
 
 
-def _emit(payload, fmt, out_path, csv_rows=None, text_lines=None):
-    """Serialize a payload; csv_rows/text_lines override the non-JSON forms."""
-    if fmt == "json":
-        body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        for row in csv_rows:
-            writer.writerow(row)
-        body = buf.getvalue()
-    else:
-        body = "\n".join(text_lines) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
+def _plane(text, dim, flag):
+    """Parse a 1-based frame plane "a,b" given to ``flag``."""
+    try:
+        a, b = (int(v) for v in text.split(","))
+    except ValueError:
+        raise ConfigError("%s expects two comma-separated 1-based indices" % flag) from None
+    if not (1 <= a <= dim and 1 <= b <= dim) or a == b:
+        raise ConfigError("%s indices must be distinct and in 1..%d" % (flag, dim))
+    return a, b
+
+
+def _frame(args, dim):
+    """The frame ``integrate_functional`` takes, and the record's ``frame`` object."""
+    if args.frame != "rotated":
+        return args.frame, {"strategy": args.frame, "plane": None, "angle": None}
+    if not args.rotate_plane:
+        raise ConfigError("--frame rotated requires --rotate-plane a,b")
+    a, b = _plane(args.rotate_plane, dim, "--rotate-plane")
+    if not math.isfinite(args.rotate_angle):
+        raise ConfigError("--rotate-angle must be finite, got %r" % args.rotate_angle)
+    rot = rotate_frame(np.eye(dim), a - 1, b - 1, args.rotate_angle)
+    return rot, {"strategy": "rotated", "plane": (a, b), "angle": args.rotate_angle}
+
+
+def _record(args, name, frame, grid):
+    """The header fields shared by every compute and frame-sweep record."""
+    return {
+        "command": args.command,
+        "manifold": name,
+        "functional": args.functional,
+        "normalization": _NORMALIZATION[args.functional],
+        "frame": frame,
+        "grid": grid,
+        "seed": args.seed,
+    }
 
 
 # -- compute ----------------------------------------------------------------------
@@ -132,40 +129,23 @@ def _compute_group(args):
     alg = LG.builtin_algebra(args.manifold)
     if args.functional != "gamma_d":
         raise ConfigError("group manifolds support --functional gamma_d only")
-    strategy, plane, rot = _frame_config(args, alg.dim)
-    if strategy == "haar":
+    frame, frame_record = _frame(args, alg.dim)
+    if frame_record["strategy"] == "haar":
         from .frames import haar_orthogonal, point_rng
 
-        alg = LG.rotate_algebra(alg, haar_orthogonal(alg.dim, point_rng(args.seed, 0)))
-    elif strategy == "rotated":
-        alg = LG.rotate_algebra(alg, rot[1])
-    k = LG.biinvariant_sectional(alg)
-    density = float(k_discrete(k))
+        frame = haar_orthogonal(alg.dim, point_rng(args.seed, 0))
+    if frame_record["strategy"] != "coordinate":
+        alg = LG.rotate_algebra(alg, frame)
+    density = float(k_discrete(LG.biinvariant_sectional(alg)))
     volume = {"su3": math.pi**5, "so4": None}[args.manifold]
-    value = density * volume if volume is not None else (0.0 if density == 0 else None)
-    if value is None:
+    if volume is None and density != 0:
         raise ConfigError("no volume on record for %r; density reported alone" % args.manifold)
-    record = {
-        "command": "compute",
-        "manifold": args.manifold,
-        "functional": args.functional,
-        "normalization": _NORMALIZATION[args.functional] + "; curvature constant over the group",
-        "frame": {"strategy": strategy, "plane": plane, "angle": rot[0] if rot else None},
-        "grid": None,
-        "n_points": 1,
-        "seed": args.seed,
-        "samples": None,
-        "value": value,
-        "error_estimate": 0.0,
-        "stderr": None,
-        "k_d_density": density,
-        "group_volume": volume,
-        "versions": _versions(),
-    }
-    if args.manifold == "su3" and strategy == "coordinate":
-        from .liegroups import pairing_sums_exact
-
-        ms, ps = pairing_sums_exact(alg)
+    record = _record(args, args.manifold, frame_record, None)
+    record["normalization"] += "; curvature constant over the group"
+    record.update(n_points=1, samples=None, value=0.0 if volume is None else density * volume,
+                  error_estimate=0.0, stderr=None, k_d_density=density, group_volume=volume)
+    if args.manifold == "su3" and frame_record["strategy"] == "coordinate":
+        ms, ps = LG.pairing_sums_exact(alg)
         record["exact"] = {
             "matching_sum": str(ms),
             "permutation_sum": str(ps),
@@ -175,121 +155,62 @@ def _compute_group(args):
 
 
 def cmd_compute(args):
-    t0 = time.monotonic()
     if args.manifold in GROUP_NAMES and not args.spec_file:
-        record = _compute_group(args)
-    else:
-        spec = _resolve_manifold(args)
-        if args.functional not in FUNCTIONALS:
-            raise ConfigError("unknown functional %r" % args.functional)
-        if args.functional in ("gamma_d", "gamma_mc", "gbc") and spec.dim % 2 != 0:
-            raise ConfigError("%s needs an even-dimensional manifold" % args.functional)
-        grid = spec.default_grid
-        if args.grid:
-            ns = _parse_grid(args.grid, spec.dim)
-            grid = Grid(
-                tuple(
-                    Axis(a.lo, a.hi, n, a.periodic) for a, n in zip(grid.axes, ns)
-                )
-            )
-        strategy, plane, rot = _frame_config(args, spec.dim)
-        frame = {"coordinate": "coordinate", "haar": "haar"}.get(strategy)
-        if frame is None:
-            frame = rot[1]
-        result = integrate_functional(
-            spec.metric,
+        return _compute_group(args), 0
+    spec = _resolve_manifold(args)
+    if args.functional in ("gamma_d", "gamma_mc", "gbc") and spec.dim % 2 != 0:
+        raise ConfigError("%s needs an even-dimensional manifold" % args.functional)
+    grid = _grid(args, spec)
+    frame, frame_record = _frame(args, spec.dim)
+    result = integrate_functional(
+        spec.metric,
+        grid,
+        functional=args.functional,
+        frame=frame,
+        seed=args.seed,
+        nsamples=args.samples,
+        workers=args.workers,
+    )
+    record = _record(args, spec.name, frame_record, grid.describe())
+    record.update(
+        n_points=result.n_points,
+        samples=args.samples if args.functional == "gamma_mc" else None,
+        value=result.value,
+        error_estimate=result.error_estimate,
+        stderr=result.stderr,
+    )
+    if args.functional == "gamma_d" and "k_d" in spec.oracles and "dV" in spec.oracles:
+        record["oracle_value"], _ = integrate(
+            lambda p, i: (spec.oracles["k_d"](p) * spec.oracles["dV"](p), None),
             grid,
-            functional=args.functional,
-            frame=frame,
-            seed=args.seed,
-            nsamples=args.samples,
             workers=args.workers,
         )
-        record = {
-            "command": "compute",
-            "manifold": spec.name,
-            "functional": args.functional,
-            "normalization": _NORMALIZATION[args.functional],
-            "frame": {"strategy": strategy, "plane": plane,
-                      "angle": rot[0] if rot else None},
-            "grid": grid.describe(),
-            "n_points": result.n_points,
-            "seed": args.seed,
-            "samples": args.samples if args.functional == "gamma_mc" else None,
-            "value": result.value,
-            "error_estimate": result.error_estimate,
-            "stderr": result.stderr,
-            "versions": _versions(),
-        }
-        if args.functional == "gamma_d" and "k_d" in spec.oracles and "dV" in spec.oracles:
-            from .quadrature import integrate
-
-            oracle_value, _ = integrate(
-                lambda p, i: (spec.oracles["k_d"](p) * spec.oracles["dV"](p), None),
-                grid,
-                workers=args.workers,
-            )
-            record["oracle_value"] = oracle_value
-        if spec.notes:
-            record["notes"] = spec.notes
-    if not args.no_timing:
-        record["wall_time"] = time.monotonic() - t0
-    cols = ["command", "manifold", "functional", "frame", "value", "error_estimate",
-            "stderr", "n_points", "seed", "wall_time"]
-    row = [record.get("command"), record.get("manifold"), record.get("functional"),
-           record["frame"]["strategy"], record.get("value"), record.get("error_estimate"),
-           record.get("stderr"), record.get("n_points"), record.get("seed"),
-           record.get("wall_time")]
-    text = ["%s = %r" % (k, record[k]) for k in sorted(record)]
-    _emit(record, args.format, args.out, csv_rows=[cols, row], text_lines=text)
-    return 0
+    if spec.notes:
+        record["notes"] = spec.notes
+    return record, 0
 
 
 # -- frame sweep --------------------------------------------------------------------
 
 
 def cmd_frame_sweep(args):
-    t0 = time.monotonic()
     spec = _resolve_manifold(args)
     if args.angles < 2:
         raise ConfigError("--angles must be at least 2")
-    try:
-        a, b = (int(v) for v in args.plane.split(","))
-    except ValueError:
-        raise ConfigError("--plane expects two comma-separated 1-based indices") from None
-    if not (1 <= a <= spec.dim and 1 <= b <= spec.dim) or a == b:
-        raise ConfigError("plane indices must be distinct and in 1..%d" % spec.dim)
-    grid = spec.default_grid
-    if args.grid:
-        ns = _parse_grid(args.grid, spec.dim)
-        grid = Grid(tuple(Axis(ax.lo, ax.hi, n, ax.periodic) for ax, n in zip(grid.axes, ns)))
-    angles = np.linspace(0.0, math.pi / 2, args.angles)
+    a, b = _plane(args.plane, spec.dim, "--plane")
+    grid = _grid(args, spec)
     rows = []
-    for angle in angles:
+    for angle in np.linspace(0.0, math.pi / 2, args.angles):
         rot = rotate_frame(np.eye(spec.dim), a - 1, b - 1, float(angle))
         result = integrate_functional(
             spec.metric, grid, functional=args.functional, frame=rot,
             seed=args.seed, workers=args.workers, with_error_estimate=False,
         )
         rows.append({"angle": float(angle), "value": result.value})
-    payload = {
-        "command": "frame-sweep",
-        "manifold": spec.name,
-        "functional": args.functional,
-        "plane": [a, b],
-        "normalization": _NORMALIZATION[args.functional],
-        "frame": {"strategy": "rotated-sweep", "plane": [a, b], "angle": None},
-        "grid": grid.describe(),
-        "seed": args.seed,
-        "rows": rows,
-        "versions": _versions(),
-    }
-    if not args.no_timing:
-        payload["wall_time"] = time.monotonic() - t0
-    csv_rows = [["angle", "value"]] + [[r["angle"], r["value"]] for r in rows]
-    text = ["angle=%.6f value=%.12g" % (r["angle"], r["value"]) for r in rows]
-    _emit(payload, args.format, args.out, csv_rows=csv_rows, text_lines=text)
-    return 0
+    frame = {"strategy": "rotated-sweep", "plane": [a, b], "angle": None}
+    record = _record(args, spec.name, frame, grid.describe())
+    record.update(plane=[a, b], rows=rows)
+    return record, 0
 
 
 # -- reproduce -----------------------------------------------------------------------
@@ -300,29 +221,74 @@ def cmd_reproduce(args):
     for c in cases:
         if c not in CASE_NAMES:
             raise ConfigError("unknown case %r (cases: %s, all)" % (c, ", ".join(CASE_NAMES)))
-    all_results = []
-    for c in cases:
-        all_results.extend(run_case(c, workers=args.workers))
-    records = [r.to_record() for r in all_results]
-    payload = {"command": "reproduce", "cases": cases, "results": records,
-               "versions": _versions()}
-    cols = ["case", "quantity", "expected", "measured", "tolerance", "source",
-            "verdict", "note"]
-    csv_rows = [cols] + [[rec[k] for k in cols] for rec in records]
-    text = []
-    for rec in records:
-        text.append("[%s] %-55s %-22s expected=%s measured=%s (%s)" % (
+    results = [r.to_record() for c in cases for r in run_case(c, workers=args.workers)]
+    failed = any(r["verdict"] == "FAIL" for r in results)
+    return {"command": "reproduce", "cases": cases, "results": results}, 4 if failed else 0
+
+
+# -- the record writer ---------------------------------------------------------------
+
+_COMPUTE_COLUMNS = ["command", "manifold", "functional", "frame", "value", "error_estimate",
+                    "stderr", "n_points", "seed", "wall_time"]
+_REPRODUCE_COLUMNS = ["case", "quantity", "expected", "measured", "tolerance", "source",
+                      "verdict", "note"]
+
+
+def _table(record):
+    """The CSV rows and the text lines of a finished record."""
+    if record["command"] == "compute":
+        row = [record["frame"]["strategy"] if k == "frame" else record.get(k)
+               for k in _COMPUTE_COLUMNS]
+        return [_COMPUTE_COLUMNS, row], ["%s = %r" % (k, record[k]) for k in sorted(record)]
+    if record["command"] == "frame-sweep":
+        rows = record["rows"]
+        return ([["angle", "value"]] + [[r["angle"], r["value"]] for r in rows],
+                ["angle=%.6f value=%.12g" % (r["angle"], r["value"]) for r in rows])
+    results = record["results"]
+    lines = []
+    for rec in results:
+        lines.append("[%s] %-55s %-22s expected=%s measured=%s (%s)" % (
             rec["verdict"], rec["case"] + ": " + rec["quantity"], rec["source"],
             rec["expected"], rec["measured"],
             "exact" if rec["tolerance"] is None else "tol=%g" % rec["tolerance"]))
         if rec["note"]:
-            text.append("    note: %s" % rec["note"])
-    failed = [r for r in all_results if r.verdict == "FAIL"]
-    text.append("%d checks, %d failed, %d documented discrepancies" % (
-        len(all_results), len(failed),
-        sum(1 for r in all_results if r.verdict == "DISCREPANCY-DOCUMENTED")))
-    _emit(payload, args.format, args.out, csv_rows=csv_rows, text_lines=text)
-    return 4 if failed else 0
+            lines.append("    note: %s" % rec["note"])
+    verdicts = [rec["verdict"] for rec in results]
+    lines.append("%d checks, %d failed, %d documented discrepancies" % (
+        len(verdicts), verdicts.count("FAIL"), verdicts.count("DISCREPANCY-DOCUMENTED")))
+    return [_REPRODUCE_COLUMNS] + [[rec[k] for k in _REPRODUCE_COLUMNS] for rec in results], lines
+
+
+def write_record(record, args, t0):
+    """Stamp, check and write a command's record to ``--out`` or stdout.
+
+    Stamps ``versions``, and ``wall_time`` (seconds since ``t0``) for the
+    commands that have ``--no-timing`` unless it was given.  The record is
+    serialised as JSON with ``allow_nan=False`` in every format, so a NaN or
+    infinite value raises ``NonFiniteError`` and nothing is written.
+    """
+    record["versions"] = {
+        "package": __version__,
+        "python": "%d.%d.%d" % sys.version_info[:3],
+        "numpy": np.__version__,
+    }
+    if not getattr(args, "no_timing", True):
+        record["wall_time"] = time.monotonic() - t0
+    try:
+        body = json.dumps(record, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NonFiniteError("record holds a non-finite value (%s)" % exc) from None
+    if args.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(_table(record)[0])
+        body = buf.getvalue()
+    elif args.format == "text":
+        body = "\n".join(_table(record)[1]) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(body)
+    else:
+        sys.stdout.write(body)
 
 
 # -- entry point ---------------------------------------------------------------------
@@ -380,12 +346,12 @@ def main(argv=None):
     except SystemExit as e:
         # argparse exits 2 on bad flags already; normalize other exits
         return int(e.code) if e.code else 0
+    t0 = time.monotonic()
     try:
-        return args.fn(args)
-    except ConfigError as e:
-        print("configuration error: %s" % e, file=sys.stderr)
-        return 2
-    except ValueError as e:
+        record, code = args.fn(args)
+        write_record(record, args, t0)
+        return code
+    except (ConfigError, ValueError) as e:
         print("configuration error: %s" % e, file=sys.stderr)
         return 2
     except ChartSingularityError as e:

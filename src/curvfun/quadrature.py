@@ -26,10 +26,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ChartSingularityError, NonFiniteError, SingularMetricError
+from .errors import ChartSingularityError, NonFiniteError, RankDeficientError, SingularMetricError
 from .frames import gram_schmidt_frames, haar_orthogonal, point_rng
 from .functionals import haar_pair_average, k_discrete, k_gbc, scalar_curvature
-from .geometry import riemann_arrays, riemann_in_frame, sectional_from_riemann
+from .geometry import SYMMETRY_TOL, riemann_arrays, riemann_in_frame, sectional_from_riemann
 
 __all__ = [
     "Axis",
@@ -45,6 +45,9 @@ __all__ = [
 FUNCTIONALS = ("gamma_d", "gamma_mc", "gbc", "hilbert", "volume")
 
 DEFAULT_CHUNK = 4096
+
+# A density raising one of these fails at a node, which the integrator locates.
+_NODE_FAILURES = (NonFiniteError, SingularMetricError, RankDeficientError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -120,14 +123,23 @@ class IntegralResult:
     stderr: Optional[float] = None
 
 
+def _evaluate(density, pts, idx):
+    """Evaluate a density on a batch, raising NonFiniteError on NaN or infinity."""
+    with np.errstate(all="ignore"):  # a non-finite result is raised below instead
+        vals, stderrs = density(pts, idx)
+    if not (np.all(np.isfinite(vals)) and (stderrs is None or np.all(np.isfinite(stderrs)))):
+        raise NonFiniteError("density value is not finite")
+    return vals, stderrs
+
+
 def _locate_failure(density, pts, idx, cause):
     """Re-run a failed chunk point by point to name the offending node."""
     for row in range(len(pts)):
         try:
-            density(pts[row : row + 1], idx[row : row + 1])
-        except (NonFiniteError, SingularMetricError, np.linalg.LinAlgError):
+            _evaluate(density, pts[row : row + 1], idx[row : row + 1])
+        except _NODE_FAILURES as exc:
             raise ChartSingularityError(
-                "density evaluation failed at chart point %s" % (pts[row].tolist(),),
+                "density evaluation failed at chart point %s: %s" % (pts[row].tolist(), exc),
                 point=pts[row].copy(),
             ) from cause
     raise cause
@@ -140,6 +152,8 @@ def integrate(density, grid, workers=1, chunk=DEFAULT_CHUNK):
     their global node indices, for per-point RNG streams) to a pair
     ``(values, stderrs_or_None)``.  The chunk size is fixed independently
     of ``workers`` so each node sees an identical evaluation context.
+    A non-finite value or a node failure (singular or asymmetric metric,
+    rank-deficient frame) raises ``ChartSingularityError`` naming the node.
     """
     pts, w = grid.points_weights()
     npts = len(pts)
@@ -152,8 +166,8 @@ def integrate(density, grid, workers=1, chunk=DEFAULT_CHUNK):
         s, e = rng_
         idx = np.arange(s, e)
         try:
-            vals, stderrs = density(pts[s:e], idx)
-        except (NonFiniteError, SingularMetricError, np.linalg.LinAlgError) as exc:
+            vals, stderrs = _evaluate(density, pts[s:e], idx)
+        except _NODE_FAILURES as exc:
             _locate_failure(density, pts[s:e], idx, exc)
         contrib[s:e] = np.asarray(vals, dtype=float) * w[s:e]
         if stderrs is not None:
@@ -211,6 +225,8 @@ def functional_density(metric, functional, frame="coordinate", seed=0, nsamples=
 
     def density(pts, node_idx):
         g, dg, d2g = metric.jets(pts)
+        if np.max(np.abs(g - np.swapaxes(g, 1, 2))) > SYMMETRY_TOL:
+            raise SingularMetricError("metric is not symmetric")
         np.linalg.cholesky(g)  # raises LinAlgError when not positive definite
         vol = np.sqrt(np.linalg.det(g))
         if functional == "volume":

@@ -1,5 +1,6 @@
 """The command-line interface: schemas, exit codes, and reproducibility."""
 
+import argparse
 import csv
 import io
 import json
@@ -7,7 +8,8 @@ import math
 
 import pytest
 
-from curvfun.cli import main
+from curvfun.cli import main, write_record
+from curvfun.errors import NonFiniteError
 from curvfun.quadrature import DEFAULT_CHUNK
 
 S2_ARGS = ["compute", "--manifold", "s2", "--grid", "9,8", "--no-timing"]
@@ -50,6 +52,11 @@ def test_wall_time_present_by_default(capsys):
     code, out, _ = run(capsys, ["compute", "--manifold", "s2", "--grid", "5,4"])
     assert code == 0
     assert "wall_time" in json.loads(out)
+    # the writer stamps the record before the CSV row is built from it
+    code, out, _ = run(capsys, ["compute", "--manifold", "s2", "--grid", "5,4", "--format", "csv"])
+    assert code == 0
+    header, row = list(csv.reader(io.StringIO(out)))
+    assert float(row[header.index("wall_time")]) >= 0.0
 
 
 def test_byte_identity_across_worker_counts(tmp_path):
@@ -71,6 +78,29 @@ def test_byte_identity_across_worker_counts(tmp_path):
             outputs.append(p.read_bytes())
         assert json.loads(outputs[0])["n_points"] > DEFAULT_CHUNK
         assert outputs[0] == outputs[1] == outputs[2], extra
+
+
+def test_frame_sweep_byte_identity_across_worker_counts(tmp_path):
+    # 9 x 8 x 9 x 8 nodes exceed one chunk, so the thread pool runs two chunks
+    outputs = []
+    for w in (1, 2, 8):
+        p = tmp_path / ("w%d.json" % w)
+        code = main(["frame-sweep", "--manifold", "s2xs2", "--plane", "1,3", "--angles", "3",
+                     "--grid", "9,8,9,8", "--workers", str(w), "--no-timing", "--out", str(p)])
+        assert code == 0
+        outputs.append(p.read_bytes())
+    assert 9 * 8 * 9 * 8 > DEFAULT_CHUNK
+    assert len(json.loads(outputs[0])["rows"]) == 3
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_write_record_rejects_non_finite_field(capsys, fmt):
+    args = argparse.Namespace(format=fmt, out=None, no_timing=True)
+    record = {"command": "compute", "frame": {"strategy": "coordinate"}, "value": math.nan}
+    with pytest.raises(NonFiniteError):
+        write_record(record, args, 0.0)
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("samples", ["0", "1"])
@@ -99,6 +129,16 @@ def test_bad_plane_indices_exit_2(capsys):
          "--rotate-plane", "1,7", "--rotate-angle", "0.3"],
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("angle", ["nan", "inf"])
+def test_non_finite_rotate_angle_exits_2(capsys, angle):
+    code, out, err = run(capsys, ["compute", "--manifold", "s2", "--grid", "5", "--frame",
+                                  "rotated", "--rotate-plane", "1,2", "--rotate-angle", angle,
+                                  "--no-timing"])
+    assert code == 2
+    assert out == ""
+    assert "--rotate-angle" in err
 
 
 def test_odd_dimensional_gamma_rejected(tmp_path, capsys):
@@ -229,3 +269,45 @@ def test_reproduce_text_summary_line(capsys):
     code, out, _ = run(capsys, ["reproduce", "cp2"])
     assert code == 0
     assert "documented discrepancies" in out.splitlines()[-1]
+
+
+def _box_spec(tmp_path, metric, axes=None):
+    spec = {"name": "box", "metric": metric,
+            "axes": axes or [{"lo": 0, "hi": 1, "n": 3}, {"lo": 0, "hi": 1, "n": 3}]}
+    p = tmp_path / "box.json"
+    p.write_text(json.dumps(spec))
+    return str(p)
+
+
+def _failing_point(code, out, err):
+    assert code == 3
+    assert out == ""
+    report = json.loads(err)
+    assert len(report["failing_point"]) == 2
+    return report
+
+
+@pytest.mark.parametrize("functional", ["volume", "gamma_d"])
+def test_non_finite_density_exits_3_with_point(tmp_path, capsys, functional):
+    # det g = 1e400 overflows: volume is infinite and gamma_d is NaN
+    p = _box_spec(tmp_path, [["1e200", "0"], ["0", "1e200"]])
+    report = _failing_point(*run(capsys, ["compute", "--spec-file", p, "--functional",
+                                          functional, "--no-timing"]))
+    assert "not finite" in report["error"]
+
+
+def test_rank_deficient_frame_exits_3_with_point(tmp_path, capsys):
+    p = _box_spec(tmp_path, [["1e-30", "0"], ["0", "1"]])
+    report = _failing_point(*run(capsys, ["compute", "--spec-file", p, "--no-timing"]))
+    assert "Gram-Schmidt" in report["error"]
+
+
+@pytest.mark.parametrize("grid", [[], ["--grid", "5,3"]])
+def test_asymmetric_metric_off_default_grid_exits_3(tmp_path, capsys, grid):
+    # the gap x1^2 - 1/3 vanishes at the two default Gauss nodes +-1/sqrt(3), so the
+    # file loads; the halved grid's x1 = 0 and the --grid nodes expose it
+    axes = [{"lo": -1, "hi": 1, "n": 2}, {"lo": 0, "hi": 1, "n": 3}]
+    p = _box_spec(tmp_path, [["2", "x1*x1 - 1/3"], ["0", "2"]], axes)
+    report = _failing_point(*run(capsys, ["compute", "--spec-file", p, "--functional",
+                                          "volume", "--no-timing"] + grid))
+    assert "not symmetric" in report["error"]
