@@ -13,8 +13,6 @@ from .errors import (
     BadDimensionError,
     ChartSingularityError,
     CurvfunError,
-    DegenerateChartError,
-    DegeneratePlaneError,
     NonFiniteError,
     NonOrthonormalFrameError,
     NotBiInvariantError,
@@ -34,7 +32,6 @@ from .frames import (
 from .functionals import (
     GBCValue,
     HaarEstimate,
-    brute_force_gbc_raw_sum,
     brute_force_perm_sum,
     gbc_raw_sum,
     haar_product_estimate,
@@ -47,18 +44,11 @@ from .functionals import (
     scalar_curvature,
 )
 from .geometry import (
-    CurvatureAtPoint,
     EmbeddingMap,
     MetricField,
-    christoffel,
-    christoffel_fd,
-    curvature_at,
     curvature_batch,
-    induced_metric,
-    riemann,
     riemann_arrays,
     riemann_in_frame,
-    sectional,
     sectional_from_riemann,
 )
 from .quadrature import (
@@ -80,8 +70,6 @@ __all__ = [
     "CurvfunError",
     "NonFiniteError",
     "SingularMetricError",
-    "DegenerateChartError",
-    "DegeneratePlaneError",
     "RankDeficientError",
     "BadDimensionError",
     "NotClosedError",
@@ -93,17 +81,10 @@ __all__ = [
     # geometry
     "MetricField",
     "EmbeddingMap",
-    "induced_metric",
-    "christoffel",
-    "christoffel_fd",
-    "riemann",
     "riemann_arrays",
     "riemann_in_frame",
-    "sectional",
     "sectional_from_riemann",
-    "curvature_at",
     "curvature_batch",
-    "CurvatureAtPoint",
     # frames
     "gram_schmidt_frame",
     "gram_schmidt_frames",
@@ -118,7 +99,6 @@ __all__ = [
     "brute_force_perm_sum",
     "k_discrete",
     "gbc_raw_sum",
-    "brute_force_gbc_raw_sum",
     "k_gbc",
     "GBCValue",
     "scalar_curvature",

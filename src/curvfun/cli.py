@@ -73,13 +73,16 @@ def _grid(args, spec):
     """The spec's default grid, or its axes with the ``--grid`` node counts."""
     if not args.grid:
         return spec.default_grid
-    ns = [int(v) for v in args.grid.split(",")]
+    try:
+        ns = [int(v) for v in args.grid.split(",")]
+    except ValueError:
+        raise ConfigError("--grid expects comma-separated integers, got %r" % args.grid) from None
     if len(ns) == 1:
         ns = ns * spec.dim
     if len(ns) != spec.dim:
         raise ConfigError("--grid needs 1 or %d sizes, got %d" % (spec.dim, len(ns)))
     if any(n < 1 for n in ns):
-        raise ConfigError("grid sizes must be positive")
+        raise ConfigError("--grid sizes must be positive, got %r" % args.grid)
     return Grid(tuple(Axis(a.lo, a.hi, n, a.periodic) for a, n in zip(spec.default_grid.axes, ns)))
 
 
@@ -285,7 +288,11 @@ def write_record(record, args, t0):
     elif args.format == "text":
         body = "\n".join(_table(record)[1]) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
+        try:
+            fh = open(args.out, "w")
+        except OSError as exc:
+            raise ConfigError("cannot open --out %s: %s" % (args.out, exc.strerror or exc)) from None
+        with fh:
             fh.write(body)
     else:
         sys.stdout.write(body)

@@ -19,14 +19,6 @@ class SingularMetricError(CurvfunError):
     """Metric value is not symmetric positive definite / not invertible."""
 
 
-class DegenerateChartError(CurvfunError):
-    """Embedding Jacobian is rank-deficient at the queried point."""
-
-
-class DegeneratePlaneError(CurvfunError):
-    """A sectional curvature was requested for a degenerate 2-plane (i == j)."""
-
-
 class RankDeficientError(CurvfunError):
     """Gram-Schmidt input vectors are (numerically) linearly dependent."""
 

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonOrthonormalFrameError, RankDeficientError
+from .errors import RankDeficientError
 
 __all__ = [
     "gram_schmidt_frame",
     "gram_schmidt_frames",
     "rotate_frame",
     "haar_orthogonal",
-    "check_orthonormal",
     "point_rng",
 ]
 
@@ -53,17 +52,6 @@ def gram_schmidt_frames(g, vectors):
             )
         out[:, i, :] /= np.sqrt(sq)[:, None]
     return out
-
-
-def check_orthonormal(g, frame, tol=1e-8):
-    """Validate frame @ g @ frame.T = I; raises NonOrthonormalFrameError."""
-    gram = frame @ g @ frame.T
-    err = np.max(np.abs(gram - np.eye(len(frame))))
-    if not err < tol:
-        raise NonOrthonormalFrameError(
-            "frame Gram matrix deviates from identity by %.3e" % err
-        )
-    return float(err)
 
 
 def rotate_frame(frame, i, j, angle):

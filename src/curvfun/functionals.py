@@ -22,9 +22,10 @@ Three pointwise densities on a 2d-dimensional Riemannian manifold:
   a standard-error report; the ``gamma_mc`` quadrature density and the
   single-point wrapper ``haar_product_estimate`` both call it.
 
-Brute-force implementations of both permutation sums are kept alongside the
-reduced ones; they are slow and exist so the reductions can be checked
-against the literal definitions on random inputs.
+``brute_force_perm_sum`` keeps the literal (2d)!-term permutation sum
+beside its reduction, because ``reproduce`` fixes a printed convention with
+it; the brute-force double-permutation sum is a test oracle and lives with
+the tests.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ __all__ = [
     "brute_force_perm_sum",
     "k_discrete",
     "gbc_raw_sum",
-    "brute_force_gbc_raw_sum",
     "k_gbc",
     "GBCValue",
     "scalar_curvature",
@@ -54,6 +54,10 @@ __all__ = [
     "haar_product_estimate",
     "HaarEstimate",
 ]
+
+
+# Byte budget of one gbc_raw_sum gather over the combination table.
+GBC_GATHER_BYTES = 32 * 2**20
 
 
 def normalization_constant(d):
@@ -194,10 +198,11 @@ def k_discrete(k, normalization="geometric"):
 def _gbc_combos(n):
     """Reduced index data for the double-permutation sum in dimension n=2d.
 
-    Returns ``(signs, idx, factor)`` where iterating over combos c and
-    multiplying R[idx[c, k, 0], idx[c, k, 1], idx[c, k, 2], idx[c, k, 3]]
-    over k, weighting by signs[c], summing, and scaling by ``factor``
-    reproduces the full signed sum over pairs of permutations.
+    Returns ``(signs, flat, factor)`` where iterating over combos c and
+    multiplying the components R.flat[flat[c, k]] (``flat`` holds C-order
+    flat indices of 4-index tuples) over k, weighting by signs[c], summing,
+    and scaling by ``factor`` reproduces the full signed sum over pairs of
+    permutations.
 
     Derivation of the reduction: a permutation is a matching plus an
     ordering of its pairs plus orientations within pairs.  Reordering whole
@@ -225,43 +230,37 @@ def _gbc_combos(n):
                 signs.append(sp * ss)
                 idx.append(rows)
     factor = 2 ** (2 * d) * math.factorial(d)
-    return np.array(signs, dtype=np.intp), np.array(idx, dtype=np.intp), factor
+    flat = np.ravel_multi_index(np.moveaxis(np.array(idx, dtype=np.intp), 2, 0), (n,) * 4)
+    return np.array(signs, dtype=np.intp), flat, factor
 
 
 def gbc_raw_sum(riem_frame):
     """Signed double-permutation sum of Riemann components in a frame.
 
     ``riem_frame`` is a batch (npoints, 2d, 2d, 2d, 2d) of frame-contracted
-    Riemann tensors (single tensor accepted).  Exact on object dtype.
+    Riemann tensors (single tensor accepted).  Exact on object dtype.  The
+    points are taken in slices whose gather stays within
+    ``GBC_GATHER_BYTES`` (three points per slice in dimension 8, where the
+    table has 264,600 combinations), so memory does not grow with the batch.
     """
     r = np.asarray(riem_frame)
     single = r.ndim == 4
     if single:
         r = r[None]
-    signs, idx, factor = _gbc_combos(r.shape[1])
-    vals = r[:, idx[:, :, 0], idx[:, :, 1], idx[:, :, 2], idx[:, :, 3]]
-    prods = np.prod(vals, axis=2)  # (npoints, ncombos)
-    out = factor * (prods * signs[None, :]).sum(axis=1)
+    signs, flat, factor = _gbc_combos(r.shape[1])
+    r = r.reshape(len(r), -1)
+    # A gather holds (rows, ncombos, d) entries, so the rows are split to fit
+    # the budget.  Summed down a (ncombos, rows) array, numpy adds the
+    # combinations in index order when rows >= 2 but pairwise when rows == 1;
+    # balanced slices of at least three rows leave no one-row slice in a
+    # batch of two or more, so no point's sum depends on the slicing.
+    rows = max(3, GBC_GATHER_BYTES // (flat.size * r.itemsize))
+    sums = []
+    for part in np.array_split(r, -(-len(r) // rows)):
+        prods = np.prod(np.take(part, flat, axis=1), axis=2)  # (rows, ncombos)
+        sums.append((np.ascontiguousarray(prods.T) * signs[:, None]).sum(axis=0))
+    out = factor * np.concatenate(sums)
     return out[0] if single else out
-
-
-def brute_force_gbc_raw_sum(riem_frame):
-    """Literal signed sum over all ((2d)!)^2 permutation pairs; reference."""
-    r = np.asarray(riem_frame)
-    single = r.ndim == 4
-    if single:
-        r = r[None]
-    n = r.shape[1]
-    d = n // 2
-    perms = [(s, _word_sign(s)) for s in itertools.permutations(range(n))]
-    total = np.array([0] * len(r), dtype=object) if r.dtype == object else np.zeros(len(r))
-    for pi, sign_pi in perms:
-        for sg, sign_sg in perms:
-            term = r[:, pi[0], pi[1], sg[0], sg[1]]
-            for kk in range(1, d):
-                term = term * r[:, pi[2 * kk], pi[2 * kk + 1], sg[2 * kk], sg[2 * kk + 1]]
-            total = total + sign_pi * sign_sg * term
-    return total[0] if single else total
 
 
 @dataclass

@@ -1,11 +1,16 @@
 """Metric fields, Christoffel symbols, Riemann tensor, sectional curvature.
 
-The pipeline is ``metric -> christoffel -> riemann -> sectional matrix``.
 Metrics come in three flavors: closed-form entries (differentiated with
 hyper-dual jets), embedding-induced (first fundamental form of a chart into
 Euclidean space, from second-order jets of the embedding), and constant;
 ``block_diagonal`` combines two of them into a product.  All of them feed
 the same Riemann formula.
+
+The pipeline is batched over chart points.  :func:`curvature_chunk` is the
+one path from a metric to curvature data (jets, metric checks, Riemann
+tensor, Gram-Schmidt base frames); the quadrature densities and
+:func:`curvature_batch` both call it.  There is no single-point API: a
+point is a batch of one.
 
 Everything is evaluated in chart coordinates; scalar outputs (sectional
 curvatures and the functionals built on them) are obtained by contracting
@@ -26,44 +31,29 @@ Index conventions, used consistently below:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import jets as J
-from .errors import (
-    DegenerateChartError,
-    DegeneratePlaneError,
-    NonFiniteError,
-    SingularMetricError,
-)
-from .rationals import exact_det, exact_inv
+from .errors import NonFiniteError, SingularMetricError
+from .frames import gram_schmidt_frames
+from .rationals import exact_inv
 
 __all__ = [
     "MetricField",
     "EmbeddingMap",
-    "CurvatureAtPoint",
-    "christoffel",
-    "christoffel_fd",
-    "riemann",
-    "induced_metric",
-    "sectional",
-    "curvature_at",
+    "christoffel_arrays",
+    "riemann_arrays",
+    "checked_jets",
+    "curvature_chunk",
+    "curvature_batch",
+    "sectional_from_riemann",
+    "riemann_in_frame",
 ]
 
 SYMMETRY_TOL = 1e-12
-
-
-def _as_points(x, dim):
-    """Normalize a single point or a batch to shape (npoints, dim)."""
-    x = np.asarray(x)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[1] != dim:
-        raise ValueError("expected points of dimension %d, got %d" % (dim, x.shape[1]))
-    return x, single
 
 
 class MetricField:
@@ -74,11 +64,10 @@ class MetricField:
     manifolds of interest, but the pipeline itself does not care).
     """
 
-    def __init__(self, dim, jets_fn, provenance, embedding=None):
+    def __init__(self, dim, jets_fn, provenance):
         self.dim = dim
         self._jets_fn = jets_fn
         self.provenance = provenance
-        self.embedding = embedding
 
     # -- constructors --------------------------------------------------------
 
@@ -118,7 +107,7 @@ class MetricField:
         def jets_fn(points):
             return _induced_metric_jets(embedding, points)
 
-        return cls(embedding.chart_dim, jets_fn, "embedding", embedding=embedding)
+        return cls(embedding.chart_dim, jets_fn, "embedding")
 
     @classmethod
     def block_diagonal(cls, first, second):
@@ -166,47 +155,6 @@ class MetricField:
                 raise NonFiniteError("metric derivatives are not finite")
         return g, dg, d2g
 
-    def value(self, x, validate=True):
-        """Metric matrix at one point, with symmetry and SPD validation."""
-        pts, _ = _as_points(x, self.dim)
-        g = self.jets(pts)[0][0]
-        if validate:
-            _validate_metric_value(g, x)
-        return g
-
-    def volume_element(self, x):
-        """sqrt(det g) at one point (> 0 for a valid metric)."""
-        g = self.value(x)
-        if g.dtype == object:
-            d = exact_det(g.tolist())
-            if d <= 0:
-                raise SingularMetricError("nonpositive metric determinant at %r" % (x,))
-            return d  # exact determinant; caller takes the square root
-        return float(np.sqrt(np.linalg.det(g)))
-
-
-def _validate_metric_value(g, x):
-    if g.dtype == object:
-        gl = g.tolist()
-        n = len(gl)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if gl[i][j] != gl[j][i]:
-                    raise SingularMetricError("asymmetric exact metric at %r" % (x,))
-        # leading principal minors positive <=> positive definite
-        for k in range(1, n + 1):
-            if exact_det([row[:k] for row in gl[:k]]) <= 0:
-                raise SingularMetricError("metric not positive definite at %r" % (x,))
-        return
-    if not np.all(np.isfinite(g)):
-        raise NonFiniteError("metric value not finite at %r" % (x,))
-    if np.max(np.abs(g - g.T)) > SYMMETRY_TOL:
-        raise SingularMetricError("metric not symmetric at %r" % (x,))
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        raise SingularMetricError("metric not positive definite at %r" % (x,)) from None
-
 
 def _assemble_matrix_jets(rows, points, dim):
     npts = len(points)
@@ -238,17 +186,6 @@ class EmbeddingMap:
     ambient_dim: int
     components: callable
 
-    def jacobian(self, x):
-        x = np.asarray(x, dtype=float)
-        comps = self.components(J.variables(x[None, :]))
-        rows = []
-        for c in comps:
-            if isinstance(c, J.Jet2):
-                rows.append(c.grad[0])
-            else:
-                rows.append(np.zeros(self.chart_dim))
-        return np.array(rows)  # (ambient_dim, chart_dim)
-
 
 def _induced_metric_jets(embedding, points):
     """``(g, dg, d2g)`` of J^T J from second-order jets of the components.
@@ -269,20 +206,6 @@ def _induced_metric_jets(embedding, points):
     hh = np.einsum("paik,pajl->pijkl", H, H)
     d2g = hh + np.einsum("pijkl->pijlk", hh)  # <H_ik, H_jl> + <H_il, H_jk>
     return g, dg, d2g
-
-
-def induced_metric(embedding, x):
-    """First fundamental form J^T J at a point, validated SPD.
-
-    Raises :class:`DegenerateChartError` when the Jacobian is
-    rank-deficient (e.g. at the poles of Euler-angle charts).
-    """
-    jac = embedding.jacobian(x)
-    if np.linalg.matrix_rank(jac, tol=1e-10) < embedding.chart_dim:
-        raise DegenerateChartError("embedding Jacobian rank-deficient at %r" % (x,))
-    g = jac.T @ jac
-    _validate_metric_value(g, x)
-    return g
 
 
 # -- curvature pipeline ------------------------------------------------------
@@ -362,107 +285,41 @@ def riemann_in_frame(riem, frames):
     return np.einsum("pijkd,pld->pijkl", r, frames)
 
 
-@dataclass
-class CurvatureAtPoint:
-    """Curvature data at one chart point.
+def checked_jets(metric, points):
+    """``metric.jets(points)``, rejecting a chunk whose metric is not SPD.
 
-    ``riemann`` is the lowered tensor in the chart basis; ``sectional`` the
-    matrix K_ij in the stored orthonormal ``frame`` (rows are frame vectors
-    in chart components).
+    On float input, raises :class:`SingularMetricError` when ``g`` is
+    asymmetric beyond ``SYMMETRY_TOL`` at some point, and ``LinAlgError``
+    when it is not positive definite; the integrator then names the node.
+    Object (Fraction) input is passed through unchecked and stays exact.
     """
-
-    riemann: np.ndarray
-    sectional: np.ndarray
-    frame: np.ndarray
-    metric_value: np.ndarray = field(repr=False, default=None)
-
-
-def christoffel(metric, x):
-    """Christoffel symbols Gamma^k_ij at a point (hyper-dual derivatives)."""
-    pts, _ = _as_points(x, metric.dim)
-    g, dg, _ = metric.jets(pts)
-    _validate_metric_value(g[0], x)
-    return christoffel_arrays(g, dg)[0][0]
+    g, dg, d2g = metric.jets(points)
+    if g.dtype != object:
+        if np.max(np.abs(g - np.swapaxes(g, 1, 2))) > SYMMETRY_TOL:
+            raise SingularMetricError("metric is not symmetric")
+        np.linalg.cholesky(g)  # raises LinAlgError when not positive definite
+    return g, dg, d2g
 
 
-def christoffel_fd(metric, x, h=1e-5):
-    """Finite-difference Christoffel symbols; independent oracle path."""
-    x = np.asarray(x, dtype=float)
-    n = metric.dim
+def curvature_chunk(metric, points):
+    """Metric, Riemann tensor and base frame at a batch of chart points.
 
-    def gval(y):
-        return metric.value(y, validate=False).astype(float)
-
-    g = gval(x)
-    dg = np.zeros((n, n, n))
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = h
-        dg[:, :, k] = (gval(x + e) - gval(x - e)) / (2 * h)
-    ginv = np.linalg.inv(g)
-    gamma = np.zeros((n, n, n))
-    for kk in range(n):
-        for i in range(n):
-            for j in range(n):
-                s = 0.0
-                for l in range(n):
-                    s += ginv[kk, l] * (dg[j, l, i] + dg[i, l, j] - dg[i, j, l])
-                gamma[kk, i, j] = s / 2
-    return gamma
-
-
-def riemann(metric, x):
-    """Lowered Riemann tensor R_ijkl at one point in the chart basis."""
-    pts, _ = _as_points(x, metric.dim)
-    g, dg, d2g = metric.jets(pts)
-    _validate_metric_value(g[0], x)
+    The one curvature path: checked jets, the lowered Riemann tensor, and
+    the metric Gram-Schmidt frame of the chart basis (rows are frame
+    vectors in chart components).  Returns ``(g, riem, base)``; ``riem`` is
+    exact on object input, ``base`` is always float.
+    """
+    g, dg, d2g = checked_jets(metric, points)
     riem = riemann_arrays(g, dg, d2g)
-    return riem[0]
+    base = gram_schmidt_frames(g, np.broadcast_to(np.eye(metric.dim), g.shape))
+    return g, riem, base
 
 
-def sectional(curv, i, j):
-    """Sectional curvature of the (t_i, t_j) frame plane from a
-    :class:`CurvatureAtPoint`; raises for the degenerate plane i == j."""
-    if i == j:
-        raise DegeneratePlaneError("sectional curvature needs two distinct frame directions")
-    return float(curv.sectional[i, j])
-
-
-def curvature_batch(metric, points, frames=None):
+def curvature_batch(metric, points):
     """Sectional matrices, Riemann tensors, frames, and metrics at many points.
 
-    ``frames`` is an optional (npoints, n, n) array of frame row-vectors;
-    by default each point gets the metric Gram-Schmidt frame of the chart
-    basis.  Returns ``(k, riem, frames, g)``.
+    Each point gets the metric Gram-Schmidt frame of the chart basis.
+    Returns ``(k, riem, frames, g)``.
     """
-    from .frames import gram_schmidt_frames
-
-    points = np.asarray(points)
-    g, dg, d2g = metric.jets(points)
-    riem = riemann_arrays(g, dg, d2g)
-    if frames is None:
-        eye = np.eye(metric.dim)
-        frames = gram_schmidt_frames(g, np.broadcast_to(eye, g.shape))
-    k = sectional_from_riemann(riem, np.asarray(frames))
-    return k, riem, frames, g
-
-
-def curvature_at(metric, x, frame=None):
-    """Full curvature data at one point.
-
-    ``frame`` is an explicit (n, n) array of frame row-vectors; by default
-    the metric-Gram-Schmidt frame of the chart basis is used.
-    """
-    from .frames import gram_schmidt_frame
-
-    pts, _ = _as_points(x, metric.dim)
-    g, dg, d2g = metric.jets(pts)
-    _validate_metric_value(g[0], x)
-    riem = riemann_arrays(g, dg, d2g)
-    if frame is None:
-        frame = gram_schmidt_frame(g[0], np.eye(metric.dim))
-    frames = np.asarray(frame)[None, :, :]
-    sec = sectional_from_riemann(riem, frames)
-    return CurvatureAtPoint(
-        riemann=riem[0], sectional=sec[0], frame=np.asarray(frame), metric_value=g[0]
-    )
+    g, riem, frames = curvature_chunk(metric, points)
+    return sectional_from_riemann(riem, frames), riem, frames, g

@@ -13,9 +13,6 @@ The arithmetic is dtype-generic.  With ``float64`` arrays it is the fast
 path; with ``object`` arrays of :class:`fractions.Fraction` the same code
 produces exact rational derivatives (used for the polynomial metrics where
 reference values are exact).
-
-Central finite differences are provided as an independent oracle
-(:func:`finite_difference_jet`); they share no code with the jet classes.
 """
 
 from __future__ import annotations
@@ -29,8 +26,6 @@ from .errors import NonFiniteError
 __all__ = [
     "Jet2",
     "variables",
-    "second_jet",
-    "finite_difference_jet",
     "sin",
     "cos",
     "exp",
@@ -176,46 +171,6 @@ def variables(x):
     return out
 
 
-def constant_jet(c, template):
-    """A jet with constant value ``c`` and vanishing derivatives."""
-    return template * 0 + c
-
-
-def second_jet(field, x):
-    """Value, gradient and Hessian of a scalar field at a single point.
-
-    Parameters
-    ----------
-    field : callable
-        Takes a list of jet variables (one per coordinate) and returns a jet
-        (or a constant).
-    x : array_like, shape (nvars,)
-
-    Returns
-    -------
-    (value, gradient, hessian) : float, (nvars,) ndarray, (nvars, nvars) ndarray
-
-    Raises
-    ------
-    NonFiniteError
-        If any derivative is NaN or infinite.
-    """
-    x = np.asarray(x)
-    jet = field(variables(x[None, :]))
-    if not isinstance(jet, Jet2):  # constant field
-        z = np.zeros(len(x))
-        return float(jet), z, np.zeros((len(x), len(x)))
-    if jet.value.dtype != object:
-        finite = (
-            np.all(np.isfinite(jet.value))
-            and np.all(np.isfinite(jet.grad))
-            and np.all(np.isfinite(jet.hess))
-        )
-        if not finite:
-            raise NonFiniteError("non-finite derivative at x=%r" % (x.tolist(),))
-    return jet.value[0], jet.grad[0], jet.hess[0]
-
-
 # -- scalar functions usable on jets, arrays and floats ---------------------
 
 
@@ -251,34 +206,3 @@ def sqrt(x):
 
 def log(x):
     return _dispatch(x, np.log, lambda v: (1.0 / v, -1.0 / v**2))
-
-
-# -- independent oracle ------------------------------------------------------
-
-
-def finite_difference_jet(f, x, h=1e-5):
-    """Central finite-difference (value, gradient, Hessian) of ``f`` at ``x``.
-
-    ``f`` maps a plain coordinate vector to a float.  Used as an oracle
-    against the hyper-dual path; shares no code with it.
-    """
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    value = f(x)
-    grad = np.zeros(n)
-    hess = np.zeros((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        grad[i] = (f(x + e) - f(x - e)) / (2 * h)
-        hess[i, i] = (f(x + e) - 2 * value + f(x - e)) / h**2
-    for i in range(n):
-        for j in range(i + 1, n):
-            ei = np.zeros(n)
-            ej = np.zeros(n)
-            ei[i] = h
-            ej[j] = h
-            hess[i, j] = hess[j, i] = (
-                f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
-            ) / (4 * h**2)
-    return value, grad, hess

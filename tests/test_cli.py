@@ -311,3 +311,21 @@ def test_asymmetric_metric_off_default_grid_exits_3(tmp_path, capsys, grid):
     report = _failing_point(*run(capsys, ["compute", "--spec-file", p, "--functional",
                                           "volume", "--no-timing"] + grid))
     assert "not symmetric" in report["error"]
+
+
+def test_out_into_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, ["compute", "--manifold", "s2", "--grid", "5", "--no-timing",
+                                  "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert str(target) in err
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("grid", ["abc", "5,,3", "0", "5,5,5"])
+def test_bad_grid_exits_2(capsys, grid):
+    code, out, err = run(capsys, ["compute", "--manifold", "s2", "--grid", grid, "--no-timing"])
+    assert code == 2
+    assert out == ""
+    assert "--grid" in err

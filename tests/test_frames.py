@@ -5,13 +5,13 @@ import pytest
 
 from curvfun.errors import NonOrthonormalFrameError, RankDeficientError
 from curvfun.frames import (
-    check_orthonormal,
     gram_schmidt_frame,
     gram_schmidt_frames,
     haar_orthogonal,
     point_rng,
     rotate_frame,
 )
+from oracles import check_orthonormal
 
 
 def random_spd(n, rng):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from curvfun.errors import BadDimensionError
 from curvfun.functionals import (
-    brute_force_gbc_raw_sum,
+    _gbc_combos,
     brute_force_perm_sum,
     gbc_raw_sum,
     haar_product_estimate,
@@ -26,6 +26,7 @@ from curvfun.frames import point_rng
 from curvfun.geometry import riemann_arrays
 from curvfun.quadrature import functional_density
 from curvfun.zoo import taubes_torus
+from oracles import brute_force_gbc_raw_sum
 
 
 def symmetric_zero_diag(values, n):
@@ -200,3 +201,50 @@ def test_gamma_mc_density_is_the_single_point_estimate():
         dv = math.sqrt(np.linalg.det(g[row]))
         assert vals[row] == pytest.approx(est.value * dv, rel=1e-12)
         assert stderrs[row] == pytest.approx(est.stderr * dv, rel=1e-12)
+
+
+def test_gbc_dimension_8_memory_is_bounded():
+    """Dimension-8 gbc gathers 264,600 combinations per node; the gather is
+    sliced to a fixed byte budget, so 16 nodes peak far below the 203 MB an
+    unsliced gather takes.  Unit S^8 in a frame gives 2/|S^8| = 105/(16 pi^4)."""
+    import tracemalloc
+
+    n = 8
+    eye = np.eye(n)
+    r = np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye)
+    batch = np.broadcast_to(r, (16,) + r.shape).copy()
+    _gbc_combos(n)  # the cached table is not part of the per-call peak
+    tracemalloc.start()
+    try:
+        values = k_gbc(batch).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values == pytest.approx(np.full(16, 105 / (16 * math.pi**4)), rel=1e-12)
+    assert peak < 64 * 2**20
+
+
+def test_gbc_sum_does_not_depend_on_slicing():
+    """1036 dimension-6 points span two gather slices; each point's sum is
+    bit-equal to the one computed in a batch of two."""
+    rng = np.random.default_rng(21)
+    a = rng.normal(size=(1036, 6, 6, 6, 6))
+    whole = gbc_raw_sum(a)
+    pairs = np.concatenate([gbc_raw_sum(a[i : i + 2]) for i in range(0, len(a), 2)])
+    assert np.array_equal(whole, pairs)
+
+
+def test_gbc_density_is_invariant_under_frame_rotation():
+    """The signed double-permutation density does not depend on the frame:
+    a Haar O(n) rotation of the Gram-Schmidt frames leaves it unchanged."""
+    from curvfun.frames import haar_orthogonal
+    from curvfun.geometry import curvature_batch, riemann_in_frame
+    from curvfun.zoo import klembeck_patch, round_sphere
+
+    for spec in (round_sphere(4), taubes_torus(), klembeck_patch()):
+        pts = spec.interior_points(20, seed=11)
+        _, riem, frames, _ = curvature_batch(spec.metric, pts)
+        rotated = haar_orthogonal(spec.dim, np.random.default_rng(12), 20) @ frames
+        base = k_gbc(riemann_in_frame(riem, frames)).value
+        turned = k_gbc(riemann_in_frame(riem, rotated)).value
+        assert turned == pytest.approx(base, rel=1e-12)

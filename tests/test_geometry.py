@@ -6,22 +6,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from curvfun.errors import (
-    DegenerateChartError,
-    DegeneratePlaneError,
-    SingularMetricError,
-)
+from curvfun.errors import ChartSingularityError
 from curvfun.geometry import (
     EmbeddingMap,
     MetricField,
-    christoffel,
-    christoffel_fd,
-    curvature_at,
+    christoffel_arrays,
     curvature_batch,
-    induced_metric,
-    sectional,
+    riemann_arrays,
 )
-from curvfun.jets import cos, sin
+from curvfun.jets import cos, sin, variables
+from curvfun.quadrature import Axis, Grid, functional_density, integrate_functional
+from oracles import christoffel_fd
+
+
+def christoffel(metric, x):
+    """Gamma^k_ij at one point, through the batched path."""
+    return christoffel_arrays(*metric.jets(np.array([x], dtype=float))[:2])[0][0]
 
 
 def sphere_metric(radius=1.0):
@@ -57,12 +57,10 @@ def test_christoffels_match_finite_difference_oracle():
 def test_sphere_riemann_component_and_sectional():
     m = sphere_metric()
     theta = 1.1
-    curv = curvature_at(m, [theta, 0.4])
+    k, riem, _, _ = curvature_batch(m, np.array([[theta, 0.4]]))
     # lowered R_{theta phi theta phi} = sin^2 theta on the unit sphere
-    assert curv.riemann[0, 1, 0, 1] == pytest.approx(math.sin(theta) ** 2)
-    assert sectional(curv, 0, 1) == pytest.approx(1.0)
-    with pytest.raises(DegeneratePlaneError):
-        sectional(curv, 1, 1)
+    assert riem[0, 0, 1, 0, 1] == pytest.approx(math.sin(theta) ** 2)
+    assert k[0, 0, 1] == pytest.approx(1.0)
 
 
 def generic_3d_metric():
@@ -96,8 +94,6 @@ def test_riemann_tensor_symmetries_generic_metric():
 def test_riemann_matches_textbook_formula_from_fd_christoffels():
     # independent reference: R^k_smv = d_m G^k_vs - d_v G^k_ms + G^k_ml G^l_vs
     # - G^k_vl G^l_ms, lowered with g, with dG by central differences
-    from curvfun.geometry import riemann
-
     m = generic_3d_metric()
     x = np.array([0.4, -0.7, 1.1])
     h = 1e-5
@@ -113,15 +109,15 @@ def test_riemann_matches_textbook_formula_from_fd_christoffels():
         + np.einsum("kml,lvs->ksmv", gam, gam)
         - np.einsum("kvl,lms->ksmv", gam, gam)
     )
-    ref = np.einsum("rk,ksmv->rsmv", m.value(x), rup)
-    assert np.max(np.abs(riemann(m, x) - ref)) < 1e-8
+    ref = np.einsum("rk,ksmv->rsmv", m.jets(x[None])[0][0], rup)
+    assert np.max(np.abs(riemann_arrays(*m.jets(x[None]))[0] - ref)) < 1e-8
 
 
 def test_constant_metric_is_flat():
     g0 = np.array([[2.0, 0.3], [0.3, 1.5]])
     m = MetricField.constant(g0)
-    curv = curvature_at(m, [0.1, 0.2])
-    assert np.max(np.abs(curv.riemann)) == 0.0
+    _, riem, _, _ = curvature_batch(m, np.array([[0.1, 0.2]]))
+    assert np.max(np.abs(riem[0])) == 0.0
 
 
 def test_induced_metric_matches_polar_sphere():
@@ -135,8 +131,9 @@ def test_induced_metric_matches_polar_sphere():
     ga, _, _ = m.jets(pts)
     gb, _, _ = ref.jets(pts)
     assert np.max(np.abs(ga - gb)) < 1e-12
-    # pointwise constructor agrees with the batched jets
-    assert induced_metric(emb, pts[0]) == pytest.approx(ga[0], abs=1e-12)
+    # J^T J from the components' gradients at one point agrees with the batched jets
+    jac = np.array([c.grad[0] for c in components(variables(pts[:1]))])
+    assert jac.T @ jac == pytest.approx(ga[0], abs=1e-12)
     # curvature through the embedding route agrees with the closed form
     ka, _, _, _ = curvature_batch(m, pts)
     assert ka[:, 0, 1] == pytest.approx(np.ones(3), abs=1e-9)
@@ -146,7 +143,6 @@ def test_induced_metric_matches_polar_sphere():
 def test_embedding_route_matches_closed_form_sphere(dim):
     # the embedding route (second-order jets, Gauss part of d2g) against the
     # same polar chart written as entries diag(1, sin^2 x1, sin^2 x1 sin^2 x2, ...)
-    from curvfun.geometry import riemann_arrays
     from curvfun.zoo import round_sphere
 
     spec = round_sphere(dim)
@@ -172,8 +168,11 @@ def test_degenerate_embedding_rejected():
         return [v[0], v[0], 0 * v[0]]
 
     emb = EmbeddingMap(chart_dim=2, ambient_dim=3, components=components)
-    with pytest.raises(DegenerateChartError):
-        induced_metric(emb, [0.3, 0.4])
+    # the grid's first node is (0.3, 0.4); every node is degenerate
+    grid = Grid((Axis(0.2, 0.6, 2, periodic=True), Axis(0.3, 0.5, 1, periodic=True)))
+    with pytest.raises(ChartSingularityError) as err:
+        integrate_functional(MetricField.from_embedding(emb), grid, with_error_estimate=False)
+    assert err.value.point == pytest.approx([0.3, 0.4])
 
 
 def test_singular_metric_value_rejected():
@@ -181,8 +180,11 @@ def test_singular_metric_value_rejected():
         return [[v[0], 0], [0, 1]]
 
     m = MetricField.from_entries(2, entries)
-    with pytest.raises(SingularMetricError):
-        m.value([-1.0, 0.0])
+    # nodes (-1, 0) and (1, 0); only the first is singular
+    grid = Grid((Axis(-2.0, 2.0, 2, periodic=True), Axis(-0.5, 0.5, 1, periodic=True)))
+    with pytest.raises(ChartSingularityError) as err:
+        integrate_functional(m, grid, with_error_estimate=False)
+    assert err.value.point.tolist() == [-1.0, 0.0]
 
 
 def test_block_diagonal_product_curvature():
@@ -214,5 +216,5 @@ def test_exact_object_path_produces_fractions():
 
 def test_volume_element():
     m = sphere_metric(radius=2.0)
-    v = m.volume_element([0.8, 0.1])
+    v = functional_density(m, "volume")(np.array([[0.8, 0.1]]), np.arange(1))[0][0]
     assert v == pytest.approx(4.0 * math.sin(0.8))

@@ -11,9 +11,11 @@ from curvfun.geometry import curvature_batch, riemann_in_frame
 from curvfun.quadrature import integrate_functional, volume
 from curvfun.zoo import (
     MANIFOLD_NAMES,
+    e2xe2,
     load_manifold_file,
     manifold_by_name,
     taubes_torus,
+    two_ellipsoid,
 )
 
 ORACLE_SPECS = [
@@ -182,3 +184,14 @@ def test_cp2_exact_sectional_requires_orthogonal_rows():
 
     with pytest.raises(NonOrthonormalFrameError):
         cp2_sectional_exact([[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+
+
+def test_product_k_d_is_the_product_of_factor_k_d():
+    """In the coordinate frame of E2 x E2 the only nonzero pairing is K_12 K_34,
+    so k_d of the product is the product of the factors' k_d."""
+    spec, factor = e2xe2(), two_ellipsoid()
+    pts = spec.interior_points(20, seed=13)
+    k, _, _, _ = curvature_batch(spec.metric, pts)
+    k1, _, _, _ = curvature_batch(factor.metric, pts[:, :2])
+    k2, _, _, _ = curvature_batch(factor.metric, pts[:, 2:])
+    assert k_discrete(k) == pytest.approx(k_discrete(k1) * k_discrete(k2), rel=1e-12)
