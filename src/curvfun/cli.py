@@ -129,9 +129,12 @@ def _record(args, name, frame, grid):
 def _compute_group(args):
     from . import liegroups as LG
 
-    alg = LG.builtin_algebra(args.manifold)
     if args.functional != "gamma_d":
         raise ConfigError("group manifolds support --functional gamma_d only")
+    for flag, given in (("--grid", args.grid), ("--param", args.param)):
+        if given:
+            raise ConfigError("%s does not apply to the group manifold %s" % (flag, args.manifold))
+    alg = LG.builtin_algebra(args.manifold)
     frame, frame_record = _frame(args, alg.dim)
     if frame_record["strategy"] == "haar":
         from .frames import haar_orthogonal, point_rng
@@ -142,7 +145,9 @@ def _compute_group(args):
     density = float(k_discrete(LG.biinvariant_sectional(alg)))
     volume = {"su3": math.pi**5, "so4": None}[args.manifold]
     if volume is None and density != 0:
-        raise ConfigError("no volume on record for %r; density reported alone" % args.manifold)
+        raise ConfigError("the %s k_d density in the %s frame is nonzero (%.6g), and the volume "
+                          "of SO(4) is not on record" % (args.manifold, frame_record["strategy"],
+                                                        density))
     record = _record(args, args.manifold, frame_record, None)
     record["normalization"] += "; curvature constant over the group"
     record.update(n_points=1, samples=None, value=0.0 if volume is None else density * volume,

@@ -8,12 +8,16 @@ plane is K_ij = |[e_i, e_j]|^2 / 4 = sum_k alpha[i, j, k]^2 / 4.
 Built-ins:
 
 * ``su3()``  -- su(3) in the Gell-Mann basis e_a = i lambda_a / 2,
-  orthonormal under <A, B> = -2 Re tr(AB).  Exact sectional matrix via
-  symbolic commutators (entries are rationals even though some structure
-  constants involve sqrt(3)).
+  orthonormal under <A, B> = -2 Re tr(AB).
 * ``so4()``  -- so(4) in the product-aligned basis splitting it into two
-  commuting so(3) factors, orthonormal under <X, Y> = -tr(XY).  Exact.
+  commuting so(3) factors, orthonormal under <X, Y> = -tr(XY).
 * ``so3()``  -- so(3) with <X, Y> = -tr(XY)/2, alpha = Levi-Civita.
+
+Each built-in starts from pairwise orthogonal integer matrices, positive
+multiples of its basis; su(3) is realified, a complex M becoming the real
+[[Re M, -Im M], [Im M, Re M]], so -2 Re tr(AB) is -tr(XY) of the blocks.
+Integer brackets give each alpha_ijk^2 as a rational, so the sectional
+matrix is exact even where alpha itself involves sqrt(3).
 
 The inner-product normalizations are chosen so the published sectional
 values (entries 0, 1/16, 3/16, 1/4 for su(3); 1/4-blocks for so(4)) come
@@ -89,8 +93,21 @@ class LieAlgebra:
         return self
 
 
-def _total_antisymmetry_defect(alpha):
-    return float(np.max(np.abs(alpha + np.swapaxes(alpha, 1, 2))))
+def _brackets(basis, inner):
+    """Gram matrix, bracket coefficients and closure residual of a matrix basis.
+
+    ``c[i, j, k] = inner([b_i, b_j], b_k)``.  ``resid[i, j]`` is the largest
+    entry of [b_i, b_j] minus its projection sum_k c[i, j, k] b_k / gram[k, k]
+    onto the span, which assumes the b_k pairwise orthogonal (a zero b_k
+    makes it NaN).
+    """
+    gram = np.array([[inner(a, b) for b in basis] for a in basis])
+    brackets = np.array([[a @ b - b @ a for b in basis] for a in basis])
+    c = np.array([[[inner(br, e) for e in basis] for br in row] for row in brackets])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        proj = np.einsum("ijk,kab->ijab", c / np.diag(gram), np.asarray(basis))
+    resid = np.max(np.abs(brackets - proj), axis=(2, 3))
+    return gram, c, resid
 
 
 def structure_constants(basis, inner, tol=TOL):
@@ -101,40 +118,30 @@ def structure_constants(basis, inner, tol=TOL):
     under commutators: the residual of each commutator after projection
     back onto the span must vanish to ``tol``, else :class:`NotClosedError`.
     """
-    n = len(basis)
-    gram = np.array([[inner(basis[i], basis[j]) for j in range(n)] for i in range(n)], dtype=float)
-    if np.max(np.abs(gram - np.eye(n))) > 1e-8:
+    gram, alpha, resid = _brackets(basis, inner)
+    if np.max(np.abs(gram - np.eye(len(basis)))) > 1e-8:
         raise NonOrthonormalFrameError("basis is not orthonormal under the given inner product")
-    alpha = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            br = basis[i] @ basis[j] - basis[j] @ basis[i]
-            coeffs = np.array([inner(br, basis[k]) for k in range(n)])
-            alpha[i, j] = coeffs
-            resid = br - sum(coeffs[k] * basis[k] for k in range(n))
-            if np.max(np.abs(resid)) > tol:
-                raise NotClosedError(
-                    "commutator [e_%d, e_%d] leaves the span (residual %.2e)"
-                    % (i, j, float(np.max(np.abs(resid))))
-                )
-    return alpha
+    bad = np.argwhere(resid > tol)
+    if len(bad):
+        i, j = bad[0]
+        raise NotClosedError(
+            "commutator [e_%d, e_%d] leaves the span (residual %.2e)" % (i, j, resid[i, j])
+        )
+    return alpha.astype(float)
 
 
-def biinvariant_sectional(algebra, i=None, j=None, tol=TOL):
-    """Sectional curvature K_ij = sum_k alpha_ijk^2 / 4 (full matrix or entry).
+def biinvariant_sectional(algebra, tol=TOL):
+    """Sectional curvature matrix K_ij = sum_k alpha_ijk^2 / 4.
 
     Requires total antisymmetry of alpha (the bi-invariance condition);
     raises :class:`NotBiInvariantError` otherwise.
     """
     alpha = algebra.alpha if isinstance(algebra, LieAlgebra) else np.asarray(algebra)
-    if _total_antisymmetry_defect(alpha) > tol:
+    if np.max(np.abs(alpha + np.swapaxes(alpha, 1, 2))) > tol:
         raise NotBiInvariantError(
             "structure constants are not totally antisymmetric; metric is not bi-invariant"
         )
-    k = np.einsum("ijk,ijk->ij", alpha, alpha) / 4.0
-    if i is None:
-        return k
-    return float(k[i, j])
+    return np.einsum("ijk,ijk->ij", alpha, alpha) / 4.0
 
 
 def sectional_exact(algebra):
@@ -173,55 +180,45 @@ def rotate_algebra(algebra, q):
 # -- built-ins ----------------------------------------------------------------
 
 
-def _frac_mat(rows):
-    return np.array([[Fraction(v) for v in row] for row in rows], dtype=object)
+def _exact_algebra(name, mats, scale, note):
+    """A built-in from integer matrices b_i that are pairwise orthogonal.
+
+    The inner product is ``-tr(XY) / scale``.  With c and the squared norms
+    N_i taken under -tr(XY), alpha_ijk^2 = scale c_ijk^2 / (N_i N_j N_k)
+    exactly, and alpha_ijk has the sign of c_ijk.
+    """
+    gram, c, resid = _brackets(mats, lambda a, b: -np.trace(a @ b))
+    norms = np.diag(gram)
+    if np.any(gram != np.diag(norms)) or np.any(norms <= 0):
+        raise NonOrthonormalFrameError("%s basis is not pairwise orthogonal" % name)
+    if np.max(resid) > TOL:
+        raise NotClosedError("%s basis is not closed under commutators" % name)
+    num = scale * c.astype(object) ** 2
+    den = np.einsum("i,j,k->ijk", norms, norms, norms).astype(object)
+    alpha2 = np.vectorize(Fraction, otypes=[object])(num, den)
+    return LieAlgebra(
+        name=name,
+        alpha=np.sign(c) * np.sqrt(alpha2.astype(float)),
+        k_exact=alpha2.sum(axis=2) / 4,
+        metric_note=note,
+    )
 
 
-def _exact_structure(basis, inner):
-    """Fraction-exact structure constants for rational matrix bases."""
-    n = len(basis)
-    for i in range(n):
-        for j in range(n):
-            want = Fraction(1) if i == j else Fraction(0)
-            if inner(basis[i], basis[j]) != want:
-                raise NonOrthonormalFrameError("exact basis not orthonormal")
-    alpha = np.zeros((n, n, n), dtype=object)
-    alpha[...] = Fraction(0)
-    for i in range(n):
-        for j in range(n):
-            br = basis[i] @ basis[j] - basis[j] @ basis[i]
-            for k in range(n):
-                alpha[i, j, k] = inner(br, basis[k])
-    return alpha
-
-
-def _k_from_alpha_exact(alpha):
-    n = alpha.shape[0]
-    k = np.zeros((n, n), dtype=object)
-    k[...] = Fraction(0)
-    for i in range(n):
-        for j in range(n):
-            k[i, j] = sum((alpha[i, j, c] ** 2 for c in range(n)), Fraction(0)) / 4
-    return k
+def _rotation(i, j, n):
+    """The integer generator E_ij - E_ji of so(n), 1-based."""
+    m = np.zeros((n, n), dtype=np.int64)
+    m[i - 1, j - 1], m[j - 1, i - 1] = 1, -1
+    return m
 
 
 @lru_cache(maxsize=None)
 def so3():
     """so(3), orthonormal under <X, Y> = -tr(XY)/2; alpha = Levi-Civita."""
-    z, o = Fraction(0), Fraction(1)
-    l1 = _frac_mat([[z, z, z], [z, z, -o], [z, o, z]])
-    l2 = _frac_mat([[z, z, o], [z, z, z], [-o, z, z]])
-    l3 = _frac_mat([[z, -o, z], [o, z, z], [z, z, z]])
-
-    def inner(a, b):
-        return -sum((a @ b)[i, i] for i in range(3)) / 2
-
-    alpha = _exact_structure([l1, l2, l3], inner)
-    return LieAlgebra(
-        name="so3",
-        alpha=alpha.astype(float),
-        k_exact=_k_from_alpha_exact(alpha),
-        metric_note="inner product -tr(XY)/2; equals -Killing/2 for so(3)",
+    return _exact_algebra(
+        "so3",
+        [_rotation(3, 2, 3), _rotation(1, 3, 3), _rotation(2, 1, 3)],
+        2,
+        "inner product -tr(XY)/2; equals -Killing/2 for so(3)",
     )
 
 
@@ -232,33 +229,26 @@ def so4():
     A_i span one commuting so(3) factor and B_i the other; mixed brackets
     vanish, so mixed-plane sectional curvature is identically zero.
     Orthonormal under <X, Y> = -tr(XY) (which is -Killing/2 for so(4)).
+    The integer matrices passed on are 2 A_i and 2 B_i.
     """
 
     def L(i, j):
-        m = np.zeros((4, 4), dtype=object)
-        m[...] = Fraction(0)
-        m[i - 1, j - 1] = Fraction(1)
-        m[j - 1, i - 1] = Fraction(-1)
-        return m
+        return _rotation(i, j, 4)
 
-    half = Fraction(1, 2)
-    a1 = -half * (L(1, 4) + L(2, 3))
-    a2 = half * (L(1, 3) - L(2, 4))
-    a3 = -half * (L(1, 2) + L(3, 4))
-    b1 = half * (L(1, 4) - L(2, 3))
-    b2 = half * (L(1, 3) + L(2, 4))
-    b3 = half * (L(3, 4) - L(1, 2))
+    mats = [
+        -(L(1, 4) + L(2, 3)),
+        L(1, 3) - L(2, 4),
+        -(L(1, 2) + L(3, 4)),
+        L(1, 4) - L(2, 3),
+        L(1, 3) + L(2, 4),
+        L(3, 4) - L(1, 2),
+    ]
+    return _exact_algebra("so4", mats, 1, "inner product -tr(XY) = -Killing/2 for so(4)")
 
-    def inner(x, y):
-        return -sum((x @ y)[i, i] for i in range(4))
 
-    alpha = _exact_structure([a1, a2, a3, b1, b2, b3], inner)
-    return LieAlgebra(
-        name="so4",
-        alpha=alpha.astype(float),
-        k_exact=_k_from_alpha_exact(alpha),
-        metric_note="inner product -tr(XY) = -Killing/2 for so(4)",
-    )
+def _realify(m):
+    """The real 2n x 2n matrix of a complex n x n one, as integers."""
+    return np.block([[m.real, -m.imag], [m.imag, m.real]]).astype(np.int64)
 
 
 @lru_cache(maxsize=None)
@@ -267,54 +257,25 @@ def su3():
 
     Orthonormal under <A, B> = -2 Re tr(AB); this is 2/3 of -Killing/2
     (the Killing form of su(3) is 6 tr(XY) on anti-Hermitian matrices).
-    Structure constants live in {0, +-1, +-1/2, +-sqrt(3)/2}; the exact
-    sectional matrix is rational and computed symbolically.
+    Structure constants live in {0, +-1, +-1/2, +-sqrt(3)/2}.  The integer
+    matrices passed on are the realified i lambda_a, with lambda_8 scaled by
+    sqrt(3) to diag(1, 1, -2); the exact sectional matrix is rational.
     """
-    import sympy as sp
-
-    s3 = sp.sqrt(3)
     lam = [
-        sp.Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
-        sp.Matrix([[0, -sp.I, 0], [sp.I, 0, 0], [0, 0, 0]]),
-        sp.Matrix([[1, 0, 0], [0, -1, 0], [0, 0, 0]]),
-        sp.Matrix([[0, 0, 1], [0, 0, 0], [1, 0, 0]]),
-        sp.Matrix([[0, 0, -sp.I], [0, 0, 0], [sp.I, 0, 0]]),
-        sp.Matrix([[0, 0, 0], [0, 0, 1], [0, 1, 0]]),
-        sp.Matrix([[0, 0, 0], [0, 0, -sp.I], [0, sp.I, 0]]),
-        sp.Matrix([[1, 0, 0], [0, 1, 0], [0, 0, -2]]) / s3,
+        [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+        [[0, -1j, 0], [1j, 0, 0], [0, 0, 0]],
+        [[1, 0, 0], [0, -1, 0], [0, 0, 0]],
+        [[0, 0, 1], [0, 0, 0], [1, 0, 0]],
+        [[0, 0, -1j], [0, 0, 0], [1j, 0, 0]],
+        [[0, 0, 0], [0, 0, 1], [0, 1, 0]],
+        [[0, 0, 0], [0, 0, -1j], [0, 1j, 0]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, -2]],
     ]
-    basis = [sp.I * m / 2 for m in lam]
-
-    def inner(a, b):
-        return sp.simplify(sp.re(sp.trace(a * b))) * (-2)
-
-    n = 8
-    for i in range(n):
-        for j in range(i, n):
-            want = 1 if i == j else 0
-            if sp.simplify(inner(basis[i], basis[j]) - want) != 0:
-                raise NonOrthonormalFrameError("Gell-Mann basis failed orthonormality")
-    alpha_sym = [[[None] * n for _ in range(n)] for _ in range(n)]
-    alpha = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            br = basis[i] * basis[j] - basis[j] * basis[i]
-            for k in range(n):
-                val = sp.simplify(inner(br, basis[k]))
-                alpha_sym[i][j][k] = val
-                alpha[i, j, k] = float(val)
-    k_exact = np.zeros((n, n), dtype=object)
-    k_exact[...] = Fraction(0)
-    for i in range(n):
-        for j in range(n):
-            val = sp.simplify(sum(alpha_sym[i][j][k] ** 2 for k in range(n)) / 4)
-            val = sp.nsimplify(val, rational=True)
-            k_exact[i, j] = Fraction(int(sp.numer(val)), int(sp.denom(val)))
-    return LieAlgebra(
-        name="su3",
-        alpha=alpha,
-        k_exact=k_exact,
-        metric_note="inner product -2 Re tr(AB) = (2/3) * (-Killing/2) for su(3)",
+    return _exact_algebra(
+        "su3",
+        [_realify(1j * np.array(m)) for m in lam],
+        1,
+        "inner product -2 Re tr(AB) = (2/3) * (-Killing/2) for su(3)",
     )
 
 
@@ -336,6 +297,10 @@ def _matrix_from_json(rows):
             return complex(v[0], v[1])
         return complex(v)
 
+    if not isinstance(rows, list) or not rows or any(
+        not isinstance(r, list) or len(r) != len(rows) for r in rows
+    ):
+        raise ValueError("algebra file: a basis matrix must be a square list of rows")
     return np.array([[entry(v) for v in row] for row in rows])
 
 
@@ -344,6 +309,10 @@ _INNER_PRODUCTS = {
     "neg_half_trace": lambda a, b: float(-np.trace(a @ b).real / 2),
     "neg_two_re_trace": lambda a, b: float(-2 * np.trace(a @ b).real),
 }
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def load_algebra(path):
@@ -357,23 +326,46 @@ def load_algebra(path):
 
     Matrix entries may be numbers or ``[re, im]`` pairs.  Structure
     constants are completed by antisymmetry in (i, j): each listed
-    ``alpha[i, j, k]`` also sets ``-alpha[j, i, k]``.
+    ``alpha[i, j, k]`` also sets ``-alpha[j, i, k]``.  An unreadable file,
+    a payload that is not an object, or a missing or malformed key raises
+    ``ValueError`` naming the problem.
     """
-    with open(path) as fh:
-        data = json.load(fh)
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ValueError("cannot read algebra file: %s" % exc) from None
+    if not isinstance(data, dict):
+        raise ValueError("algebra file must hold a JSON object")
     name = data.get("name", "user-algebra")
     if "basis" in data:
+        if not isinstance(data["basis"], list) or not data["basis"]:
+            raise ValueError('algebra file: "basis" must be a non-empty list of matrices')
         basis = [_matrix_from_json(rows) for rows in data["basis"]]
+        if len({b.shape for b in basis}) != 1:
+            raise ValueError('algebra file: "basis" matrices must all have one size')
         inner_name = data.get("inner", "neg_trace")
         if inner_name not in _INNER_PRODUCTS:
             raise ValueError("unknown inner product %r" % inner_name)
         alpha = structure_constants(basis, _INNER_PRODUCTS[inner_name])
         note = "inner product %s from user file" % inner_name
     elif "structure_constants" in data:
-        n = int(data["dimension"])
+        n = data.get("dimension")
+        if not _is_int(n) or n < 1:
+            raise ValueError('algebra file: "dimension" must be a positive integer, got %r' % (n,))
+        items = data["structure_constants"]
+        if not isinstance(items, list):
+            raise ValueError('algebra file: "structure_constants" must be a list')
         alpha = np.zeros((n, n, n))
-        for item in data["structure_constants"]:
+        for item in items:
+            if not (isinstance(item, list) and len(item) == 4
+                    and isinstance(item[3], (int, float)) and not isinstance(item[3], bool)):
+                raise ValueError("algebra file: a structure constant must be [i, j, k, value], "
+                                 "got %r" % (item,))
             i, j, k, v = item
+            if not all(_is_int(t) and 1 <= t <= n for t in (i, j, k)):
+                raise ValueError("algebra file: structure constant indices must be integers "
+                                 "in 1..%d, got %r" % (n, item))
             alpha[i - 1, j - 1, k - 1] = v
             alpha[j - 1, i - 1, k - 1] = -v
         note = "structure constants from user file (orthonormal basis assumed)"

@@ -232,6 +232,22 @@ def test_group_manifold_rejects_other_functionals(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("manifold", ["su3", "so4"])
+@pytest.mark.parametrize("flag, value", [("--grid", "abc"), ("--param", "u=1")])
+def test_group_manifold_rejects_chart_flags(capsys, manifold, flag, value):
+    code, out, err = run(capsys, ["compute", "--manifold", manifold, flag, value, "--no-timing"])
+    assert code == 2
+    assert out == ""
+    assert flag in err
+
+
+def test_so4_rotated_frame_names_the_missing_volume(capsys):
+    code, out, err = run(capsys, ["compute", "--manifold", "so4", "--frame", "haar"])
+    assert code == 2
+    assert out == ""
+    assert "nonzero" in err and "volume of SO(4) is not on record" in err
+
+
 def test_frame_sweep_csv(capsys):
     code, out, _ = run(
         capsys,

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,26 @@ from curvfun.liegroups import (
     structure_constants,
     su3,
 )
+
+
+def test_builtins_do_not_import_sympy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys; from curvfun.liegroups import so3, so4, su3; "
+            "so3(); so4(); su3(); assert 'sympy' not in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("build", [so3, so4, su3], ids=lambda f: f.__name__)
+def test_builtin_alpha_antisymmetric_and_matches_exact_table(build):
+    alg = build()
+    a = alg.alpha
+    for axes in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
+        assert np.array_equal(np.transpose(a, axes), -a)
+    exact = np.array([[float(v) for v in row] for row in sectional_exact(alg)])
+    assert np.max(np.abs(biinvariant_sectional(alg) - exact)) <= 1e-15
 
 
 def test_so3_constant_curvature_quarter():
@@ -167,4 +191,24 @@ def test_load_algebra_rejects_garbage(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"name": "nothing"}))
     with pytest.raises(ValueError):
+        load_algebra(path)
+
+
+@pytest.mark.parametrize("payload, problem", [
+    pytest.param([1, 2, 3], "JSON object", id="not-an-object"),
+    pytest.param({"structure_constants": [[1, 2, 3, 1.0]]}, '"dimension"', id="no-dimension"),
+    pytest.param({"dimension": 3, "structure_constants": [[0, 1, 2, 1.0]]}, "1..3", id="index-0"),
+    pytest.param({"dimension": 3, "structure_constants": [[1, 2, 4, 1.0]]}, "1..3",
+                 id="index-above-n"),
+    pytest.param({"dimension": 3, "structure_constants": [[1, 2, 3]]}, r"\[i, j, k, value\]",
+                 id="three-entries"),
+    pytest.param(None, "cannot read", id="missing-file"),
+    pytest.param({"basis": [1]}, "square list of rows", id="basis-not-a-matrix"),
+    pytest.param({"basis": [[[0, 1], [-1, 0]], [[0]]]}, "one size", id="basis-sizes-differ"),
+])
+def test_load_algebra_names_the_problem(tmp_path, payload, problem):
+    path = tmp_path / "bad.json"
+    if payload is not None:
+        path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=problem):
         load_algebra(path)
