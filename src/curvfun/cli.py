@@ -86,6 +86,15 @@ def _grid(args, spec):
     return Grid(tuple(Axis(a.lo, a.hi, n, a.periodic) for a, n in zip(spec.default_grid.axes, ns)))
 
 
+def _samples(args):
+    """``--samples`` for ``gamma_mc`` (64 when not given); other functionals reject the flag."""
+    if args.functional == "gamma_mc":
+        return 64 if args.samples is None else args.samples
+    if args.samples is not None:
+        raise ConfigError("--samples applies to --functional gamma_mc only")
+    return None
+
+
 def _plane(text, dim, flag):
     """Parse a 1-based frame plane "a,b" given to ``flag``."""
     try:
@@ -163,6 +172,7 @@ def _compute_group(args):
 
 
 def cmd_compute(args):
+    samples = _samples(args)
     if args.manifold in GROUP_NAMES and not args.spec_file:
         return _compute_group(args), 0
     spec = _resolve_manifold(args)
@@ -176,13 +186,13 @@ def cmd_compute(args):
         functional=args.functional,
         frame=frame,
         seed=args.seed,
-        nsamples=args.samples,
+        nsamples=samples,
         workers=args.workers,
     )
     record = _record(args, spec.name, frame_record, grid.describe())
     record.update(
         n_points=result.n_points,
-        samples=args.samples if args.functional == "gamma_mc" else None,
+        samples=samples,
         value=result.value,
         error_estimate=result.error_estimate,
         stderr=result.stderr,
@@ -206,6 +216,7 @@ def cmd_frame_sweep(args):
     if args.angles < 2:
         raise ConfigError("--angles must be at least 2")
     a, b = _plane(args.plane, spec.dim, "--plane")
+    _samples(args)
     grid = _grid(args, spec)
     rows = []
     for angle in np.linspace(0.0, math.pi / 2, args.angles):
@@ -320,8 +331,8 @@ def build_parser():
                         help="manifold parameter (repeatable), e.g. u=cos(x1)+cos(x2)")
         sp.add_argument("--functional", default="gamma_d", choices=sorted(FUNCTIONALS))
         sp.add_argument("--grid", help="per-axis node counts, e.g. 17,17,17,16 (or one size)")
-        sp.add_argument("--samples", type=int, default=64,
-                        help="Monte Carlo frame samples per node (gamma_mc)")
+        sp.add_argument("--samples", type=int,
+                        help="Monte Carlo frame samples per node (gamma_mc only; default 64)")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--workers", type=int, default=1)
         sp.add_argument("--format", default="json", choices=("json", "csv", "text"))

@@ -4,7 +4,8 @@ Metrics come in three flavors: closed-form entries (differentiated with
 hyper-dual jets), embedding-induced (first fundamental form of a chart into
 Euclidean space, from second-order jets of the embedding), and constant;
 ``block_diagonal`` combines two of them into a product.  All of them feed
-the same Riemann formula.
+the same Riemann formula.  Each metric declares ``depends_on``, the chart
+axes it reads; the integrator collapses the others to one node.
 
 The pipeline is batched over chart points.  :func:`curvature_chunk` is the
 one path from a metric to curvature data (jets, metric checks, Riemann
@@ -62,29 +63,35 @@ class MetricField:
     Use one of the constructors :meth:`from_entries`, :meth:`from_embedding`,
     or :meth:`constant`.  ``dim`` is the chart dimension (even for all the
     manifolds of interest, but the pipeline itself does not care).
+
+    ``depends_on`` is the sorted tuple of chart axes (0-based) the metric
+    reads; every axis unless a constructor is told otherwise.  The metric,
+    and so every curvature density built from it, is constant along the
+    other axes, which lets the integrator evaluate it on one node of each.
     """
 
-    def __init__(self, dim, jets_fn, provenance):
+    def __init__(self, dim, jets_fn, provenance, depends_on=None):
         self.dim = dim
         self._jets_fn = jets_fn
         self.provenance = provenance
+        self.depends_on = tuple(range(dim)) if depends_on is None else tuple(sorted(depends_on))
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def from_entries(cls, dim, entries, provenance="closed-form"):
+    def from_entries(cls, dim, entries, provenance="closed-form", depends_on=None):
         """Metric from a callable ``entries(vars) -> (dim, dim) nested list``.
 
         ``vars`` is the list of jet variables; each matrix element may be a
         jet expression in them or a plain constant.  The same callable is
         reused for exact (Fraction) evaluation when the incoming points have
-        object dtype.
+        object dtype.  ``depends_on`` lists the variables the entries read.
         """
 
         def jets_fn(points):
             return _assemble_matrix_jets(entries(J.variables(points)), points, dim)
 
-        return cls(dim, jets_fn, provenance)
+        return cls(dim, jets_fn, provenance, depends_on)
 
     @classmethod
     def constant(cls, matrix):
@@ -98,16 +105,20 @@ class MetricField:
             d2g = np.zeros((npts, dim, dim, dim, dim))
             return g, dg, d2g
 
-        return cls(dim, jets_fn, "constant")
+        return cls(dim, jets_fn, "constant", depends_on=())
 
     @classmethod
-    def from_embedding(cls, embedding):
-        """First fundamental form of an :class:`EmbeddingMap`."""
+    def from_embedding(cls, embedding, depends_on=None):
+        """First fundamental form of an :class:`EmbeddingMap`.
+
+        ``depends_on`` lists the chart axes the induced metric reads; the
+        embedding itself may still move along the others (a rotation axis).
+        """
 
         def jets_fn(points):
             return _induced_metric_jets(embedding, points)
 
-        return cls(embedding.chart_dim, jets_fn, "embedding")
+        return cls(embedding.chart_dim, jets_fn, "embedding", depends_on)
 
     @classmethod
     def block_diagonal(cls, first, second):
@@ -132,7 +143,8 @@ class MetricField:
             return g, dg, d2g
 
         provenance = "product(%s, %s)" % (first.provenance, second.provenance)
-        return cls(dim, jets_fn, provenance)
+        depends_on = first.depends_on + tuple(n1 + k for k in second.depends_on)
+        return cls(dim, jets_fn, provenance, depends_on)
 
     # -- evaluation ----------------------------------------------------------
 

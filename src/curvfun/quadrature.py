@@ -12,6 +12,16 @@ slot indexed by the node's global index, and the final reduction is
 so the result is byte-identical no matter how the nodes were chunked or
 how many worker threads ran the chunks.
 
+Independent axes: a density built from a metric is constant along every
+axis outside ``metric.depends_on``, so :func:`integrate_functional`
+evaluates it on the grid with each such axis collapsed to one node, its
+midpoint, weighted by the axis length (the sum of its weights).  The
+half-resolution estimate grid is collapsed the same way.  Only the
+densities that draw Haar frames per node (``gamma_mc`` and the ``"haar"``
+frame) keep the requested grid.  The result's ``n_points`` is still the
+requested grid's, and a failing node's coordinate on a collapsed axis reads
+that axis's midpoint.
+
 The error estimate is the difference against a re-run on a half-resolution
 grid; Monte Carlo functionals additionally carry a propagated standard
 error.
@@ -109,6 +119,16 @@ class Grid:
 
     def halved(self):
         return Grid(tuple(a.halved() for a in self.axes))
+
+    def collapse(self, depends_on):
+        """This grid with every axis outside ``depends_on`` cut to one node.
+
+        A one-node axis puts its node at the midpoint with weight ``hi - lo``,
+        what its n weights sum to, so the rule integrates a function that is
+        constant along that axis as the full axis does.
+        """
+        return Grid(tuple(a if k in depends_on else Axis(a.lo, a.hi, 1, a.periodic)
+                          for k, a in enumerate(self.axes)))
 
     def describe(self):
         return [
@@ -264,15 +284,21 @@ def integrate_functional(
 ):
     """Integrate a curvature functional over a chart grid.
 
-    ``error_estimate`` is the difference against the half-resolution grid,
-    or ``None`` when it was not asked for or the grid does not coarsen
-    (every axis has one node).
+    The density is evaluated on ``grid`` with the axes outside
+    ``metric.depends_on`` collapsed to one node each, unless it draws Haar
+    frames per node (``gamma_mc``, the ``"haar"`` frame).  ``n_points`` is
+    the requested grid's.  ``error_estimate`` is the difference against the
+    half-resolution grid, or ``None`` when it was not asked for or the
+    evaluated grid does not coarsen (every axis has one node).
     """
     density = functional_density(metric, functional, frame=frame, seed=seed, nsamples=nsamples)
-    value, stderr = integrate(density, grid, workers=workers, chunk=chunk)
+    evaluated = grid
+    if functional != "gamma_mc" and not (isinstance(frame, str) and frame == "haar"):
+        evaluated = grid.collapse(metric.depends_on)
+    value, stderr = integrate(density, evaluated, workers=workers, chunk=chunk)
     err = None
-    coarse_grid = grid.halved() if with_error_estimate else grid
-    if coarse_grid != grid:
+    coarse_grid = evaluated.halved() if with_error_estimate else evaluated
+    if coarse_grid != evaluated:
         coarse, _ = integrate(density, coarse_grid, workers=workers, chunk=chunk)
         err = abs(value - coarse)
     return IntegralResult(value=value, error_estimate=err, n_points=grid.n_points, stderr=stderr)

@@ -142,7 +142,8 @@ def ellipsoid_of_revolution(a, dim=4):
         raise ValueError("semi-axis must be positive")
     scales = [a] + [1.0] * dim
     emb = EmbeddingMap(chart_dim=dim, ambient_dim=dim + 1, components=_sphere_components(scales))
-    metric = MetricField.from_embedding(emb)
+    # a surface of revolution about the first axis: the last angle is free
+    metric = MetricField.from_embedding(emb, depends_on=range(dim - 1))
     d = dim // 2
     ns = {2: (33, 32), 4: (17, 17, 17, 16), 6: (7, 7, 7, 7, 7, 6)}[dim]
     grid = _polar_grid(list(ns))
@@ -299,7 +300,7 @@ def rp2():
     return ManifoldSpec(
         name="rp2",
         dim=2,
-        metric=MetricField.from_embedding(emb),
+        metric=MetricField.from_embedding(emb, depends_on=(1,)),
         default_grid=grid,
         oracles={"k_d": k_d_density},
         references=refs,
@@ -345,7 +346,7 @@ def taubes_torus(u="cos(x2) + cos(x1)"):
             [0, 0, 0, em2u],
         ]
 
-    metric = MetricField.from_entries(4, entries, provenance="warped 4-torus")
+    metric = MetricField.from_entries(4, entries, provenance="warped 4-torus", depends_on=(0, 1))
     grid = Grid(
         (
             Axis(0.0, TWO_PI, 33, periodic=True),
@@ -446,7 +447,8 @@ def extended_torus(u="cos(x2) + cos(x1)", v="0"):
             [0, 0, 0, J.exp(-2 * w)],
         ]
 
-    metric = MetricField.from_entries(4, entries, provenance="doubly warped 4-torus")
+    metric = MetricField.from_entries(4, entries, provenance="doubly warped 4-torus",
+                                      depends_on=(0, 1))
     grid = Grid(
         (
             Axis(0.0, TWO_PI, 17, periodic=True),
@@ -550,9 +552,8 @@ def _sphere_spec_any_dim(dim, n_nodes):
     emb = EmbeddingMap(chart_dim=dim, ambient_dim=dim + 1, components=_sphere_components(scales))
     ns = [n_nodes] * (dim - 1) + [n_nodes]
     grid = _polar_grid(ns)
-    return ManifoldSpec(
-        name="s%d" % dim, dim=dim, metric=MetricField.from_embedding(emb), default_grid=grid
-    )
+    metric = MetricField.from_embedding(emb, depends_on=range(dim - 1))
+    return ManifoldSpec(name="s%d" % dim, dim=dim, metric=metric, default_grid=grid)
 
 
 def product(m1, m2, name=None):
@@ -754,7 +755,8 @@ def load_manifold_file(path):
 
     Axis bounds and metric entries are expression strings (or numbers) in
     the grammar of :mod:`curvfun.expressions`; metric entries may use the
-    chart variables x1..xn.  A missing or ill-typed key, or a metric whose
+    chart variables x1..xn, and the metric's ``depends_on`` is the set of
+    variables they use.  A missing or ill-typed key, or a metric whose
     transposed entries differ at a node of the default grid by more than
     ``SYMMETRY_TOL``, raises ``ValueError`` naming the problem.
     """
@@ -794,7 +796,10 @@ def load_manifold_file(path):
         env = {nm: v[i] for i, nm in enumerate(var_names)}
         return [[e(env) for e in row] for row in exprs]
 
-    metric = MetricField.from_entries(dim, entries, provenance="user spec file")
+    used = set().union(*(e.variables for row in exprs for e in row))
+    depends_on = [i for i, nm in enumerate(var_names) if nm in used]
+    metric = MetricField.from_entries(dim, entries, provenance="user spec file",
+                                      depends_on=depends_on)
     return ManifoldSpec(
         name=str(data.get("name", "user-manifold")),
         dim=dim,

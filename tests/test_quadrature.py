@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from curvfun.errors import ChartSingularityError
+from curvfun.frames import rotate_frame
 from curvfun.geometry import MetricField
 from curvfun.jets import sin
 from curvfun.quadrature import (
@@ -16,6 +17,7 @@ from curvfun.quadrature import (
     integrate_functional,
     volume,
 )
+from curvfun.zoo import manifold_by_name
 
 
 def test_periodic_axis_integrates_trig_exactly():
@@ -151,3 +153,79 @@ def test_gamma_mc_tracks_gamma_d_on_sphere():
     )
     assert mc.value == pytest.approx(2.0, abs=1e-6)
     assert mc.stderr is not None
+
+
+def zoo_grid(name, ns):
+    """A zoo chart's metric and its default grid with the node counts ``ns``."""
+    spec = manifold_by_name(name)
+    axes = tuple(Axis(a.lo, a.hi, n, a.periodic) for a, n in zip(spec.default_grid.axes, ns))
+    return spec.metric, Grid(axes)
+
+
+def test_collapse_keeps_dependent_axes_and_cuts_the_rest_to_their_midpoint():
+    grid = Grid((Axis(0, 1, 3), Axis(0, 2, 4, periodic=True), Axis(1, 4, 5)))
+    collapsed = grid.collapse((0,))
+    assert collapsed.axes[0] == grid.axes[0]
+    assert [a.n for a in collapsed.axes] == [3, 1, 1]
+    pts, w = collapsed.points_weights()
+    assert np.all(pts[:, 1:] == [1.0, 2.5])
+    assert math.fsum(w.tolist()) == pytest.approx(math.fsum(grid.points_weights()[1].tolist()))
+
+
+@pytest.mark.parametrize("name, ns", [("s4", (5, 5, 5, 8)), ("rp2", (8, 9)),
+                                      ("s2xs2", (5, 8, 5, 8))])
+@pytest.mark.parametrize("functional, angle", [("gamma_d", None), ("gbc", None),
+                                               ("hilbert", None), ("volume", None),
+                                               ("gamma_d", 0.3)])
+def test_collapsed_grid_integral_matches_the_full_grid(name, ns, functional, angle):
+    metric, grid = zoo_grid(name, ns)
+    assert grid.collapse(metric.depends_on).n_points < grid.n_points
+    frame = "coordinate"
+    if angle is not None:  # the last plane of s2xs2 mixes its two factors
+        frame = rotate_frame(np.eye(metric.dim), 0, metric.dim - 1, angle)
+    full, _ = integrate(functional_density(metric, functional, frame=frame), grid)
+    res = integrate_functional(metric, grid, functional, frame=frame, with_error_estimate=False)
+    assert res.value == pytest.approx(full, rel=1e-12)
+    assert res.n_points == grid.n_points
+
+
+@pytest.mark.parametrize("functional, frame, collapsed", [
+    ("gamma_d", "coordinate", True),
+    ("gamma_mc", "coordinate", False),
+    ("gamma_d", "haar", False),
+])
+def test_per_node_haar_densities_integrate_the_requested_grid(monkeypatch, functional, frame,
+                                                              collapsed):
+    import curvfun.quadrature as Q
+
+    passes = []
+    real = Q.integrate
+    monkeypatch.setattr(Q, "integrate", lambda *a, **k: passes.append(a[1]) or real(*a, **k))
+    metric, grid = zoo_grid("s4", (3, 3, 3, 4))
+    evaluated = grid.collapse(metric.depends_on) if collapsed else grid
+    res = integrate_functional(metric, grid, functional, frame=frame, seed=2, nsamples=4)
+    assert passes == [evaluated, evaluated.halved()]
+    assert res.n_points == grid.n_points
+
+
+def test_no_error_estimate_when_the_collapsed_grid_does_not_coarsen():
+    metric, grid = zoo_grid("s4", (1, 1, 1, 16))
+    assert grid.halved() != grid
+    res = integrate_functional(metric, grid)
+    assert res.error_estimate is None
+    assert res.n_points == 16
+
+
+@pytest.mark.parametrize("name, ns, axis", [
+    ("taubes", (33, 33, 1, 1), 0),  # x1 is read by the warp
+    ("s4", (9, 9, 9, 8), 3),  # x4 is collapsed
+])
+def test_shifting_a_periodic_origin_keeps_the_integral(name, ns, axis):
+    metric, grid = zoo_grid(name, ns)
+    a = grid.axes[axis]
+    assert a.periodic
+    shifted = list(grid.axes)
+    shifted[axis] = Axis(a.lo + 0.37, a.hi + 0.37, a.n, periodic=True)
+    base = integrate_functional(metric, grid, with_error_estimate=False).value
+    moved = integrate_functional(metric, Grid(tuple(shifted)), with_error_estimate=False).value
+    assert moved == pytest.approx(base, rel=1e-12)

@@ -136,6 +136,28 @@ def test_load_manifold_file_round_trip(tmp_path):
     assert g[:, 1, 1] == pytest.approx(1 + pts[:, 1] ** 2)
 
 
+@pytest.mark.parametrize("name", MANIFOLD_NAMES)
+def test_metric_is_constant_off_its_declared_axes(name):
+    # relative: rp2's t-derivative reads about 2e-15 rather than 0
+    spec = manifold_by_name(name)
+    _, dg, _ = spec.metric.jets(spec.interior_points(50, seed=7))
+    scale = np.max(np.abs(dg))
+    for k in sorted(set(range(spec.dim)) - set(spec.metric.depends_on)):
+        assert np.max(np.abs(dg[..., k])) <= 1e-12 * scale, k
+
+
+def test_spec_file_depends_on_its_free_variables(tmp_path):
+    payload = {
+        "name": "warped-box",
+        "axes": [{"lo": 0, "hi": 1, "n": 3} for _ in range(4)],
+        "metric": [["1 + x3^2", "0", "0", "0"], ["0", "1", "0", "0"],
+                   ["0", "0", "exp(x1)", "0"], ["0", "0", "0", "2"]],
+    }
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(payload))
+    assert load_manifold_file(path).metric.depends_on == (0, 2)
+
+
 def test_load_manifold_file_rejects_bad_shapes(tmp_path):
     payload = {
         "name": "broken",
