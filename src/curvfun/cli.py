@@ -152,7 +152,7 @@ def _compute_group(args):
     if frame_record["strategy"] != "coordinate":
         alg = LG.rotate_algebra(alg, frame)
     density = float(k_discrete(LG.biinvariant_sectional(alg)))
-    volume = {"su3": math.pi**5, "so4": None}[args.manifold]
+    volume = LG.VOLUMES.get(args.manifold)
     if volume is None and density != 0:
         raise ConfigError("the %s k_d density in the %s frame is nonzero (%.6g), and the volume "
                           "of SO(4) is not on record" % (args.manifold, frame_record["strategy"],
@@ -198,9 +198,10 @@ def cmd_compute(args):
         stderr=result.stderr,
     )
     if args.functional == "gamma_d" and "k_d" in spec.oracles and "dV" in spec.oracles:
+        # the oracles, like the metric, are constant along the other axes
         record["oracle_value"], _ = integrate(
             lambda p, i: (spec.oracles["k_d"](p) * spec.oracles["dV"](p), None),
-            grid,
+            grid.collapse(spec.metric.depends_on),
             workers=args.workers,
         )
     if spec.notes:

@@ -68,6 +68,16 @@ class SimplicialComplex:
         self._index = {s: i for i, s in enumerate(self.simplices)}
 
     @classmethod
+    def _from_canonical(cls, simplices):
+        """A complex from simplices already closed under subsets and in canonical
+        order; nothing is checked."""
+        out = object.__new__(cls)
+        out.simplices = tuple(simplices)
+        out.vertices = tuple(sorted({v for s in out.simplices for v in s}))
+        out._index = {s: i for i, s in enumerate(out.simplices)}
+        return out
+
+    @classmethod
     def generated_by(cls, sets):
         """Closure of the given vertex sets under nonempty subsets."""
         out = set()
@@ -92,12 +102,7 @@ class SimplicialComplex:
     def induced(self, vertex_subset):
         """Subcomplex of simplices entirely inside the vertex subset."""
         vs = set(vertex_subset)
-        kept = [s for s in self.simplices if set(s) <= vs]
-        out = object.__new__(SimplicialComplex)
-        out.simplices = tuple(kept)
-        out.vertices = tuple(sorted({v for s in kept for v in s}))
-        out._index = {s: i for i, s in enumerate(kept)}
-        return out
+        return SimplicialComplex._from_canonical(s for s in self.simplices if set(s) <= vs)
 
     def edges(self):
         return [s for s in self.simplices if len(s) == 2]
@@ -124,11 +129,8 @@ def whitney_complex(vertices, edges):
                 found_any = True
         if not found_any:
             break
-    out = object.__new__(SimplicialComplex)
-    out.simplices = tuple(sorted(cliques, key=lambda s: (len(s), s)))
-    out.vertices = tuple(vertices)
-    out._index = {s: i for i, s in enumerate(out.simplices)}
-    return out
+    # cliques grow by size, each size in lexicographic order: already canonical
+    return SimplicialComplex._from_canonical(cliques)
 
 
 def euler_characteristic(complex_):
@@ -285,12 +287,9 @@ def all_complexes_on(max_vertices=4):
                 break
             f &= f - 1
         if ok:
-            sims = [subsets[i] for i in range(len(subsets)) if family >> i & 1]
-            k = object.__new__(SimplicialComplex)
-            k.simplices = tuple(sorted(sims, key=lambda s: (len(s), s)))
-            k.vertices = tuple(sorted({v for s in k.simplices for v in s}))
-            k._index = {s: i for i, s in enumerate(k.simplices)}
-            out.append(k)
+            # subsets run by size, then lexicographically, so each family is canonical
+            out.append(SimplicialComplex._from_canonical(
+                subsets[i] for i in range(len(subsets)) if family >> i & 1))
     return out
 
 

@@ -23,9 +23,9 @@ Three pointwise densities on a 2d-dimensional Riemannian manifold:
   single-point wrapper ``haar_product_estimate`` both call it.
 
 ``brute_force_perm_sum`` keeps the literal (2d)!-term permutation sum
-beside its reduction, because ``reproduce`` fixes a printed convention with
-it; the brute-force double-permutation sum is a test oracle and lives with
-the tests.
+beside its reduction, as the public reference the tests check the reduction
+and the printed SU(3) permutation-sum convention against; the brute-force
+double-permutation sum is a test oracle and lives with the tests.
 """
 
 from __future__ import annotations
@@ -242,6 +242,8 @@ def gbc_raw_sum(riem_frame):
     points are taken in slices whose gather stays within
     ``GBC_GATHER_BYTES`` (three points per slice in dimension 8, where the
     table has 264,600 combinations), so memory does not grow with the batch.
+    Each point's terms are summed along its own row, so its sum does not
+    depend on the batch or the slicing.
     """
     r = np.asarray(riem_frame)
     single = r.ndim == 4
@@ -249,16 +251,11 @@ def gbc_raw_sum(riem_frame):
         r = r[None]
     signs, flat, factor = _gbc_combos(r.shape[1])
     r = r.reshape(len(r), -1)
-    # A gather holds (rows, ncombos, d) entries, so the rows are split to fit
-    # the budget.  Summed down a (ncombos, rows) array, numpy adds the
-    # combinations in index order when rows >= 2 but pairwise when rows == 1;
-    # balanced slices of at least three rows leave no one-row slice in a
-    # batch of two or more, so no point's sum depends on the slicing.
-    rows = max(3, GBC_GATHER_BYTES // (flat.size * r.itemsize))
+    rows = max(1, GBC_GATHER_BYTES // (flat.size * r.itemsize))
     sums = []
     for part in np.array_split(r, -(-len(r) // rows)):
         prods = np.prod(np.take(part, flat, axis=1), axis=2)  # (rows, ncombos)
-        sums.append((np.ascontiguousarray(prods.T) * signs[:, None]).sum(axis=0))
+        sums.append((prods * signs).sum(axis=1))
     out = factor * np.concatenate(sums)
     return out[0] if single else out
 

@@ -28,6 +28,7 @@ Killing form.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -53,9 +54,14 @@ __all__ = [
     "so3",
     "load_algebra",
     "builtin_algebra",
+    "VOLUMES",
 ]
 
 TOL = 1e-10
+
+# Haar volumes of the built-in groups in their normalizations; SO(4)'s is
+# not on record.
+VOLUMES = {"su3": math.pi**5}
 
 
 @dataclass

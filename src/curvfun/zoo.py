@@ -1,18 +1,10 @@
-"""Catalog of concrete manifolds: charts, metrics, oracles, reference values.
+"""Catalog of concrete manifolds: charts, metrics and oracles.
 
 Each entry is a :class:`ManifoldSpec` bundling a chart domain (a default
 quadrature grid), a metric source (closed-form entries or an embedding),
-optional closed-form pointwise oracles (independent of the tensor
-pipeline, used to cross-check it), and a list of tagged reference values
-driven by the ``reproduce`` machinery.
-
-Reference provenance tags: ``"quoted"`` (value printed in the source
-being reproduced), ``"derived"`` (obtained independently here, e.g. by
-analytic evaluation), ``"identity"`` (mathematical identity such as a
-known Euler characteristic).  References whose quoted value disagrees
-with the artifact's computation carry ``discrepancy=True`` plus a note;
-reproduction reports them as documented discrepancies rather than
-failures.
+and optional closed-form pointwise oracles (independent of the tensor
+pipeline, used to cross-check it).  The reference values these manifolds
+are checked against live in :mod:`curvfun.reproduce`.
 """
 
 from __future__ import annotations
@@ -30,7 +22,6 @@ from .geometry import SYMMETRY_TOL, EmbeddingMap, MetricField
 from .quadrature import DEFAULT_CHUNK, Axis, Grid
 
 __all__ = [
-    "Reference",
     "ManifoldSpec",
     "round_sphere",
     "ellipsoid_of_revolution",
@@ -53,18 +44,6 @@ TWO_PI = 2 * math.pi
 
 
 @dataclass
-class Reference:
-    """A reference value with provenance tag for reproduction runs."""
-
-    quantity: str
-    value: object
-    source: str  # "quoted" | "derived" | "identity"
-    tolerance: float = None  # None means exact comparison
-    note: str = ""
-    discrepancy: bool = False
-
-
-@dataclass
 class ManifoldSpec:
     """A chart-based manifold ready for the curvature pipeline."""
 
@@ -73,7 +52,6 @@ class ManifoldSpec:
     metric: MetricField
     default_grid: Grid
     oracles: dict = field(default_factory=dict)
-    references: list = field(default_factory=list)
     notes: str = ""
 
     def interior_points(self, count, seed):
@@ -122,11 +100,6 @@ def round_sphere(dim):
     return ellipsoid_of_revolution(1.0, dim=dim)
 
 
-def _sphere_volume(dim):
-    d = dim // 2
-    return 2.0 * math.factorial(d) * (4 * math.pi) ** d / math.factorial(dim)
-
-
 def ellipsoid_of_revolution(a, dim=4):
     """Ellipsoid of revolution: unit sphere with one axis stretched by ``a``.
 
@@ -167,22 +140,6 @@ def ellipsoid_of_revolution(a, dim=4):
             out = out * np.sin(points[:, i - 1]) ** (dim - i)
         return out
 
-    refs = []
-    if a == 1.0:
-        refs.append(
-            Reference("gamma_d", 2.0, "quoted", 1e-3 if dim == 4 else 1e-6,
-                      note="chi of the even sphere")
-        )
-        refs.append(Reference("volume", _sphere_volume(dim), "quoted", 1e-6))
-        if dim == 4:
-            refs.append(
-                Reference("k_d_pointwise", 3.0 / (4 * math.pi**2), "quoted", 1e-10,
-                          note="printed constant (3/8)/pi^2 is off by a factor 3/2; "
-                               "the value consistent with gamma_d = 2 and |S^4| = 8 pi^2/3 "
-                               "is 3/(4 pi^2)",
-                          discrepancy=True)
-            )
-            refs.append(Reference("gbc_total", 2.0, "quoted", 1e-3))
     name = "s%d" % dim if a == 1.0 else "e%d(a=%g)" % (dim, a)
     return ManifoldSpec(
         name=name,
@@ -190,7 +147,6 @@ def ellipsoid_of_revolution(a, dim=4):
         metric=metric,
         default_grid=grid,
         oracles={"k_d": k_d_density, "dV": dv_density},
-        references=refs,
         notes="profile angle x1; orbit angles x2..; poles excluded by interior nodes",
     )
 
@@ -253,16 +209,12 @@ def two_ellipsoid(a=1.0, b=2.0, c=3.0):
         return gauss / TWO_PI
 
     grid = _polar_grid([48, 48])
-    refs = [
-        Reference("gamma_d", 2.0, "quoted", 1e-5, note="total curvature of a convex surface"),
-    ]
     return ManifoldSpec(
         name="e2",
         dim=2,
         metric=MetricField.from_embedding(emb),
         default_grid=grid,
         oracles={"k_d": k_d_density},
-        references=refs,
     )
 
 
@@ -292,18 +244,12 @@ def rp2():
     def k_d_density(points):
         return np.full(len(points), 0.5 / TWO_PI)
 
-    refs = [
-        Reference("gauss_curvature", 0.5, "quoted", 1e-8),
-        Reference("volume", 4 * math.pi, "quoted", 1e-6),
-        Reference("gamma_d", 1.0, "quoted", 1e-5, note="chi(RP^2) = 1"),
-    ]
     return ManifoldSpec(
         name="rp2",
         dim=2,
         metric=MetricField.from_embedding(emb, depends_on=(1,)),
         default_grid=grid,
         oracles={"k_d": k_d_density},
-        references=refs,
         notes="metric is t-independent, so the t-axis may be treated as periodic "
         "with period pi for quadrature",
     )
@@ -386,28 +332,6 @@ def taubes_torus(u="cos(x2) + cos(x1)"):
         k = k + np.transpose(k, (0, 2, 1))
         return k
 
-    refs = [
-        Reference(
-            "gamma_d[u=cos(x1)+cos(x2)]",
-            2 * math.pi**2,
-            "derived",
-            1e-6,
-            note="printed value pi^2; the displayed integral evaluates to twice that "
-            "(a factor-2 discrepancy, documented); ratio checks are unaffected",
-            discrepancy=True,
-        ),
-        Reference(
-            "gamma_d[u=cos(x1+x2)]",
-            -(math.pi**2),
-            "derived",
-            1e-6,
-            note="printed value -pi^2/2; same factor-2 discrepancy",
-            discrepancy=True,
-        ),
-        Reference("gamma_ratio", -2.0, "derived", 1e-6,
-                  note="ratio of the two warps above; robust to the factor-2 ambiguity"),
-        Reference("gbc_total", 0.0, "identity", 1e-8, note="chi of the 4-torus"),
-    ]
     return ManifoldSpec(
         name="taubes",
         dim=4,
@@ -419,7 +343,6 @@ def taubes_torus(u="cos(x2) + cos(x1)"):
             "dV": dv_density,
             "sectional": sectional_oracle,
         },
-        references=refs,
         notes="densities are x3/x4-independent; the default grid uses single "
         "nodes on those periodic axes (midpoint rule is exact for constants)",
     )
@@ -457,15 +380,11 @@ def extended_torus(u="cos(x2) + cos(x1)", v="0"):
             Axis(0.0, TWO_PI, 1, periodic=True),
         )
     )
-    refs = [
-        Reference("gbc_total", 0.0, "identity", 1e-6, note="chi of the 4-torus"),
-    ]
     return ManifoldSpec(
         name="extended",
         dim=4,
         metric=metric,
         default_grid=grid,
-        references=refs,
         notes="numerical-evaluation example; no closed-form density is published",
     )
 
@@ -474,16 +393,11 @@ def flat_torus(dim=4):
     """Flat torus: identity metric, everything vanishes."""
     metric = MetricField.constant(np.eye(dim))
     grid = Grid(tuple(Axis(0.0, TWO_PI, 5, periodic=True) for _ in range(dim)))
-    refs = [
-        Reference("gamma_d", 0.0, "identity", 1e-12),
-        Reference("gbc_total", 0.0, "identity", 1e-12),
-    ]
     return ManifoldSpec(
         name="flat%d" % dim,
         dim=dim,
         metric=metric,
         default_grid=grid,
-        references=refs,
     )
 
 
@@ -514,27 +428,11 @@ def klembeck_patch(half_width=0.2, n_per_axis=3):
 
     metric = MetricField.from_entries(6, entries, provenance="polynomial patch")
     grid = Grid(tuple(Axis(-half_width, half_width, n_per_axis) for _ in range(6)))
-    refs = [
-        Reference(
-            "origin_gbc_mean_term",
-            Fraction(-9216, 518400),
-            "quoted",
-            None,
-            note="printed as -9216/(6!)^2; the raw double-permutation sum is -9216",
-        ),
-        Reference("origin_k_discrete", 0.0, "derived", None,
-                  note="the curved planes form two vertex-disjoint odd cliques, so "
-                  "every perfect matching picks up a flat plane; the printed claim "
-                  "is only that the density is non-negative",
-        ),
-        Reference("origin_sectional_values", (0.0, 3.0), "quoted", None),
-    ]
     return ManifoldSpec(
         name="klembeck",
         dim=6,
         metric=metric,
         default_grid=grid,
-        references=refs,
         notes="local patch only; gamma over the box is not a topological quantity",
     )
 
@@ -575,7 +473,6 @@ def product(m1, m2, name=None):
         metric=metric,
         default_grid=grid,
         oracles=oracles,
-        references=[],
         notes="product-aligned coordinate frame is the default; mixed planes are flat",
     )
 
@@ -583,23 +480,13 @@ def product(m1, m2, name=None):
 def s2xs2():
     a = _sphere_spec_any_dim(2, 17)
     b = _sphere_spec_any_dim(2, 17)
-    spec = product(a, b, name="s2xs2")
-    spec.references = [
-        Reference("gamma_d", 4.0, "quoted", 1e-3, note="chi(S^2 x S^2) = 4"),
-    ]
-    return spec
+    return product(a, b, name="s2xs2")
 
 
 def s3xs1():
     a = _sphere_spec_any_dim(3, 9)
     b = _sphere_spec_any_dim(1, 8)
-    spec = product(a, b, name="s3xs1")
-    spec.references = [
-        Reference("k_d_max_abs", 0.0, "quoted", 1e-10,
-                  note="every matching pairs some frame vector with the flat circle "
-                  "direction or across factors"),
-    ]
-    return spec
+    return product(a, b, name="s3xs1")
 
 
 def e2xe2():
@@ -608,12 +495,7 @@ def e2xe2():
     # production-size factor grids are overkill for the product; trim them
     a.default_grid = _polar_grid([25, 24])
     b.default_grid = _polar_grid([25, 24])
-    spec = product(a, b, name="e2xe2")
-    spec.references = [
-        Reference("gamma_d", 4.0, "quoted", 1e-3,
-                  note="square of the total normalized curvature of the factor"),
-    ]
-    return spec
+    return product(a, b, name="e2xe2")
 
 
 # -- CP^2 (direct sectional source) ----------------------------------------------
@@ -660,45 +542,40 @@ def cp2_sectional_exact(rows):
 # -- registry and user spec files -------------------------------------------------
 
 
+_BUILDERS = {
+    "s2": lambda p: round_sphere(2),
+    "s4": lambda p: round_sphere(4),
+    "s6": lambda p: round_sphere(6),
+    "e2": lambda p: two_ellipsoid(
+        float(p.pop("a", 1.0)), float(p.pop("b", 2.0)), float(p.pop("c", 3.0))
+    ),
+    "e4": lambda p: ellipsoid_of_revolution(float(p.pop("a", 2.0))),
+    "e4gen": lambda p: general_4_ellipsoid(
+        [float(p.pop(k, dflt)) for k, dflt in
+         (("a1", 1.0), ("a2", 1.1), ("a3", 1.2), ("a4", 1.3), ("a5", 1.4))]
+    ),
+    "rp2": lambda p: rp2(),
+    "taubes": lambda p: taubes_torus(p.pop("u", "cos(x2) + cos(x1)")),
+    "extended": lambda p: extended_torus(p.pop("u", "cos(x2) + cos(x1)"), p.pop("v", "0")),
+    "klembeck": lambda p: klembeck_patch(),
+    "flat4": lambda p: flat_torus(4),
+    "s2xs2": lambda p: s2xs2(),
+    "s3xs1": lambda p: s3xs1(),
+    "e2xe2": lambda p: e2xe2(),
+}
+
+MANIFOLD_NAMES = tuple(_BUILDERS)
+
+
 def manifold_by_name(name, params=None):
     """Instantiate a catalog manifold by name with optional parameters."""
+    if name not in _BUILDERS:
+        raise ValueError("unknown manifold %r (catalog: %s)" % (name, ", ".join(sorted(_BUILDERS))))
     params = dict(params or {})
-    builders = {
-        "s2": lambda: round_sphere(2),
-        "s4": lambda: round_sphere(4),
-        "s6": lambda: round_sphere(6),
-        "e2": lambda: two_ellipsoid(
-            float(params.pop("a", 1.0)), float(params.pop("b", 2.0)), float(params.pop("c", 3.0))
-        ),
-        "e4": lambda: ellipsoid_of_revolution(float(params.pop("a", 2.0))),
-        "e4gen": lambda: general_4_ellipsoid(
-            [float(params.pop(k, dflt)) for k, dflt in
-             (("a1", 1.0), ("a2", 1.1), ("a3", 1.2), ("a4", 1.3), ("a5", 1.4))]
-        ),
-        "rp2": rp2,
-        "taubes": lambda: taubes_torus(params.pop("u", "cos(x2) + cos(x1)")),
-        "extended": lambda: extended_torus(
-            params.pop("u", "cos(x2) + cos(x1)"), params.pop("v", "0")
-        ),
-        "klembeck": lambda: klembeck_patch(),
-        "flat4": lambda: flat_torus(4),
-        "s2xs2": s2xs2,
-        "s3xs1": s3xs1,
-        "e2xe2": e2xe2,
-    }
-    if name not in builders:
-        raise ValueError("unknown manifold %r (catalog: %s)" % (name, ", ".join(sorted(builders))))
-    spec = builders[name]()
+    spec = _BUILDERS[name](params)
     if params:
         raise ValueError("unused parameters for %r: %s" % (name, sorted(params)))
     return spec
-
-
-MANIFOLD_NAMES = (
-    "s2", "s4", "s6", "e2", "e4", "e4gen", "rp2",
-    "taubes", "extended", "klembeck", "flat4",
-    "s2xs2", "s3xs1", "e2xe2",
-)
 
 
 def _spec_axis(k, a):

@@ -10,7 +10,7 @@ import pytest
 
 from curvfun.cli import main, write_record
 from curvfun.errors import NonFiniteError
-from curvfun.quadrature import DEFAULT_CHUNK, Axis, Grid
+from curvfun.quadrature import DEFAULT_CHUNK, Axis, Grid, integrate
 from curvfun.zoo import manifold_by_name
 
 S2_ARGS = ["compute", "--manifold", "s2", "--grid", "9,8", "--no-timing"]
@@ -35,6 +35,21 @@ def test_compute_json_record(capsys):
     assert "wall_time" not in rec  # --no-timing
     # side-by-side quadrature of the closed-form density
     assert rec["oracle_value"] == pytest.approx(2.0, abs=1e-6)
+
+
+def test_oracle_value_matches_the_full_grid_integral(capsys):
+    """The oracle pass runs on the grid collapsed to the metric's axes; it
+    gives the integral over every requested node."""
+    code, out, _ = run(capsys, ["compute", "--manifold", "s4", "--grid", "9,9,9,8",
+                                "--no-timing"])
+    assert code == 0
+    spec = manifold_by_name("s4")
+    full, _ = integrate(
+        lambda p, i: (spec.oracles["k_d"](p) * spec.oracles["dV"](p), None),
+        Grid(tuple(Axis(a.lo, a.hi, n, a.periodic)
+                   for a, n in zip(spec.default_grid.axes, (9, 9, 9, 8)))),
+    )
+    assert json.loads(out)["oracle_value"] == pytest.approx(full, rel=1e-12)
 
 
 def test_compute_csv_and_text(capsys):

@@ -226,12 +226,16 @@ def test_gbc_dimension_8_memory_is_bounded():
 
 def test_gbc_sum_does_not_depend_on_slicing():
     """1036 dimension-6 points span two gather slices; each point's sum is
-    bit-equal to the one computed in a batch of two."""
+    bit-equal to the one computed in a batch of two and to the one computed
+    alone, as a batch of one and as a single tensor."""
     rng = np.random.default_rng(21)
     a = rng.normal(size=(1036, 6, 6, 6, 6))
     whole = gbc_raw_sum(a)
     pairs = np.concatenate([gbc_raw_sum(a[i : i + 2]) for i in range(0, len(a), 2)])
     assert np.array_equal(whole, pairs)
+    ones = np.concatenate([gbc_raw_sum(a[i : i + 1]) for i in range(len(a))])
+    assert np.array_equal(whole, ones)
+    assert np.array_equal(whole, [gbc_raw_sum(t) for t in a])
 
 
 def test_gbc_density_is_invariant_under_frame_rotation():

@@ -32,3 +32,38 @@ def test_package_imports_only_stdlib_and_numpy():
     outside = {path.name: sorted(set(_imported_top_levels(path)) - allowed)
                for path in sorted((ROOT / "src" / "curvfun").glob("*.py"))}
     assert {name: mods for name, mods in outside.items() if mods} == {}
+
+
+def _unused_imports(path):
+    """``file:line name`` for each name ``path`` imports and never reads.
+
+    A name in ``__all__`` counts as read; an import whose lines carry
+    ``# noqa: F401`` is kept on purpose and skipped.
+    """
+    source = path.read_text()
+    tree = ast.parse(source, filename=str(path))
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                unused.append("%s:%d %s" % (path.name, node.lineno, name))
+    return unused
+
+
+def test_package_modules_use_every_name_they_import():
+    unused = [entry for path in sorted((ROOT / "src" / "curvfun").glob("*.py"))
+              for entry in _unused_imports(path)]
+    assert unused == []

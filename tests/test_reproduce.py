@@ -17,6 +17,15 @@ def test_verdicts():
     assert _check("x", "q", 5, 5.0000001, None, "quoted").verdict == "FAIL"
 
 
+def test_check_rejects_an_unknown_source_and_a_noteless_discrepancy():
+    with pytest.raises(ValueError, match="source"):
+        _check("x", "q", 1.0, 1.0, 1e-6, "printed")
+    with pytest.raises(ValueError, match="note"):
+        _check("x", "q", 2.0, 2.0, 1e-6, "derived", discrepancy=True)
+    for source in ("quoted", "derived", "identity"):
+        assert _check("x", "q", 1.0, 1.0, 1e-6, source).verdict == "PASS"
+
+
 def test_records_serialize():
     r = _check("x", "q", 1.0, 1.0, 1e-6, "quoted", note="n")
     rec = r.to_record()

@@ -84,17 +84,26 @@ def test_registry_names_and_param_handling():
     assert "2" in e4.name or e4.metric is not None
 
 
-def test_every_reference_is_tagged():
-    allowed = {"quoted", "derived", "identity"}
+def test_oracle_density_is_constant_off_depends_on():
+    """``compute`` integrates the k_d*dV oracle on the grid collapsed to the
+    metric's ``depends_on``, which holds only if the oracles are constant
+    along every other axis."""
+    checked = []
     for name in MANIFOLD_NAMES:
         spec = manifold_by_name(name, {})
-        for ref in spec.references:
-            assert ref.source in allowed, (name, ref.quantity)
-            assert ref.quantity
-            if ref.tolerance is not None:
-                assert ref.tolerance > 0
-            if ref.discrepancy:
-                assert ref.note, "discrepancy references must explain themselves"
+        if not {"k_d", "dV"} <= set(spec.oracles):
+            continue
+        pts = spec.interior_points(50, seed=19)
+        moved = pts.copy()
+        free = [k for k in range(spec.dim) if k not in spec.metric.depends_on]
+        moved[:, free] = spec.interior_points(50, seed=20)[:, free]
+
+        def density(p):
+            return spec.oracles["k_d"](p) * spec.oracles["dV"](p)
+
+        assert density(moved) == pytest.approx(density(pts), rel=1e-12), name
+        checked.append(name)
+    assert checked == ["s2", "s4", "s6", "e4", "taubes"]
 
 
 def test_interior_points_stay_inside_the_grid_box():
