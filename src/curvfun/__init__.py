@@ -12,6 +12,7 @@ bi-invariant structures on compact Lie groups.
 from .errors import (
     BadDimensionError,
     ChartSingularityError,
+    ConfigError,
     CurvfunError,
     NonFiniteError,
     NonOrthonormalFrameError,
@@ -68,6 +69,7 @@ __all__ = [
     "__version__",
     # errors
     "CurvfunError",
+    "ConfigError",
     "NonFiniteError",
     "SingularMetricError",
     "RankDeficientError",

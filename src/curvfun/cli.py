@@ -27,7 +27,13 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import ChartSingularityError, CurvfunError, NonFiniteError, SingularMetricError
+from .errors import (
+    ChartSingularityError,
+    ConfigError,
+    CurvfunError,
+    NonFiniteError,
+    SingularMetricError,
+)
 from .frames import rotate_frame
 from .functionals import k_discrete
 from .quadrature import FUNCTIONALS, Axis, Grid, integrate, integrate_functional
@@ -44,10 +50,6 @@ _NORMALIZATION = {
     "hilbert": "sum of sectional curvatures over ordered frame pairs (scalar curvature)",
     "volume": "Riemannian volume element sqrt(det g)",
 }
-
-
-class ConfigError(Exception):
-    pass
 
 
 def _parse_params(items):

@@ -11,6 +11,10 @@ class CurvfunError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class ConfigError(CurvfunError, ValueError):
+    """A bad flag, name or argument; also a ``ValueError`` for older callers."""
+
+
 class NonFiniteError(CurvfunError):
     """A value or derivative evaluated to NaN or infinity."""
 

@@ -11,7 +11,11 @@ The pipeline is batched over chart points.  :func:`curvature_chunk` is the
 one path from a metric to curvature data (jets, metric checks, Riemann
 tensor, Gram-Schmidt base frames); the quadrature densities and
 :func:`curvature_batch` both call it.  There is no single-point API: a
-point is a batch of one.
+point is a batch of one.  A product's chunk is assembled from its factors'
+chunks, block by block (a product has no mixed-block curvature).  Any other
+metric is evaluated once per distinct row of its ``depends_on`` columns and
+the results are copied to the rows that repeat it, so a factor of a product
+grid costs its own distinct points, not the product's nodes.
 
 Everything is evaluated in chart coordinates; scalar outputs (sectional
 curvatures and the functionals built on them) are obtained by contracting
@@ -68,13 +72,18 @@ class MetricField:
     reads; every axis unless a constructor is told otherwise.  The metric,
     and so every curvature density built from it, is constant along the
     other axes, which lets the integrator evaluate it on one node of each.
+
+    ``factors`` is ``(first, second)`` for a :meth:`block_diagonal` product
+    and ``None`` otherwise; :func:`curvature_chunk` takes a product's
+    curvature from its factors.
     """
 
-    def __init__(self, dim, jets_fn, provenance, depends_on=None):
+    def __init__(self, dim, jets_fn, provenance, depends_on=None, factors=None):
         self.dim = dim
         self._jets_fn = jets_fn
         self.provenance = provenance
         self.depends_on = tuple(range(dim)) if depends_on is None else tuple(sorted(depends_on))
+        self.factors = factors
 
     # -- constructors --------------------------------------------------------
 
@@ -122,29 +131,20 @@ class MetricField:
 
     @classmethod
     def block_diagonal(cls, first, second):
-        """Product metric: block-diagonal combination of two metric fields."""
-        n1, n2 = first.dim, second.dim
-        dim = n1 + n2
+        """Product metric: block-diagonal combination of two metric fields.
+
+        Its ``jets`` pad the factors' jets into full arrays (``volume`` reads
+        them); its curvature comes from the factors, block by block.
+        """
+        n1 = first.dim
 
         def jets_fn(points):
-            g1, dg1, d2g1 = first.jets(points[:, :n1])
-            g2, dg2, d2g2 = second.jets(points[:, n1:])
-            npts = len(points)
-            dtype = np.result_type(g1, g2)
-            g = np.zeros((npts, dim, dim), dtype=dtype)
-            dg = np.zeros((npts, dim, dim, dim), dtype=dtype)
-            d2g = np.zeros((npts, dim, dim, dim, dim), dtype=dtype)
-            g[:, :n1, :n1] = g1
-            g[:, n1:, n1:] = g2
-            dg[:, :n1, :n1, :n1] = dg1
-            dg[:, n1:, n1:, n1:] = dg2
-            d2g[:, :n1, :n1, :n1, :n1] = d2g1
-            d2g[:, n1:, n1:, n1:, n1:] = d2g2
-            return g, dg, d2g
+            parts = zip(first.jets(points[:, :n1]), second.jets(points[:, n1:]))
+            return tuple(_block_diagonal(a, b) for a, b in parts)
 
         provenance = "product(%s, %s)" % (first.provenance, second.provenance)
         depends_on = first.depends_on + tuple(n1 + k for k in second.depends_on)
-        return cls(dim, jets_fn, provenance, depends_on)
+        return cls(n1 + second.dim, jets_fn, provenance, depends_on, factors=(first, second))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -320,11 +320,61 @@ def curvature_chunk(metric, points):
     the metric Gram-Schmidt frame of the chart basis (rows are frame
     vectors in chart components).  Returns ``(g, riem, base)``; ``riem`` is
     exact on object input, ``base`` is always float.
+
+    A product is assembled block by block from its factors' chunks: its
+    Riemann tensor has no mixed-block terms, and Gram-Schmidt of a
+    block-diagonal ``g`` against the chart basis is the block-diagonal of
+    the factors' frames.  Any other metric is evaluated once per distinct
+    row of its ``depends_on`` columns (see :func:`_distinct_rows`) and the
+    results are gathered back to the rows.
     """
+    points = np.asarray(points)
+    if metric.factors is not None:
+        first, second = metric.factors
+        n1 = first.dim
+        parts = zip(curvature_chunk(first, points[:, :n1]),
+                    curvature_chunk(second, points[:, n1:]))
+        return tuple(_block_diagonal(a, b) for a, b in parts)
+    rows = _distinct_rows(points, metric.depends_on)
+    if rows is not None:
+        reps, inverse = rows
+        return tuple(a[inverse] for a in curvature_chunk(metric, points[reps]))
     g, dg, d2g = checked_jets(metric, points)
     riem = riemann_arrays(g, dg, d2g)
     base = gram_schmidt_frames(g, np.broadcast_to(np.eye(metric.dim), g.shape))
     return g, riem, base
+
+
+def _distinct_rows(points, depends_on):
+    """``(reps, inverse)`` with ``points[reps][inverse]`` agreeing on ``depends_on``.
+
+    ``reps`` indexes the first row of each distinct value of the
+    ``depends_on`` columns, in order of first occurrence; a metric that
+    reads no axis has one.  Returns ``None`` when every row is distinct
+    and for object (Fraction) input, which is evaluated as it is.
+    """
+    if points.dtype == object or len(points) < 2:
+        return None
+    if not depends_on:
+        return np.zeros(1, dtype=np.intp), np.zeros(len(points), dtype=np.intp)
+    cols = np.ascontiguousarray(points[:, list(depends_on)])
+    keys = cols.view(np.dtype((np.void, cols.itemsize * cols.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    if len(first) == len(points):
+        return None
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
+
+
+def _block_diagonal(a, b):
+    """Per-point block-diagonal tensor with blocks ``a`` and ``b`` on every axis."""
+    n1, n2 = a.shape[1], b.shape[1]
+    out = np.zeros((len(a),) + (n1 + n2,) * (a.ndim - 1), dtype=np.result_type(a, b))
+    out[(slice(None),) + (slice(None, n1),) * (a.ndim - 1)] = a
+    out[(slice(None),) + (slice(n1, None),) * (b.ndim - 1)] = b
+    return out
 
 
 def curvature_batch(metric, points):

@@ -18,9 +18,12 @@ evaluates it on the grid with each such axis collapsed to one node, its
 midpoint, weighted by the axis length (the sum of its weights).  The
 half-resolution estimate grid is collapsed the same way.  Only the
 densities that draw Haar frames per node (``gamma_mc`` and the ``"haar"``
-frame) keep the requested grid.  The result's ``n_points`` is still the
-requested grid's, and a failing node's coordinate on a collapsed axis reads
-that axis's midpoint.
+frame) keep the requested grid; their curvature is still computed once per
+distinct row of the metric's ``depends_on`` columns in a chunk (see
+:func:`curvfun.geometry.curvature_chunk`, which also splits a product into
+its factors), and only the Haar draws and the contraction run per node.
+The result's ``n_points`` is still the requested grid's, and a failing
+node's coordinate on a collapsed axis reads that axis's midpoint.
 
 The error estimate is the difference against a re-run on a half-resolution
 grid; Monte Carlo functionals additionally carry a propagated standard
@@ -36,7 +39,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ChartSingularityError, NonFiniteError, RankDeficientError, SingularMetricError
+from .errors import (
+    ChartSingularityError,
+    ConfigError,
+    NonFiniteError,
+    RankDeficientError,
+    SingularMetricError,
+)
 from .frames import haar_orthogonal, point_rng
 from .functionals import haar_pair_average, k_discrete, k_gbc, scalar_curvature
 from .geometry import checked_jets, curvature_chunk, riemann_in_frame, sectional_from_riemann
@@ -236,14 +245,14 @@ def functional_density(metric, functional, frame="coordinate", seed=0, nsamples=
     samples for its standard error.
     """
     if functional not in FUNCTIONALS:
-        raise ValueError("unknown functional %r" % (functional,))
+        raise ConfigError("unknown functional %r" % (functional,))
     if isinstance(frame, str) and frame not in ("coordinate", "haar"):
-        raise ValueError("unknown frame strategy %r" % (frame,))
+        raise ConfigError("unknown frame strategy %r" % (frame,))
     if functional == "gamma_mc":
         if not (isinstance(frame, str) and frame == "coordinate"):
-            raise ValueError("gamma_mc draws its own Haar frames; use the coordinate frame")
+            raise ConfigError("gamma_mc draws its own Haar frames; use the coordinate frame")
         if nsamples < 2:
-            raise ValueError("gamma_mc needs at least 2 samples, got %d" % nsamples)
+            raise ConfigError("gamma_mc needs at least 2 samples, got %d" % nsamples)
 
     def density(pts, node_idx):
         if functional == "volume":

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import jets as J
-from .errors import BadDimensionError, NonOrthonormalFrameError
+from .errors import BadDimensionError, ConfigError, NonOrthonormalFrameError
 from .expressions import parse_expression
 from .geometry import SYMMETRY_TOL, EmbeddingMap, MetricField
 from .quadrature import DEFAULT_CHUNK, Axis, Grid
@@ -570,11 +570,11 @@ MANIFOLD_NAMES = tuple(_BUILDERS)
 def manifold_by_name(name, params=None):
     """Instantiate a catalog manifold by name with optional parameters."""
     if name not in _BUILDERS:
-        raise ValueError("unknown manifold %r (catalog: %s)" % (name, ", ".join(sorted(_BUILDERS))))
+        raise ConfigError("unknown manifold %r (catalog: %s)" % (name, ", ".join(sorted(_BUILDERS))))
     params = dict(params or {})
     spec = _BUILDERS[name](params)
     if params:
-        raise ValueError("unused parameters for %r: %s" % (name, sorted(params)))
+        raise ConfigError("unused parameters for %r: %s" % (name, sorted(params)))
     return spec
 
 

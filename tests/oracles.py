@@ -2,8 +2,9 @@
 
 Each oracle computes a quantity the package also computes, by a separate
 route: central finite differences instead of hyper-dual jets, the literal
-double-permutation sum instead of its matching reduction, and a direct
-Gram-matrix check of a frame.
+double-permutation sum instead of its matching reduction, a direct
+Gram-matrix check of a frame, and a product's curvature from its padded
+full-dimensional jets instead of from its factors.
 """
 
 import itertools
@@ -11,7 +12,9 @@ import itertools
 import numpy as np
 
 from curvfun.errors import NonOrthonormalFrameError
+from curvfun.frames import gram_schmidt_frames
 from curvfun.functionals import _word_sign
+from curvfun.geometry import checked_jets, riemann_arrays
 
 
 def finite_difference_jet(f, x, h=1e-5):
@@ -96,3 +99,15 @@ def check_orthonormal(g, frame, tol=1e-8):
             "frame Gram matrix deviates from identity by %.3e" % err
         )
     return float(err)
+
+
+def padded_curvature(metric, points):
+    """``(g, riem, base)`` from the metric's own jets at every point.
+
+    A product's jets are its factors' padded into full arrays, so this runs
+    the full-dimensional Riemann formula and Gram-Schmidt on every row: no
+    factor split and no distinct-row evaluation.
+    """
+    g, dg, d2g = checked_jets(metric, points)
+    base = gram_schmidt_frames(g, np.broadcast_to(np.eye(metric.dim), g.shape))
+    return g, riemann_arrays(g, dg, d2g), base

@@ -370,6 +370,20 @@ def test_asymmetric_metric_off_default_grid_exits_3(tmp_path, capsys, grid):
     assert "not symmetric" in report["error"]
 
 
+def test_singular_product_factor_exits_3_naming_the_product_node(monkeypatch, capsys,
+                                                                 singular_product):
+    from curvfun import zoo
+
+    metric, grid = singular_product
+    spec = zoo.ManifoldSpec(name="s2xs2", dim=4, metric=metric, default_grid=grid)
+    monkeypatch.setitem(zoo._BUILDERS, "s2xs2", lambda params: spec)
+    code, out, err = run(capsys, ["compute", "--manifold", "s2xs2", "--no-timing"])
+    assert code == 3
+    assert out == ""
+    failing = grid.collapse((0, 1)).points_weights()[0][0].tolist()
+    assert json.loads(err)["failing_point"] == failing
+
+
 def test_out_into_missing_directory_exits_2(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     code, out, err = run(capsys, ["compute", "--manifold", "s2", "--grid", "5", "--no-timing",

@@ -12,11 +12,13 @@ from curvfun.geometry import (
     MetricField,
     christoffel_arrays,
     curvature_batch,
+    curvature_chunk,
     riemann_arrays,
 )
 from curvfun.jets import cos, sin, variables
 from curvfun.quadrature import Axis, Grid, functional_density, integrate_functional
-from oracles import christoffel_fd
+from curvfun.zoo import manifold_by_name
+from oracles import christoffel_fd, padded_curvature
 
 
 def christoffel(metric, x):
@@ -218,3 +220,95 @@ def test_volume_element():
     m = sphere_metric(radius=2.0)
     v = functional_density(m, "volume")(np.array([[0.8, 0.1]]), np.arange(1))[0][0]
     assert v == pytest.approx(4.0 * math.sin(0.8))
+
+
+def _max_rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def _record_jets_calls(monkeypatch):
+    """Record ``(metric, points)`` for every ``MetricField.jets`` call."""
+    seen = []
+    real = MetricField.jets
+
+    def jets(self, points):
+        seen.append((self, points))
+        return real(self, points)
+
+    monkeypatch.setattr(MetricField, "jets", jets)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["s2xs2", "s3xs1", "e2xe2"])
+def test_product_route_matches_the_padded_route(name):
+    # s3xs1's S^1 factor is constant, so its blocks come from one representative
+    spec = manifold_by_name(name)
+    pts = spec.interior_points(50, seed=11)
+    for ours, ref in zip(curvature_chunk(spec.metric, pts), padded_curvature(spec.metric, pts)):
+        assert ours.shape == ref.shape
+        assert _max_rel(ours, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["s2xs2", "s3xs1", "e2xe2"])
+def test_each_factor_is_evaluated_once_per_distinct_point(monkeypatch, name):
+    spec = manifold_by_name(name)
+    grid = Grid(tuple(Axis(a.lo, a.hi, 3, a.periodic) for a in spec.default_grid.axes))
+    pts, _ = grid.points_weights()
+    seen = _record_jets_calls(monkeypatch)
+    curvature_chunk(spec.metric, pts)
+    first, second = spec.metric.factors
+    blocks = ((first, pts[:, : first.dim]), (second, pts[:, first.dim :]))
+    for factor, cols in blocks:
+        distinct = len({tuple(row) for row in cols[:, list(factor.depends_on)]})
+        assert [len(p) for m, p in seen if m is factor] == [distinct]
+    assert len(seen) == 2
+
+
+def test_repeated_rows_get_the_curvature_of_their_point_alone():
+    # s2xs2 reads x1 and x3 only: 81 nodes, 3 distinct rows per factor
+    spec = manifold_by_name("s2xs2")
+    grid = Grid(tuple(Axis(a.lo, a.hi, 3, a.periodic) for a in spec.default_grid.axes))
+    pts, _ = grid.points_weights()
+    chunk = curvature_chunk(spec.metric, pts)
+    for row in range(len(pts)):
+        alone = curvature_chunk(spec.metric, pts[row : row + 1])
+        for ours, ref in zip(chunk, alone):
+            assert _max_rel(ours[row : row + 1], ref) <= 1e-14
+
+
+def test_distinct_rows_pass_through_untouched(monkeypatch):
+    seen = _record_jets_calls(monkeypatch)
+    pts = np.array([[0.4, 0.9, 1.3], [1.0, 0.2, 0.7], [0.4, 0.9, 1.4]])
+    curvature_chunk(generic_3d_metric(), pts)
+    assert len(seen) == 1 and seen[0][1] is pts
+
+
+def _polynomial_metric(a, b):
+    def entries(v):
+        return [[a + v[1] * v[1], 0], [0, b + v[0] * v[0]]]
+
+    return MetricField.from_entries(2, entries)
+
+
+def test_exact_product_keeps_fractions_and_every_row(monkeypatch):
+    # object input is not deduplicated: both (equal) rows reach each factor
+    m = MetricField.block_diagonal(_polynomial_metric(1, 1), _polynomial_metric(2, 1))
+    row = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(-1, 4)]
+    pts = np.array([row, row], dtype=object)
+    seen = _record_jets_calls(monkeypatch)
+    _, riem, _ = curvature_chunk(m, pts)
+    assert [len(p) for _, p in seen] == [2, 2]
+    for block in ((0, 1, 0, 1), (2, 3, 2, 3)):
+        assert isinstance(riem[(0,) + block], Fraction)
+        assert riem[(0,) + block] != 0
+    ref = padded_curvature(m, pts)[1]
+    assert all(riem[(0,) + idx] == ref[(0,) + idx] for idx in np.ndindex(4, 4, 4, 4))
+
+
+def test_singular_factor_names_the_product_node(singular_product):
+    metric, grid = singular_product
+    with pytest.raises(ChartSingularityError) as err:
+        integrate_functional(metric, grid, with_error_estimate=False)
+    # the first node in C order, x1 = -1, fails; the flat factor's axes are collapsed
+    assert err.value.point.tolist() == grid.collapse((0, 1)).points_weights()[0][0].tolist()
+    assert len(err.value.point) == 4

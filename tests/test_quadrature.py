@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from curvfun.errors import ChartSingularityError
+from curvfun.errors import ChartSingularityError, ConfigError, CurvfunError
 from curvfun.frames import rotate_frame
 from curvfun.geometry import MetricField
 from curvfun.jets import sin
@@ -130,6 +130,19 @@ def test_functional_density_rejects_unknown():
         functional_density(sphere_metric(), "gamma_d", frame="sideways")(
             np.array([[1.0, 1.0]]), np.array([0])
         )
+
+
+@pytest.mark.parametrize("functional, kwargs, message", [
+    ("nope", {}, "unknown functional 'nope'"),
+    ("gamma_d", {"frame": "sideways"}, "unknown frame strategy 'sideways'"),
+    ("gamma_mc", {"frame": "haar"}, "gamma_mc draws its own Haar frames"),
+    ("gamma_mc", {"nsamples": 1}, "gamma_mc needs at least 2 samples, got 1"),
+])
+def test_functional_density_argument_errors_are_config_errors(functional, kwargs, message):
+    with pytest.raises(ConfigError, match=message) as err:
+        functional_density(sphere_metric(), functional, **kwargs)
+    # still a ValueError for callers that catch that, and a domain error
+    assert isinstance(err.value, ValueError) and isinstance(err.value, CurvfunError)
 
 
 def test_gamma_d_frame_choices_agree_for_isotropic_metric():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from curvfun.errors import ConfigError
 from curvfun.functionals import k_discrete, k_gbc
 from curvfun.geometry import curvature_batch, riemann_in_frame
 from curvfun.quadrature import integrate_functional, volume
@@ -82,6 +83,15 @@ def test_registry_names_and_param_handling():
     # parametrized manifolds accept their parameters
     e4 = manifold_by_name("e4", {"a": "2.0"})
     assert "2" in e4.name or e4.metric is not None
+
+
+@pytest.mark.parametrize("name, params, message", [
+    ("klein-bottle", {}, "unknown manifold 'klein-bottle'"),
+    ("s2", {"bogus": "1"}, "unused parameters for 's2': \\['bogus'\\]"),
+])
+def test_catalog_errors_are_config_errors(name, params, message):
+    with pytest.raises(ConfigError, match=message):
+        manifold_by_name(name, params)
 
 
 def test_oracle_density_is_constant_off_depends_on():
