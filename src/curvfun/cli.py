@@ -88,6 +88,14 @@ def _grid(args, spec):
     return Grid(tuple(Axis(a.lo, a.hi, n, a.periodic) for a, n in zip(spec.default_grid.axes, ns)))
 
 
+def _check_counts(args):
+    """Reject ``--workers`` below 1 and a negative ``--seed``, naming the flag."""
+    if args.workers < 1:
+        raise ConfigError("--workers must be at least 1, got %d" % args.workers)
+    if getattr(args, "seed", 0) < 0:
+        raise ConfigError("--seed must be non-negative, got %d" % args.seed)
+
+
 def _samples(args):
     """``--samples`` for ``gamma_mc`` (64 when not given); other functionals reject the flag."""
     if args.functional == "gamma_mc":
@@ -374,6 +382,7 @@ def main(argv=None):
         return int(e.code) if e.code else 0
     t0 = time.monotonic()
     try:
+        _check_counts(args)
         record, code = args.fn(args)
         write_record(record, args, t0)
         return code

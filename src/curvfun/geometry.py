@@ -11,11 +11,13 @@ The pipeline is batched over chart points.  :func:`curvature_chunk` is the
 one path from a metric to curvature data (jets, metric checks, Riemann
 tensor, Gram-Schmidt base frames); the quadrature densities and
 :func:`curvature_batch` both call it.  There is no single-point API: a
-point is a batch of one.  A product's chunk is assembled from its factors'
-chunks, block by block (a product has no mixed-block curvature).  Any other
-metric is evaluated once per distinct row of its ``depends_on`` columns and
-the results are copied to the rows that repeat it, so a factor of a product
-grid costs its own distinct points, not the product's nodes.
+point is a batch of one.  A product has no jets of its own, and its chunk
+is assembled from its factors' chunks, block by block (a product has no
+mixed-block curvature); in the coordinate frame the quadrature densities
+skip that assembly and combine the factors' scalar densities instead.  Any
+other metric is evaluated once per distinct row of its ``depends_on``
+columns and the results are copied to the rows that repeat it, so a factor
+of a product grid costs its own distinct points, not the product's nodes.
 
 Everything is evaluated in chart coordinates; scalar outputs (sectional
 curvatures and the functionals built on them) are obtained by contracting
@@ -74,8 +76,8 @@ class MetricField:
     other axes, which lets the integrator evaluate it on one node of each.
 
     ``factors`` is ``(first, second)`` for a :meth:`block_diagonal` product
-    and ``None`` otherwise; :func:`curvature_chunk` takes a product's
-    curvature from its factors.
+    and ``None`` otherwise.  A product has no jets of its own:
+    :func:`curvature_chunk` takes its curvature from its factors.
     """
 
     def __init__(self, dim, jets_fn, provenance, depends_on=None, factors=None):
@@ -133,18 +135,15 @@ class MetricField:
     def block_diagonal(cls, first, second):
         """Product metric: block-diagonal combination of two metric fields.
 
-        Its ``jets`` pad the factors' jets into full arrays (``volume`` reads
-        them); its curvature comes from the factors, block by block.
+        A product has no jets of its own: its curvature chunk is assembled
+        from the factors' (:func:`curvature_chunk`), and its coordinate-frame
+        densities are built from the factors' densities
+        (:mod:`curvfun.quadrature`).
         """
         n1 = first.dim
-
-        def jets_fn(points):
-            parts = zip(first.jets(points[:, :n1]), second.jets(points[:, n1:]))
-            return tuple(_block_diagonal(a, b) for a, b in parts)
-
         provenance = "product(%s, %s)" % (first.provenance, second.provenance)
         depends_on = first.depends_on + tuple(n1 + k for k in second.depends_on)
-        return cls(n1 + second.dim, jets_fn, provenance, depends_on, factors=(first, second))
+        return cls(n1 + second.dim, None, provenance, depends_on, factors=(first, second))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -159,7 +158,11 @@ class MetricField:
         gives ``<H_ik, H_jl> + <H_il, H_jk>`` from the Hessians ``H`` of its
         components, leaving out the terms with third derivatives of the
         embedding, which cancel in that combination (the Gauss equation).
+        A product raises ``TypeError``: call ``jets`` on its factors.
         """
+        if self.factors is not None:
+            raise TypeError("%s has no jets of its own; evaluate its factors "
+                            "(metric.factors)" % self.provenance)
         points = np.asarray(points)
         g, dg, d2g = self._jets_fn(points)
         if g.dtype != object:

@@ -25,6 +25,15 @@ its factors), and only the Haar draws and the contraction run per node.
 The result's ``n_points`` is still the requested grid's, and a failing
 node's coordinate on a collapsed axis reads that axis's midpoint.
 
+Products: in the coordinate frame, and for ``volume`` in any frame, a
+density is the pair (f dV, dV) built by one recursion.  A metric that is
+not a product is contracted once per distinct row of its ``depends_on``
+columns and the two scalars are copied to the repeating rows; a product
+combines its factors' pairs (``gamma_d`` and ``gbc`` multiply, the scalar
+curvature adds, the volume elements multiply), so its 4-index tensors are
+never assembled or contracted.  Rotated and Haar frames and ``gamma_mc``
+mix the factors' planes and contract the assembled product chunk per node.
+
 The error estimate is the difference against a re-run on a half-resolution
 grid; Monte Carlo functionals additionally carry a propagated standard
 error.
@@ -47,8 +56,14 @@ from .errors import (
     SingularMetricError,
 )
 from .frames import haar_orthogonal, point_rng
-from .functionals import haar_pair_average, k_discrete, k_gbc, scalar_curvature
-from .geometry import checked_jets, curvature_chunk, riemann_in_frame, sectional_from_riemann
+from .functionals import _check_even, haar_pair_average, k_discrete, k_gbc, scalar_curvature
+from .geometry import (
+    _distinct_rows,
+    checked_jets,
+    curvature_chunk,
+    riemann_in_frame,
+    sectional_from_riemann,
+)
 
 # Not called here: perfbench's tracer test wraps and restores
 # ``quadrature.riemann_arrays``, so the name stays bound in this module.
@@ -233,6 +248,52 @@ def _haar_node_frames(base, node_idx, seed, count):
     return out
 
 
+def _contract(functional, riem, frames):
+    """The ``gamma_d``, ``gbc`` or ``hilbert`` density of ``riem`` in ``frames``."""
+    if functional == "gamma_d":
+        return k_discrete(sectional_from_riemann(riem, frames))
+    if functional == "gbc":
+        return k_gbc(riemann_in_frame(riem, frames)).value
+    return scalar_curvature(sectional_from_riemann(riem, frames))
+
+
+def _factored_density(metric, functional, pts):
+    """``(f dV, dV)`` at ``pts`` in the coordinate frame, a product from its factors.
+
+    A product's coordinate frame is aligned with its factors, so every plane
+    that mixes them has zero sectional curvature: ``gamma_d`` and ``gbc`` are
+    the products of the factors' densities (every pairing, and every term of
+    the Pfaffian, splits into one of each factor), and zero when a factor
+    has odd dimension (every pairing then has a mixed plane); the scalar
+    curvature is the sum of the factors', and the volume element their
+    product.  Any other metric is evaluated once per distinct row of its
+    ``depends_on`` columns and the two scalars are copied to the rows that
+    repeat it.
+    """
+    if metric.factors is not None:
+        first, second = metric.factors
+        n1 = first.dim
+        if functional in ("gamma_d", "gbc") and (n1 % 2 or second.dim % 2):
+            vol = (_factored_density(first, "volume", pts[:, :n1])[1]
+                   * _factored_density(second, "volume", pts[:, n1:])[1])
+            return 0.0 * vol, vol
+        f1, v1 = _factored_density(first, functional, pts[:, :n1])
+        f2, v2 = _factored_density(second, functional, pts[:, n1:])
+        if functional == "hilbert":
+            return f1 * v2 + v1 * f2, v1 * v2
+        return f1 * f2, v1 * v2
+    rows = _distinct_rows(pts, metric.depends_on)
+    if rows is not None:
+        reps, inverse = rows
+        return tuple(a[inverse] for a in _factored_density(metric, functional, pts[reps]))
+    if functional == "volume":
+        vol = np.sqrt(np.linalg.det(checked_jets(metric, pts)[0]))
+        return vol, vol
+    g, riem, base = curvature_chunk(metric, pts)
+    vol = np.sqrt(np.linalg.det(g))
+    return _contract(functional, riem, base) * vol, vol
+
+
 def functional_density(metric, functional, frame="coordinate", seed=0, nsamples=64):
     """Build the pointwise density (including the volume element) to integrate.
 
@@ -242,7 +303,9 @@ def functional_density(metric, functional, frame="coordinate", seed=0, nsamples=
     top of the Gram-Schmidt base frame.  ``gamma_mc`` averages over
     ``nsamples`` Haar rotations of the Gram-Schmidt frame per node instead,
     so it accepts only the "coordinate" frame, and needs at least two
-    samples for its standard error.
+    samples for its standard error.  In the coordinate frame, and for
+    ``volume`` in any frame, a product's density is built from its
+    factors' densities (see :func:`_factored_density`).
     """
     if functional not in FUNCTIONALS:
         raise ConfigError("unknown functional %r" % (functional,))
@@ -253,29 +316,25 @@ def functional_density(metric, functional, frame="coordinate", seed=0, nsamples=
             raise ConfigError("gamma_mc draws its own Haar frames; use the coordinate frame")
         if nsamples < 2:
             raise ConfigError("gamma_mc needs at least 2 samples, got %d" % nsamples)
+    if functional in ("gamma_d", "gamma_mc", "gbc"):
+        _check_even(metric.dim)  # odd factors of a product give zero, an odd whole no pairing
+
+    coordinate = isinstance(frame, str) and frame == "coordinate"
 
     def density(pts, node_idx):
-        if functional == "volume":
-            return np.sqrt(np.linalg.det(checked_jets(metric, pts)[0])), None
+        if functional == "volume" or (coordinate and functional != "gamma_mc"):
+            return _factored_density(metric, functional, pts)[0], None
         g, riem, base = curvature_chunk(metric, pts)
         vol = np.sqrt(np.linalg.det(g))
         if functional == "gamma_mc":
             sframes = _haar_node_frames(base, node_idx, seed, nsamples)
             vals, stderrs = haar_pair_average(riem, sframes)
             return vals * vol, stderrs * vol
-        if isinstance(frame, str) and frame == "coordinate":
-            frames = base
-        elif isinstance(frame, str):
+        if isinstance(frame, str):
             frames = _haar_node_frames(base, node_idx, seed, 1)[:, 0]
         else:
             frames = np.einsum("ia,pab->pib", np.asarray(frame, dtype=float), base)
-        if functional == "gamma_d":
-            vals = k_discrete(sectional_from_riemann(riem, frames))
-        elif functional == "gbc":
-            vals = k_gbc(riemann_in_frame(riem, frames)).value
-        else:
-            vals = scalar_curvature(sectional_from_riemann(riem, frames))
-        return vals * vol, None
+        return _contract(functional, riem, frames) * vol, None
 
     return density
 

@@ -3,8 +3,10 @@
 Each oracle computes a quantity the package also computes, by a separate
 route: central finite differences instead of hyper-dual jets, the literal
 double-permutation sum instead of its matching reduction, a direct
-Gram-matrix check of a frame, and a product's curvature from its padded
-full-dimensional jets instead of from its factors.
+Gram-matrix check of a frame, a product's curvature from its padded
+full-dimensional jets instead of from its factors, and a product's
+coordinate-frame density from its assembled full-dimensional chunk instead
+of from its factors' densities.
 """
 
 import itertools
@@ -13,8 +15,14 @@ import numpy as np
 
 from curvfun.errors import NonOrthonormalFrameError
 from curvfun.frames import gram_schmidt_frames
-from curvfun.functionals import _word_sign
-from curvfun.geometry import checked_jets, riemann_arrays
+from curvfun.functionals import _word_sign, k_discrete, k_gbc, scalar_curvature
+from curvfun.geometry import (
+    _block_diagonal,
+    curvature_chunk,
+    riemann_arrays,
+    riemann_in_frame,
+    sectional_from_riemann,
+)
 
 
 def finite_difference_jet(f, x, h=1e-5):
@@ -101,13 +109,44 @@ def check_orthonormal(g, frame, tol=1e-8):
     return float(err)
 
 
-def padded_curvature(metric, points):
-    """``(g, riem, base)`` from the metric's own jets at every point.
+def padded_jets(metric, points):
+    """``(g, dg, d2g)`` at every point, a product's padded from its factors'.
 
-    A product's jets are its factors' padded into full arrays, so this runs
-    the full-dimensional Riemann formula and Gram-Schmidt on every row: no
-    factor split and no distinct-row evaluation.
+    A product has no jets of its own; this recurses into ``metric.factors``
+    and places each factor's arrays on its diagonal block, so nested
+    products work too.
     """
-    g, dg, d2g = checked_jets(metric, points)
+    if metric.factors is None:
+        return metric.jets(points)
+    first, second = metric.factors
+    parts = zip(padded_jets(first, points[:, : first.dim]),
+                padded_jets(second, points[:, first.dim :]))
+    return tuple(_block_diagonal(a, b) for a, b in parts)
+
+
+def padded_curvature(metric, points):
+    """``(g, riem, base)`` from the metric's padded jets at every point.
+
+    Runs the full-dimensional Riemann formula and Gram-Schmidt on every
+    row: no factor split and no distinct-row evaluation.
+    """
+    g, dg, d2g = padded_jets(metric, points)
     base = gram_schmidt_frames(g, np.broadcast_to(np.eye(metric.dim), g.shape))
     return g, riemann_arrays(g, dg, d2g), base
+
+
+def block_density(metric, functional, points):
+    """Coordinate-frame density (f dV) from the assembled full-dimensional chunk.
+
+    ``curvature_chunk``'s block-diagonal (g, riem, base) contracted at every
+    row in the product's own dimension: the route the factored densities
+    replace.
+    """
+    g, riem, base = curvature_chunk(metric, points)
+    vol = np.sqrt(np.linalg.det(g))
+    if functional == "volume":
+        return vol
+    if functional == "gbc":
+        return k_gbc(riemann_in_frame(riem, base)).value * vol
+    k = sectional_from_riemann(riem, base)
+    return (k_discrete(k) if functional == "gamma_d" else scalar_curvature(k)) * vol

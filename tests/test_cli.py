@@ -400,3 +400,30 @@ def test_bad_grid_exits_2(capsys, grid):
     assert code == 2
     assert out == ""
     assert "--grid" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--manifold", "s2", "--grid", "5", "--no-timing"],
+    ["frame-sweep", "--manifold", "s2", "--grid", "5", "--plane", "1,2", "--no-timing"],
+    ["reproduce", "discrete"],
+])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exits_2(capsys, argv, workers):
+    # a non-positive count used to run serially and exit 0
+    code, out, err = run(capsys, argv + ["--workers", workers])
+    assert code == 2
+    assert out == ""
+    assert "--workers must be at least 1, got %s" % workers in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--manifold", "s2", "--grid", "5", "--no-timing"],
+    ["compute", "--manifold", "s2", "--grid", "5", "--frame", "haar", "--no-timing"],
+    ["frame-sweep", "--manifold", "s2", "--grid", "5", "--plane", "1,2", "--no-timing"],
+])
+def test_negative_seed_exits_2(capsys, argv):
+    # a Haar run used to fail inside numpy without naming the flag; the others ran
+    code, out, err = run(capsys, argv + ["--seed", "-1"])
+    assert code == 2
+    assert out == ""
+    assert "--seed must be non-negative, got -1" in err

@@ -305,6 +305,12 @@ def test_exact_product_keeps_fractions_and_every_row(monkeypatch):
     assert all(riem[(0,) + idx] == ref[(0,) + idx] for idx in np.ndindex(4, 4, 4, 4))
 
 
+def test_a_product_has_no_jets_of_its_own():
+    spec = manifold_by_name("s3xs1")
+    with pytest.raises(TypeError, match=r"product\(embedding, .*\) has no jets of its own"):
+        spec.metric.jets(spec.interior_points(2, seed=1))
+
+
 def test_singular_factor_names_the_product_node(singular_product):
     metric, grid = singular_product
     with pytest.raises(ChartSingularityError) as err:

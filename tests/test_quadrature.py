@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from curvfun.errors import ChartSingularityError, ConfigError, CurvfunError
+from curvfun.errors import BadDimensionError, ChartSingularityError, ConfigError, CurvfunError
 from curvfun.frames import rotate_frame
 from curvfun.geometry import MetricField
 from curvfun.jets import sin
@@ -18,6 +18,8 @@ from curvfun.quadrature import (
     volume,
 )
 from curvfun.zoo import manifold_by_name
+
+from oracles import block_density
 
 
 def test_periodic_axis_integrates_trig_exactly():
@@ -242,3 +244,65 @@ def test_shifting_a_periodic_origin_keeps_the_integral(name, ns, axis):
     base = integrate_functional(metric, grid, with_error_estimate=False).value
     moved = integrate_functional(metric, Grid(tuple(shifted)), with_error_estimate=False).value
     assert moved == pytest.approx(base, rel=1e-12)
+
+
+def _product_points(name):
+    """A product metric and 50 interior points of it; "s2xs2xs2" nests a product."""
+    if name != "s2xs2xs2":
+        spec = manifold_by_name(name)
+        return spec.metric, spec.interior_points(50, seed=17)
+    first, second = manifold_by_name("s2xs2"), manifold_by_name("s2")
+    pts = np.hstack([first.interior_points(50, seed=17), second.interior_points(50, seed=18)])
+    return MetricField.block_diagonal(first.metric, second.metric), pts
+
+
+@pytest.mark.parametrize("name", ["s2xs2", "s3xs1", "e2xe2", "s2xs2xs2"])
+@pytest.mark.parametrize("functional", ["gamma_d", "gbc", "hilbert", "volume"])
+def test_product_density_matches_the_block_route(name, functional):
+    metric, pts = _product_points(name)
+    vals, stderrs = functional_density(metric, functional)(pts, np.arange(len(pts)))
+    assert stderrs is None
+    ref = block_density(metric, functional, pts)
+    if name == "s3xs1" and functional in ("gamma_d", "gbc"):
+        # every pairing of S^3 x S^1 has a plane that mixes the factors
+        assert np.all(vals == 0.0)
+        assert np.max(np.abs(ref)) < 1e-12
+    else:
+        assert vals == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("functional", ["gamma_d", "gbc"])
+def test_an_odd_dimensional_product_is_rejected_not_zero(functional):
+    # an odd factor inside an even product gives zero; an odd whole has no pairing at all
+    circle = manifold_by_name("s3xs1").metric.factors[1]
+    metric = MetricField.block_diagonal(manifold_by_name("s2").metric, circle)
+    with pytest.raises(BadDimensionError):
+        functional_density(metric, functional)(np.array([[1.0, 2.0, 3.0]]), np.arange(1))
+
+
+def test_coordinate_frame_contracts_each_factor_once_per_distinct_point(monkeypatch):
+    import curvfun.quadrature as Q
+
+    spec = manifold_by_name("e2xe2")
+    grid = Grid(tuple(Axis(a.lo, a.hi, 3, a.periodic) for a in spec.default_grid.axes))
+    pts, _ = grid.points_weights()
+    batches = []
+    for name in ("sectional_from_riemann", "riemann_in_frame"):
+        def spy(riem, frames, real=getattr(Q, name)):
+            batches.append(riem.shape)
+            return real(riem, frames)
+
+        monkeypatch.setattr(Q, name, spy)
+    first, second = spec.metric.factors
+    distinct = [len({tuple(row) for row in cols[:, list(factor.depends_on)]})
+                for factor, cols in ((first, pts[:, :2]), (second, pts[:, 2:]))]
+    assert sum(distinct) < len(pts)
+    for functional in ("gamma_d", "gbc", "hilbert"):
+        batches.clear()
+        functional_density(spec.metric, functional)(pts, np.arange(len(pts)))
+        assert [shape[1:] for shape in batches] == [(2, 2, 2, 2)] * 2
+        assert [shape[0] for shape in batches] == distinct
+    # a Haar frame mixes the factors' planes, so it contracts the assembled tensors
+    batches.clear()
+    functional_density(spec.metric, "gamma_d", frame="haar")(pts, np.arange(len(pts)))
+    assert batches == [(len(pts), 4, 4, 4, 4)]
