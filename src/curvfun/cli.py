@@ -63,12 +63,16 @@ def _parse_params(items):
 
 
 def _resolve_manifold(args):
+    """The chart named by ``--spec-file`` or ``--manifold``, checked against ``--functional``."""
     if args.spec_file:
-        return load_manifold_file(args.spec_file)
-    if not args.manifold:
+        spec = load_manifold_file(args.spec_file)
+    elif not args.manifold:
         raise ConfigError("one of --manifold or --spec-file is required")
-    params = _parse_params(args.param)
-    return manifold_by_name(args.manifold, params)
+    else:
+        spec = manifold_by_name(args.manifold, _parse_params(args.param))
+    if args.functional in ("gamma_d", "gamma_mc", "gbc") and spec.dim % 2 != 0:
+        raise ConfigError("%s needs an even-dimensional manifold" % args.functional)
+    return spec
 
 
 def _grid(args, spec):
@@ -186,8 +190,6 @@ def cmd_compute(args):
     if args.manifold in GROUP_NAMES and not args.spec_file:
         return _compute_group(args), 0
     spec = _resolve_manifold(args)
-    if args.functional in ("gamma_d", "gamma_mc", "gbc") and spec.dim % 2 != 0:
-        raise ConfigError("%s needs an even-dimensional manifold" % args.functional)
     grid = _grid(args, spec)
     frame, frame_record = _frame(args, spec.dim)
     result = integrate_functional(

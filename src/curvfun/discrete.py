@@ -14,6 +14,10 @@ Its determinant is prod_x h(x), so L is invertible iff no h vanishes, and
 the sum of all entries of L^{-1} equals sum_x 1/h(x) -- which coincides
 with sum_x h(x) whenever h takes values in {-1, +1} (in particular for
 h = omega, where both sides are the Euler characteristic).
+
+L is the face-inclusion product Z diag(h) Z^T, exact in Python ints or
+Fractions.  The Green sum is a generic solve of L x = 1 (not the Moebius
+closed form), so sum g = sum 1/h stays a check.
 """
 
 from __future__ import annotations
@@ -189,27 +193,24 @@ def counting_matrix(complex_, h=None):
     ``h`` maps simplices to integers/Fractions; omitted h means h = 1,
     for which L(x, y) = 2^{|x n y|} - 1.  Returns a nested list of exact
     values in the complex's canonical simplex order.
+
+    L = Z diag(h) Z^T with Z[x, z] = 1 when z <= x, summed one face z at a
+    time: h(z) lands on every (x, y) in the star of z x the star of z.
     """
     simplices = complex_.simplices
-    masks = []
-    vindex = {v: i for i, v in enumerate(complex_.vertices)}
-    for s in simplices:
-        m = 0
-        for v in s:
-            m |= 1 << vindex[v]
-        masks.append(m)
-    hvals = [1 if h is None else h[s] for s in simplices]
     n = len(simplices)
+    star = [[] for _ in range(n)]
+    for x, s in enumerate(simplices):
+        for k in range(1, len(s) + 1):
+            for face in combinations(s, k):
+                star[complex_._index[face]].append(x)
     out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            cap = masks[i] & masks[j]
-            acc = 0
-            for k in range(n):
-                if masks[k] & ~cap == 0:
-                    acc += hvals[k]
-            out[i][j] = acc
-            out[j][i] = acc
+    for z, xs in enumerate(star):
+        hz = 1 if h is None else h[simplices[z]]
+        for x in xs:
+            row = out[x]
+            for y in xs:
+                row[y] += hz
     return out
 
 

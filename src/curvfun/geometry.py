@@ -14,7 +14,8 @@ tensor, Gram-Schmidt base frames); the quadrature densities and
 point is a batch of one.  A product has no jets of its own, and its chunk
 is assembled from its factors' chunks, block by block (a product has no
 mixed-block curvature); in the coordinate frame the quadrature densities
-skip that assembly and combine the factors' scalar densities instead.  Any
+skip that assembly, run its per-factor body (``_leaf_curvature``) on each
+factor's distinct rows and combine the factors' scalar densities.  Any
 other metric is evaluated once per distinct row of its ``depends_on``
 columns and the results are copied to the rows that repeat it, so a factor
 of a product grid costs its own distinct points, not the product's nodes.
@@ -339,9 +340,14 @@ def curvature_chunk(metric, points):
                     curvature_chunk(second, points[:, n1:]))
         return tuple(_block_diagonal(a, b) for a, b in parts)
     rows = _distinct_rows(points, metric.depends_on)
-    if rows is not None:
-        reps, inverse = rows
-        return tuple(a[inverse] for a in curvature_chunk(metric, points[reps]))
+    if rows is None:
+        return _leaf_curvature(metric, points)
+    reps, inverse = rows
+    return tuple(a[inverse] for a in _leaf_curvature(metric, points[reps]))
+
+
+def _leaf_curvature(metric, points):
+    """:func:`curvature_chunk` of a non-product metric at every row, none shared."""
     g, dg, d2g = checked_jets(metric, points)
     riem = riemann_arrays(g, dg, d2g)
     base = gram_schmidt_frames(g, np.broadcast_to(np.eye(metric.dim), g.shape))

@@ -59,6 +59,7 @@ from .frames import haar_orthogonal, point_rng
 from .functionals import _check_even, haar_pair_average, k_discrete, k_gbc, scalar_curvature
 from .geometry import (
     _distinct_rows,
+    _leaf_curvature,
     checked_jets,
     curvature_chunk,
     riemann_in_frame,
@@ -284,14 +285,15 @@ def _factored_density(metric, functional, pts):
         return f1 * f2, v1 * v2
     rows = _distinct_rows(pts, metric.depends_on)
     if rows is not None:
-        reps, inverse = rows
-        return tuple(a[inverse] for a in _factored_density(metric, functional, pts[reps]))
+        pts = pts[rows[0]]
     if functional == "volume":
         vol = np.sqrt(np.linalg.det(checked_jets(metric, pts)[0]))
-        return vol, vol
-    g, riem, base = curvature_chunk(metric, pts)
-    vol = np.sqrt(np.linalg.det(g))
-    return _contract(functional, riem, base) * vol, vol
+        out = vol, vol
+    else:
+        g, riem, base = _leaf_curvature(metric, pts)
+        vol = np.sqrt(np.linalg.det(g))
+        out = _contract(functional, riem, base) * vol, vol
+    return out if rows is None else tuple(a[rows[1]] for a in out)
 
 
 def functional_density(metric, functional, frame="coordinate", seed=0, nsamples=64):

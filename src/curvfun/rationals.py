@@ -2,101 +2,81 @@
 
 numpy's solvers are floating point only, and the identities checked on the
 discrete side (determinants of counting matrices, Green-function sums) as
-well as the exact curvature paths are *exact* statements, so the few
-routines needed are written directly over rationals.  Sizes here are tiny
-(a few hundred at most), plain Gaussian elimination is plenty.
+well as the exact curvature paths are *exact* statements.  Determinant,
+solve and inverse share one fraction-free elimination (E. H. Bareiss,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22 (1968)).  Each row of ``[A | B]`` is scaled
+to integers by the lcm of its denominators; every entry the forward pass
+produces is then a minor of the scaled matrix, so each division is exact
+and no Fraction is formed until the results are.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 __all__ = ["exact_det", "exact_solve", "exact_inv"]
 
 
-def _to_rows(A):
-    return [[Fraction(x) for x in row] for row in A]
+def _eliminate(A, B):
+    """``(det A, X)`` with ``A X = B``; ``X`` is ``None`` when ``A`` is singular.
+
+    ``A`` is n x n and ``B`` has n rows of m entries each (m may be 0).
+    Each entry is taken exactly as ``Fraction(x)`` takes it.  The forward
+    pass leaves ``d``, the determinant of the row-permuted scaled matrix,
+    as its last pivot; back-substitution then finds ``Y = d X = adj(A) B``
+    in integers, one exact division per entry.
+    """
+    n = len(A)
+    m, scale = [], 1
+    for a, b in zip(A, B):
+        row = [x if type(x) is int else Fraction(x) for x in list(a) + list(b)]
+        dens = [int(x.denominator) for x in row]  # int(): numpy integers would overflow
+        s = math.lcm(*dens)
+        scale *= s
+        m.append([int(x.numerator) * (s // d) for x, d in zip(row, dens)])
+    sign, prev = 1, 1
+    for k in range(n):
+        p = next((r for r in range(k, n) if m[r][k]), None)
+        if p is None:
+            return Fraction(0), None
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            sign = -sign
+        pivot, tail = m[k][k], m[k][k + 1:]
+        for row in m[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = pivot
+    y = [None] * n
+    for k in reversed(range(n)):
+        row = m[k]
+        y[k] = [(prev * row[c] - sum(row[j] * y[j][c - n] for j in range(k + 1, n))) // row[k]
+                for c in range(n, len(row))]
+    det = Fraction(sign * prev, scale)
+    return det, [[Fraction(v, prev) for v in r] for r in y]
 
 
 def exact_det(A):
-    """Determinant of a square rational matrix, exact.
-
-    Uses the Bareiss fraction-free scheme when all entries are integers
-    (keeps intermediates integral), plain fraction elimination otherwise.
-    """
-    rows = list(A)
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if all(isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1) for row in rows for x in row):
-        m = [[int(x) for x in row] for row in rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for r in range(k + 1, n):
-                    if m[r][k] != 0:
-                        m[k], m[r] = m[r], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return Fraction(0)
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return Fraction(sign * m[n - 1][n - 1])
-    m = _to_rows(rows)
-    det = Fraction(1)
-    for k in range(n):
-        pivot_row = next((r for r in range(k, n) if m[r][k] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = Fraction(1) / m[k][k]
-        for i in range(k + 1, n):
-            factor = m[i][k] * inv
-            if factor:
-                for j in range(k, n):
-                    m[i][j] -= factor * m[k][j]
-    return det
+    """Determinant of a square rational matrix, exact; 1 for the empty matrix."""
+    A = list(A)
+    return _eliminate(A, [[]] * len(A))[0]
 
 
 def exact_solve(A, b):
-    """Solve ``A x = b`` over Fractions.  Raises ZeroDivisionError-free
-    ``ValueError`` if ``A`` is singular."""
-    m = _to_rows(A)
-    n = len(m)
-    x = [Fraction(v) for v in b]
-    for k in range(n):
-        pivot_row = next((r for r in range(k, n) if m[r][k] != 0), None)
-        if pivot_row is None:
-            raise ValueError("singular matrix")
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            x[k], x[pivot_row] = x[pivot_row], x[k]
-        inv = Fraction(1) / m[k][k]
-        for i in range(k + 1, n):
-            factor = m[i][k] * inv
-            if factor:
-                for j in range(k, n):
-                    m[i][j] -= factor * m[k][j]
-                x[i] -= factor * x[k]
-    for k in range(n - 1, -1, -1):
-        s = x[k] - sum(m[k][j] * x[j] for j in range(k + 1, n))
-        x[k] = s / m[k][k]
-    return x
+    """Solve ``A x = b`` exactly, as a list of Fractions; ``ValueError`` if singular."""
+    _, x = _eliminate(list(A), [[v] for v in b])
+    if x is None:
+        raise ValueError("singular matrix")
+    return [r[0] for r in x]
 
 
 def exact_inv(A):
-    """Inverse of a square rational matrix as nested lists of Fractions."""
-    n = len(list(A))
-    cols = []
-    for j in range(n):
-        e = [Fraction(int(i == j)) for i in range(n)]
-        cols.append(exact_solve(A, e))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    """Inverse of a square matrix as nested lists of Fractions; ``ValueError`` if singular."""
+    A = list(A)
+    n = len(A)
+    _, x = _eliminate(A, [[int(i == j) for j in range(n)] for i in range(n)])
+    if x is None:
+        raise ValueError("singular matrix")
+    return x

@@ -110,9 +110,7 @@ def ellipsoid_of_revolution(a, dim=4):
     """
     if dim not in (2, 4, 6):
         raise BadDimensionError("ellipsoid_of_revolution supports dimensions 2, 4, 6")
-    a = float(a)
-    if a <= 0:
-        raise ValueError("semi-axis must be positive")
+    a = _semi_axis("a", a)
     scales = [a] + [1.0] * dim
     emb = EmbeddingMap(chart_dim=dim, ambient_dim=dim + 1, components=_sphere_components(scales))
     # a surface of revolution about the first axis: the last angle is free
@@ -151,6 +149,17 @@ def ellipsoid_of_revolution(a, dim=4):
     )
 
 
+def _semi_axis(name, value):
+    """A semi-axis parameter as a positive finite float, else ``ConfigError`` naming it."""
+    try:
+        v = float(value)
+    except ValueError:
+        v = math.nan
+    if not (math.isfinite(v) and v > 0):
+        raise ConfigError("semi-axis %s must be a positive finite number, got %r" % (name, value))
+    return v
+
+
 def _double_factorial(n):
     out = 1
     while n > 1:
@@ -165,9 +174,9 @@ def general_4_ellipsoid(axes):
     Expensive at production grids; the default grid here is a 5^4 smoke
     resolution.
     """
-    axes = [float(v) for v in axes]
-    if len(axes) != 5 or any(v <= 0 for v in axes):
-        raise ValueError("need five positive semi-axes")
+    if len(axes) != 5:
+        raise ConfigError("need five semi-axes, got %d" % len(axes))
+    axes = [_semi_axis("a%d" % (k + 1), v) for k, v in enumerate(axes)]
     emb = EmbeddingMap(chart_dim=4, ambient_dim=5, components=_sphere_components(axes))
     grid = Grid(
         (
@@ -188,7 +197,7 @@ def general_4_ellipsoid(axes):
 
 def two_ellipsoid(a=1.0, b=2.0, c=3.0):
     """2-ellipsoid with semi-axes (a, b, c); Gauss curvature oracle included."""
-    a, b, c = float(a), float(b), float(c)
+    a, b, c = _semi_axis("a", a), _semi_axis("b", b), _semi_axis("c", c)
 
     def components(v):
         return [
@@ -546,12 +555,10 @@ _BUILDERS = {
     "s2": lambda p: round_sphere(2),
     "s4": lambda p: round_sphere(4),
     "s6": lambda p: round_sphere(6),
-    "e2": lambda p: two_ellipsoid(
-        float(p.pop("a", 1.0)), float(p.pop("b", 2.0)), float(p.pop("c", 3.0))
-    ),
-    "e4": lambda p: ellipsoid_of_revolution(float(p.pop("a", 2.0))),
+    "e2": lambda p: two_ellipsoid(p.pop("a", 1.0), p.pop("b", 2.0), p.pop("c", 3.0)),
+    "e4": lambda p: ellipsoid_of_revolution(p.pop("a", 2.0)),
     "e4gen": lambda p: general_4_ellipsoid(
-        [float(p.pop(k, dflt)) for k, dflt in
+        [p.pop(k, dflt) for k, dflt in
          (("a1", 1.0), ("a2", 1.1), ("a3", 1.2), ("a4", 1.3), ("a5", 1.4))]
     ),
     "rp2": lambda p: rp2(),

@@ -179,8 +179,8 @@ def test_non_finite_rotate_angle_exits_2(capsys, angle):
     assert "--rotate-angle" in err
 
 
-def test_odd_dimensional_gamma_rejected(tmp_path, capsys):
-    # a 3-axis user chart cannot carry the even-dimensional functionals
+def _flat_box(tmp_path):
+    """A 3-axis flat user chart, which cannot carry the even-dimensional functionals."""
     spec = {
         "name": "flat-box",
         "axes": [{"lo": 0, "hi": 1, "n": 3} for _ in range(3)],
@@ -188,9 +188,35 @@ def test_odd_dimensional_gamma_rejected(tmp_path, capsys):
     }
     p = tmp_path / "box.json"
     p.write_text(json.dumps(spec))
-    code, _, err = run(capsys, ["compute", "--spec-file", str(p), "--functional", "gamma_d"])
+    return str(p)
+
+
+def test_odd_dimensional_gamma_rejected(tmp_path, capsys):
+    code, _, err = run(capsys, ["compute", "--spec-file", _flat_box(tmp_path),
+                                "--functional", "gamma_d"])
     assert code == 2
     assert "even-dimensional" in err
+
+
+def test_frame_sweep_odd_dimension_exits_2(tmp_path, capsys):
+    # used to reach the integrator and exit 3, the numerical-failure code
+    code, out, err = run(capsys, ["frame-sweep", "--spec-file", _flat_box(tmp_path),
+                                  "--plane", "1,2", "--no-timing"])
+    assert code == 2
+    assert out == ""
+    assert "even-dimensional" in err
+
+
+@pytest.mark.parametrize("manifold,param", [
+    ("e2", "a=0"), ("e2", "b=-2"), ("e2", "c=abc"), ("e2", "a=inf"),
+    ("e4", "a=nan"), ("e4", "a=0"), ("e4gen", "a1=inf"), ("e4gen", "a3=-1"),
+])
+def test_bad_semi_axis_exits_2_naming_it(capsys, manifold, param):
+    code, out, err = run(capsys, ["compute", "--manifold", manifold, "--grid", "3",
+                                  "--param", param, "--no-timing"])
+    assert code == 2
+    assert out == ""
+    assert "semi-axis %s " % param.split("=")[0] in err
 
 
 @pytest.mark.parametrize("frame", [["--frame", "haar"],

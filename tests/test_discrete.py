@@ -98,6 +98,17 @@ def test_counting_matrix_unit_energy():
     assert green_sum(t) == len(t)
 
 
+def test_counting_matrix_matches_its_definition_with_energies():
+    # L(x, y) = sum of h(z) over the simplices z inside x n y, summed directly
+    rng = np.random.default_rng(3)
+    for g in random_corpus(5, seed=5):
+        h = {s: Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 9))) for s in g.simplices}
+        L = counting_matrix(g, h)
+        for i, x in enumerate(g.simplices):
+            for j, y in enumerate(g.simplices):
+                assert L[i][j] == sum(h[z] for z in g.simplices if set(z) <= set(x) & set(y))
+
+
 def test_counting_determinant_is_energy_product():
     rng = np.random.default_rng(0)
     for _ in range(20):

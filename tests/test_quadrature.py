@@ -306,3 +306,24 @@ def test_coordinate_frame_contracts_each_factor_once_per_distinct_point(monkeypa
     batches.clear()
     functional_density(spec.metric, "gamma_d", frame="haar")(pts, np.arange(len(pts)))
     assert batches == [(len(pts), 4, 4, 4, 4)]
+
+
+def test_coordinate_frame_searches_each_factor_once_for_distinct_rows(monkeypatch):
+    import curvfun.geometry as G
+    import curvfun.quadrature as Q
+
+    spec = manifold_by_name("e2xe2")
+    grid = Grid(tuple(Axis(a.lo, a.hi, 3, a.periodic) for a in spec.default_grid.axes))
+    pts, _ = grid.points_weights()
+    calls = []
+
+    def spy(points, depends_on, real=G._distinct_rows):
+        calls.append(len(points))
+        return real(points, depends_on)
+
+    monkeypatch.setattr(G, "_distinct_rows", spy)
+    monkeypatch.setattr(Q, "_distinct_rows", spy)
+    for functional in ("gamma_d", "gbc", "hilbert", "volume"):
+        calls.clear()
+        functional_density(spec.metric, functional)(pts, np.arange(len(pts)))
+        assert calls == [len(pts)] * 2, functional
