@@ -138,6 +138,7 @@ def _record(args, name, frame, grid):
     return {
         "command": args.command,
         "manifold": name,
+        "params": _parse_params(args.param),
         "functional": args.functional,
         "normalization": _NORMALIZATION[args.functional],
         "frame": frame,

@@ -29,7 +29,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import NotLocallyInjectiveError, SingularCountingMatrixError
-from .rationals import exact_det, exact_solve
+from .rationals import _eliminate, exact_det
 
 __all__ = [
     "SimplicialComplex",
@@ -38,6 +38,7 @@ __all__ = [
     "ph_index",
     "counting_matrix",
     "green_sum",
+    "determinant_and_green_sum",
     "transported_index",
     "random_graph",
     "random_corpus",
@@ -225,15 +226,17 @@ def green_sum(complex_, h=None):
     Raises :class:`SingularCountingMatrixError` when L is singular, which
     by det L = prod h happens exactly when some h(x) = 0.
     """
+    total = determinant_and_green_sum(complex_, h)[1]
+    if total is None:
+        raise SingularCountingMatrixError("counting matrix is singular (some h(x) = 0)")
+    return total
+
+
+def determinant_and_green_sum(complex_, h=None):
+    """``(det L, green_sum)`` from one elimination of L; the sum is ``None`` if L is singular."""
     L = counting_matrix(complex_, h)
-    ones = [Fraction(1)] * len(L)
-    try:
-        z = exact_solve(L, ones)
-    except ValueError:
-        raise SingularCountingMatrixError(
-            "counting matrix is singular (some h(x) = 0)"
-        ) from None
-    return sum(z, Fraction(0))
+    det, x = _eliminate(L, [[1]] * len(L))
+    return det, None if x is None else sum((r[0] for r in x), Fraction(0))
 
 
 # -- corpora ---------------------------------------------------------------------

@@ -7,15 +7,21 @@ functions ``sin cos exp sqrt log``, and free variables (typically
 
 Expressions evaluate over anything with arithmetic dunders -- floats,
 numpy arrays, or jets -- so a parsed metric entry can be differentiated
-by the same hyper-dual machinery as the built-in ones.
+by the same hyper-dual machinery as the built-in ones.  Variable-free parts
+are evaluated once, at parse time; one that divides by zero, overflows or
+is not a finite real number is a ``ConfigError`` naming the expression.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 
+import numpy as np
+
 from . import jets as J
+from .errors import ConfigError
 
 __all__ = ["parse_expression", "Expression"]
 
@@ -34,6 +40,8 @@ _FUNCTIONS = {
 }
 
 _CONSTANTS = {"pi": math.pi}
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 def _tokenize(text):
@@ -84,26 +92,20 @@ class _Parser:
         return node
 
     def expr(self):
-        node = self.term()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                node = ("add" if val == "+" else "sub", node, rhs)
-            else:
-                return node
+        return self.binary("+-", self.term)
 
     def term(self):
-        node = self.unary()
+        return self.binary("*/", self.unary)
+
+    def binary(self, ops, operand):
+        """Left-associative chain of ``operand``s joined by the operators in ``ops``."""
+        node = operand()
         while True:
             kind, val = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                rhs = self.unary()
-                node = ("mul" if val == "*" else "div", node, rhs)
-            else:
+            if kind != "op" or val not in ops:
                 return node
+            self.next()
+            node = (val, node, operand())
 
     def unary(self):
         # exponentiation binds tighter than unary minus: -x^2 == -(x^2)
@@ -121,7 +123,7 @@ class _Parser:
         kind, val = self.peek()
         if kind == "op" and val == "^":
             self.next()
-            return ("pow", node, self.unary())  # right-associative, signed exponents
+            return ("^", node, self.unary())  # right-associative, signed exponents
         return node
 
     def atom(self):
@@ -134,18 +136,9 @@ class _Parser:
                 if val not in _FUNCTIONS:
                     raise ValueError("unknown function %r" % val)
                 self.next()
-                args = [self.expr()]
-                while True:
-                    k3, v3 = self.peek()
-                    if k3 == "op" and v3 == ",":
-                        self.next()
-                        args.append(self.expr())
-                    else:
-                        break
-                self.expect(")")
-                if len(args) != 1:
-                    raise ValueError("function %r takes one argument" % val)
-                return ("call", val, args[0])
+                arg = self.expr()
+                self.expect(")")  # every function takes one argument
+                return ("call", val, arg)
             if val in _CONSTANTS:
                 return ("const", _CONSTANTS[val])
             return ("var", val)
@@ -171,31 +164,41 @@ def _eval(node, env):
         return _FUNCTIONS[node[1]](_eval(node[2], env))
     a = _eval(node[1], env)
     b = _eval(node[2], env)
-    if tag == "add":
-        return a + b
-    if tag == "sub":
-        return a - b
-    if tag == "mul":
-        return a * b
-    if tag == "div":
-        return a / b
-    if tag == "pow":
-        if isinstance(b, float) and b == int(b):
-            return a ** int(b)
-        return a**b
-    raise AssertionError("unreachable node %r" % tag)
+    if tag != "^":
+        return _BINARY[tag](a, b)
+    if isinstance(b, float) and b == int(b):
+        return a ** int(b)
+    return a**b
+
+
+def _fold(node, text):
+    """``node`` with every variable-free subtree replaced by its value.
+
+    A constant part that divides by zero, overflows, or is not a finite real
+    number raises ``ConfigError`` naming the expression ``text``.
+    """
+    if node[0] in ("const", "var"):
+        return node
+    node = tuple(_fold(c, text) if isinstance(c, tuple) else c for c in node)
+    if any(isinstance(c, tuple) and c[0] != "const" for c in node):
+        return node
+    try:
+        with np.errstate(all="ignore"):  # a non-finite value is raised below instead
+            value = _eval(node, {})
+    except (ZeroDivisionError, OverflowError):
+        value = math.nan
+    if isinstance(value, complex) or not math.isfinite(value):
+        raise ConfigError("expression %r has a constant part that is not a finite real "
+                          "number" % text)
+    return ("const", value)
 
 
 def _free_variables(node, out):
     if node[0] == "var":
         out.add(node[1])
-    elif node[0] in ("neg",):
-        _free_variables(node[1], out)
-    elif node[0] == "call":
-        _free_variables(node[2], out)
-    elif node[0] in ("add", "sub", "mul", "div", "pow"):
-        _free_variables(node[1], out)
-        _free_variables(node[2], out)
+    for child in node[1:]:
+        if isinstance(child, tuple):
+            _free_variables(child, out)
 
 
 class Expression:
@@ -203,7 +206,7 @@ class Expression:
 
     def __init__(self, text):
         self.text = text
-        self._ast = _Parser(_tokenize(text)).parse()
+        self._ast = _fold(_Parser(_tokenize(text)).parse(), text)
         vs = set()
         _free_variables(self._ast, vs)
         self.variables = frozenset(vs)

@@ -11,14 +11,12 @@ The pipeline is batched over chart points.  :func:`curvature_chunk` is the
 one path from a metric to curvature data (jets, metric checks, Riemann
 tensor, Gram-Schmidt base frames); the quadrature densities and
 :func:`curvature_batch` both call it.  There is no single-point API: a
-point is a batch of one.  A product has no jets of its own, and its chunk
-is assembled from its factors' chunks, block by block (a product has no
-mixed-block curvature); in the coordinate frame the quadrature densities
-skip that assembly, run its per-factor body (``_leaf_curvature``) on each
-factor's distinct rows and combine the factors' scalar densities.  Any
-other metric is evaluated once per distinct row of its ``depends_on``
-columns and the results are copied to the rows that repeat it, so a factor
-of a product grid costs its own distinct points, not the product's nodes.
+point is a batch of one.  A product has no jets of its own: its chunk is
+assembled from its factors' chunks, block by block (a product has no
+mixed-block curvature), and where the frame is aligned with the factors
+the integrator multiplies the factors' integrals instead.  Any other
+metric is evaluated once per distinct row of its ``depends_on`` columns
+and the results are copied to the rows that repeat it.
 
 Everything is evaluated in chart coordinates; scalar outputs (sectional
 curvatures and the functionals built on them) are obtained by contracting
@@ -138,8 +136,7 @@ class MetricField:
 
         A product has no jets of its own: its curvature chunk is assembled
         from the factors' (:func:`curvature_chunk`), and its coordinate-frame
-        densities are built from the factors' densities
-        (:mod:`curvfun.quadrature`).
+        integrals from the factors' integrals (:mod:`curvfun.quadrature`).
         """
         n1 = first.dim
         provenance = "product(%s, %s)" % (first.provenance, second.provenance)
@@ -340,18 +337,10 @@ def curvature_chunk(metric, points):
                     curvature_chunk(second, points[:, n1:]))
         return tuple(_block_diagonal(a, b) for a, b in parts)
     rows = _distinct_rows(points, metric.depends_on)
-    if rows is None:
-        return _leaf_curvature(metric, points)
-    reps, inverse = rows
-    return tuple(a[inverse] for a in _leaf_curvature(metric, points[reps]))
-
-
-def _leaf_curvature(metric, points):
-    """:func:`curvature_chunk` of a non-product metric at every row, none shared."""
-    g, dg, d2g = checked_jets(metric, points)
+    g, dg, d2g = checked_jets(metric, points if rows is None else points[rows[0]])
     riem = riemann_arrays(g, dg, d2g)
-    base = gram_schmidt_frames(g, np.broadcast_to(np.eye(metric.dim), g.shape))
-    return g, riem, base
+    out = g, riem, gram_schmidt_frames(g, np.broadcast_to(np.eye(metric.dim), g.shape))
+    return out if rows is None else tuple(a[rows[1]] for a in out)
 
 
 def _distinct_rows(points, depends_on):

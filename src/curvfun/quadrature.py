@@ -20,19 +20,17 @@ half-resolution estimate grid is collapsed the same way.  Only the
 densities that draw Haar frames per node (``gamma_mc`` and the ``"haar"``
 frame) keep the requested grid; their curvature is still computed once per
 distinct row of the metric's ``depends_on`` columns in a chunk (see
-:func:`curvfun.geometry.curvature_chunk`, which also splits a product into
-its factors), and only the Haar draws and the contraction run per node.
-The result's ``n_points`` is still the requested grid's, and a failing
-node's coordinate on a collapsed axis reads that axis's midpoint.
+:func:`curvfun.geometry.curvature_chunk`), and only the Haar draws and the
+contraction run per node.  The result's ``n_points`` is still the requested
+grid's, and a failing node's coordinate on a collapsed axis reads that
+axis's midpoint.
 
-Products: in the coordinate frame, and for ``volume`` in any frame, a
-density is the pair (f dV, dV) built by one recursion.  A metric that is
-not a product is contracted once per distinct row of its ``depends_on``
-columns and the two scalars are copied to the repeating rows; a product
-combines its factors' pairs (``gamma_d`` and ``gbc`` multiply, the scalar
-curvature adds, the volume elements multiply), so its 4-index tensors are
-never assembled or contracted.  Rotated and Haar frames and ``gamma_mc``
-mix the factors' planes and contract the assembled product chunk per node.
+Products: a product's grid is the tensor product of its factors' axes, so
+where the frame is aligned with the factors (the coordinate frame, and any
+frame for ``volume``) its integral on a grid, or on the halved grid, is
+built from its factors' integrals on their own sub-grids.  Rotated and Haar
+frames and ``gamma_mc`` mix the factors' planes and contract the assembled
+product chunk per node.
 
 The error estimate is the difference against a re-run on a half-resolution
 grid; Monte Carlo functionals additionally carry a propagated standard
@@ -58,8 +56,6 @@ from .errors import (
 from .frames import haar_orthogonal, point_rng
 from .functionals import _check_even, haar_pair_average, k_discrete, k_gbc, scalar_curvature
 from .geometry import (
-    _distinct_rows,
-    _leaf_curvature,
     checked_jets,
     curvature_chunk,
     riemann_in_frame,
@@ -181,16 +177,19 @@ def _evaluate(density, pts, idx):
     return vals, stderrs
 
 
+def _node_failure(point, reason):
+    """``ChartSingularityError`` naming the failing chart ``point`` and the ``reason``."""
+    return ChartSingularityError("density evaluation failed at chart point %s: %s"
+                                 % (point.tolist(), reason), point=point)
+
+
 def _locate_failure(density, pts, idx, cause):
     """Re-run a failed chunk point by point to name the offending node."""
     for row in range(len(pts)):
         try:
             _evaluate(density, pts[row : row + 1], idx[row : row + 1])
         except _NODE_FAILURES as exc:
-            raise ChartSingularityError(
-                "density evaluation failed at chart point %s: %s" % (pts[row].tolist(), exc),
-                point=pts[row].copy(),
-            ) from cause
+            raise _node_failure(pts[row].copy(), exc) from exc
     raise cause
 
 
@@ -258,42 +257,35 @@ def _contract(functional, riem, frames):
     return scalar_curvature(sectional_from_riemann(riem, frames))
 
 
-def _factored_density(metric, functional, pts):
-    """``(f dV, dV)`` at ``pts`` in the coordinate frame, a product from its factors.
+def _factored_integral(metric, functional, grid, workers, chunk):
+    """Coordinate-frame integral over ``grid``; a product's from its factors' integrals.
 
-    A product's coordinate frame is aligned with its factors, so every plane
-    that mixes them has zero sectional curvature: ``gamma_d`` and ``gbc`` are
-    the products of the factors' densities (every pairing, and every term of
-    the Pfaffian, splits into one of each factor), and zero when a factor
-    has odd dimension (every pairing then has a mixed plane); the scalar
-    curvature is the sum of the factors', and the volume element their
-    product.  Any other metric is evaluated once per distinct row of its
-    ``depends_on`` columns and the two scalars are copied to the rows that
-    repeat it.
+    A product's grid is the tensor product of its factors' sub-grids and its
+    coordinate frame is aligned with them, so no plane mixing them is curved:
+    ``gamma_d`` and ``gbc`` multiply (every pairing, and every Pfaffian term,
+    splits into one term of each factor), exactly 0.0 when a factor has odd
+    dimension (every pairing then has a mixed plane); ``hilbert`` is
+    H1 V2 + V1 H2.  A failing factor node is named with the other's first node.
     """
-    if metric.factors is not None:
-        first, second = metric.factors
-        n1 = first.dim
-        if functional in ("gamma_d", "gbc") and (n1 % 2 or second.dim % 2):
-            vol = (_factored_density(first, "volume", pts[:, :n1])[1]
-                   * _factored_density(second, "volume", pts[:, n1:])[1])
-            return 0.0 * vol, vol
-        f1, v1 = _factored_density(first, functional, pts[:, :n1])
-        f2, v2 = _factored_density(second, functional, pts[:, n1:])
-        if functional == "hilbert":
-            return f1 * v2 + v1 * f2, v1 * v2
-        return f1 * f2, v1 * v2
-    rows = _distinct_rows(pts, metric.depends_on)
-    if rows is not None:
-        pts = pts[rows[0]]
-    if functional == "volume":
-        vol = np.sqrt(np.linalg.det(checked_jets(metric, pts)[0]))
-        out = vol, vol
-    else:
-        g, riem, base = _leaf_curvature(metric, pts)
-        vol = np.sqrt(np.linalg.det(g))
-        out = _contract(functional, riem, base) * vol, vol
-    return out if rows is None else tuple(a[rows[1]] for a in out)
+    if metric.factors is None:
+        density = functional_density(metric, functional)
+        return integrate(density, grid, workers=workers, chunk=chunk)[0]
+    if functional in ("gamma_d", "gbc") and any(f.dim % 2 for f in metric.factors):
+        return 0.0
+    n1 = metric.factors[0].dim
+    grids = (Grid(grid.axes[:n1]), Grid(grid.axes[n1:]))
+
+    def part(k, name):
+        try:
+            return _factored_integral(metric.factors[k], name, grids[k], workers, chunk)
+        except ChartSingularityError as exc:
+            parts = [[a.nodes_weights()[0][0] for a in g.axes] for g in grids]
+            parts[k] = exc.point
+            raise _node_failure(np.concatenate(parts), exc.__cause__) from exc.__cause__
+
+    if functional == "hilbert":
+        return part(0, "hilbert") * part(1, "volume") + part(0, "volume") * part(1, "hilbert")
+    return part(0, functional) * part(1, functional)
 
 
 def functional_density(metric, functional, frame="coordinate", seed=0, nsamples=64):
@@ -305,9 +297,8 @@ def functional_density(metric, functional, frame="coordinate", seed=0, nsamples=
     top of the Gram-Schmidt base frame.  ``gamma_mc`` averages over
     ``nsamples`` Haar rotations of the Gram-Schmidt frame per node instead,
     so it accepts only the "coordinate" frame, and needs at least two
-    samples for its standard error.  In the coordinate frame, and for
-    ``volume`` in any frame, a product's density is built from its
-    factors' densities (see :func:`_factored_density`).
+    samples for its standard error.  Every density but a non-product's
+    ``volume`` (read from the metric alone) comes from :func:`curvature_chunk`.
     """
     if functional not in FUNCTIONALS:
         raise ConfigError("unknown functional %r" % (functional,))
@@ -321,19 +312,20 @@ def functional_density(metric, functional, frame="coordinate", seed=0, nsamples=
     if functional in ("gamma_d", "gamma_mc", "gbc"):
         _check_even(metric.dim)  # odd factors of a product give zero, an odd whole no pairing
 
-    coordinate = isinstance(frame, str) and frame == "coordinate"
-
     def density(pts, node_idx):
-        if functional == "volume" or (coordinate and functional != "gamma_mc"):
-            return _factored_density(metric, functional, pts)[0], None
+        if functional == "volume" and metric.factors is None:
+            return np.sqrt(np.linalg.det(checked_jets(metric, pts)[0])), None
         g, riem, base = curvature_chunk(metric, pts)
         vol = np.sqrt(np.linalg.det(g))
+        if functional == "volume":
+            return vol, None
         if functional == "gamma_mc":
             sframes = _haar_node_frames(base, node_idx, seed, nsamples)
             vals, stderrs = haar_pair_average(riem, sframes)
             return vals * vol, stderrs * vol
         if isinstance(frame, str):
-            frames = _haar_node_frames(base, node_idx, seed, 1)[:, 0]
+            frames = (base if frame == "coordinate"
+                      else _haar_node_frames(base, node_idx, seed, 1)[:, 0])
         else:
             frames = np.einsum("ia,pab->pib", np.asarray(frame, dtype=float), base)
         return _contract(functional, riem, frames) * vol, None
@@ -356,31 +348,34 @@ def integrate_functional(
 
     The density is evaluated on ``grid`` with the axes outside
     ``metric.depends_on`` collapsed to one node each, unless it draws Haar
-    frames per node (``gamma_mc``, the ``"haar"`` frame).  ``n_points`` is
-    the requested grid's.  ``error_estimate`` is the difference against the
+    frames per node (``gamma_mc``, the ``"haar"`` frame).  A product's
+    ``volume``, and its other coordinate-frame functionals, come from its
+    factors' integrals (:func:`_factored_integral`).  ``n_points`` is the
+    requested grid's.  ``error_estimate`` is the difference against the
     half-resolution grid, or ``None`` when it was not asked for or the
     evaluated grid does not coarsen (every axis has one node).
     """
     density = functional_density(metric, functional, frame=frame, seed=seed, nsamples=nsamples)
-    evaluated = grid
-    if functional != "gamma_mc" and not (isinstance(frame, str) and frame == "haar"):
-        evaluated = grid.collapse(metric.depends_on)
-    value, stderr = integrate(density, evaluated, workers=workers, chunk=chunk)
+    per_node = functional == "gamma_mc" or (isinstance(frame, str) and frame == "haar")
+    evaluated = grid if per_node else grid.collapse(metric.depends_on)
+    # a string frame that is not per node is the coordinate frame, aligned with the factors
+    factored = metric.factors is not None and (
+        functional == "volume" or (isinstance(frame, str) and not per_node))
+
+    def run(g):
+        if factored:
+            return _factored_integral(metric, functional, g, workers, chunk), None
+        return integrate(density, g, workers=workers, chunk=chunk)
+
+    value, stderr = run(evaluated)
     err = None
     coarse_grid = evaluated.halved() if with_error_estimate else evaluated
     if coarse_grid != evaluated:
-        coarse, _ = integrate(density, coarse_grid, workers=workers, chunk=chunk)
-        err = abs(value - coarse)
+        err = abs(value - run(coarse_grid)[0])
     return IntegralResult(value=value, error_estimate=err, n_points=grid.n_points, stderr=stderr)
 
 
 def volume(metric, grid, workers=1, chunk=DEFAULT_CHUNK, with_error_estimate=True):
     """Riemannian volume of the chart domain."""
-    return integrate_functional(
-        metric,
-        grid,
-        functional="volume",
-        workers=workers,
-        chunk=chunk,
-        with_error_estimate=with_error_estimate,
-    )
+    return integrate_functional(metric, grid, "volume", workers=workers, chunk=chunk,
+                                with_error_estimate=with_error_estimate)

@@ -592,16 +592,26 @@ def _spec_axis(k, a):
     for key in ("lo", "hi", "n"):
         if key not in a:
             raise ValueError('spec file: axis %d has no "%s"' % (k, key))
-    for key in ("lo", "hi"):
-        if isinstance(a[key], bool) or not isinstance(a[key], (int, float, str)):
-            raise ValueError('spec file: axis %d "%s" must be a number or an expression' % (k, key))
     if isinstance(a["n"], bool) or not isinstance(a["n"], int):
         raise ValueError('spec file: axis %d "n" must be an integer' % k)
 
-    def bound(v):
-        return float(parse_expression(v)({})) if isinstance(v, str) else float(v)
+    def bound(key):
+        v = a[key]
+        if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+            raise ValueError('spec file: axis %d "%s" must be a number or an expression' % (k, key))
+        try:
+            x = float(parse_expression(v)({}) if isinstance(v, str) else v)
+            if not math.isfinite(x):
+                raise ValueError("%r is not finite" % v)
+        except (ValueError, OverflowError) as exc:  # a parse error, a bound not finite
+            raise ConfigError('spec file: axis %d "%s": %s' % (k, key, exc)) from None
+        return x
 
-    return Axis(bound(a["lo"]), bound(a["hi"]), a["n"], bool(a.get("periodic", False)))
+    lo, hi = bound("lo"), bound("hi")
+    if lo >= hi:
+        raise ConfigError('spec file: axis %d needs "lo" < "hi", got %r and %r'
+                          % (k, a["lo"], a["hi"]))
+    return Axis(lo, hi, a["n"], bool(a.get("periodic", False)))
 
 
 def _check_symmetric(exprs, grid, var_names):

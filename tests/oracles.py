@@ -139,8 +139,8 @@ def block_density(metric, functional, points):
     """Coordinate-frame density (f dV) from the assembled full-dimensional chunk.
 
     ``curvature_chunk``'s block-diagonal (g, riem, base) contracted at every
-    row in the product's own dimension: the route the factored densities
-    replace.
+    row in the product's own dimension, written out apart from the
+    quadrature module's own contraction.
     """
     g, riem, base = curvature_chunk(metric, points)
     vol = np.sqrt(np.linalg.det(g))

@@ -453,3 +453,50 @@ def test_negative_seed_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "--seed must be non-negative, got -1" in err
+
+
+def test_record_names_the_params_that_built_the_chart(capsys):
+    headers = []
+    for param in (["--param", "a=1"], ["--param", "a=2"], []):
+        code, out, _ = run(capsys, ["compute", "--manifold", "e2", "--grid", "5",
+                                    "--no-timing"] + param)
+        assert code == 0
+        headers.append(json.loads(out)["params"])
+    assert headers == [{"a": "1"}, {"a": "2"}, {}]
+
+
+_BOX_AXIS = {"lo": 0, "hi": 1, "n": 3}
+_S2_METRIC = [["1", "0"], ["0", "sin(x1)^2"]]
+
+
+@pytest.mark.parametrize("argv, axes, metric, named", [
+    # constant expressions: used to end in ZeroDivisionError, OverflowError and TypeError
+    (["--manifold", "taubes", "--param", "u=1/0"], None, None, "'1/0'"),
+    (["--manifold", "taubes", "--param", "u=10^1000"], None, None, "'10^1000'"),
+    ([], [_BOX_AXIS, _BOX_AXIS], [["2 + (-4)^0.5", "0"], ["0", "1"]], "'2 + (-4)^0.5'"),
+    # spec-file axis bounds: used to exit 0 with a negative volume or gamma_d, or exit 3
+    (["--functional", "volume"], [{"lo": 1, "hi": 0, "n": 3}, _BOX_AXIS], None,
+     'axis 1 needs "lo" < "hi"'),
+    ([], [{"lo": "pi", "hi": 0, "n": 9}, {"lo": 0, "hi": "2*pi", "n": 8, "periodic": True}],
+     _S2_METRIC, 'axis 1 needs "lo" < "hi"'),
+    ([], [_BOX_AXIS, {"lo": 0, "hi": "exp(1000)", "n": 3}], None, 'axis 2 "hi"'),
+    ([], [_BOX_AXIS, {"lo": -1e999, "hi": 0, "n": 3}], None, 'axis 2 "lo": -inf is not finite'),
+    ([], [_BOX_AXIS, {"lo": 0, "hi": 10**400, "n": 3}], None, 'axis 2 "hi": int too large'),
+])
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, axes, metric, named):
+    if axes is not None:
+        argv = argv + ["--spec-file", _box_spec(tmp_path, metric or [["1", "0"], ["0", "1"]],
+                                                axes)]
+    code, out, err = run(capsys, ["compute", "--grid", "3", "--no-timing"] + argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("configuration error") and named in err, err
+
+
+def test_node_dependent_expression_failure_still_exits_3_naming_the_node(capsys):
+    code, out, err = run(capsys, ["compute", "--manifold", "taubes", "--param", "u=log(cos(x1))",
+                                  "--grid", "3", "--no-timing"])
+    assert code == 3
+    assert out == ""
+    assert len(json.loads(err)["failing_point"]) == 4

@@ -11,6 +11,7 @@ from curvfun.discrete import (
     all_complexes_on,
     counting_determinant,
     counting_matrix,
+    determinant_and_green_sum,
     dump_complex,
     euler_characteristic,
     green_sum,
@@ -151,6 +152,16 @@ def test_green_sum_singular_energy_raises():
     h[(1, 2)] = 0
     with pytest.raises(SingularCountingMatrixError):
         green_sum(t, h)
+    assert determinant_and_green_sum(t, h) == (0, None)
+
+
+def test_one_elimination_gives_the_determinant_and_the_green_sum():
+    rng = np.random.default_rng(3)
+    for g in random_corpus(10, seed=5):
+        h = random_energy(g, rng)
+        det, total = determinant_and_green_sum(g, h)
+        assert det == counting_determinant(g, h)
+        assert total == (None if 0 in h.values() else green_sum(g, h))
 
 
 def test_random_corpus_shapes():

@@ -1,10 +1,12 @@
 """The small expression grammar used for user-supplied metric entries."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from curvfun.errors import ConfigError
 from curvfun.expressions import Expression, parse_expression
 from curvfun.jets import variables
 
@@ -44,6 +46,22 @@ def test_unknown_variable_and_function_rejected():
         parse_expression("1 + ")
     with pytest.raises(ValueError):
         parse_expression("1 2")
+
+
+@pytest.mark.parametrize("text", ["1/0", "10^1000", "2 + (-4)^0.5", "x1 * exp(1000)",
+                                  "x1^(0^-1)"])
+def test_constant_part_that_is_not_finite_and_real_is_rejected_at_parse(text):
+    with pytest.raises(ConfigError, match=re.escape("expression %r has a constant part" % text)):
+        parse_expression(text)
+
+
+def test_constant_parts_fold_to_the_values_they_evaluate_to():
+    e = parse_expression("x1 * (2*pi) + sin(1)^2")
+    assert e._ast == ("+", ("*", ("var", "x1"), ("const", 2 * math.pi)),
+                      ("const", math.sin(1.0) ** 2))
+    assert e.variables == frozenset({"x1"})
+    with np.errstate(divide="ignore"):
+        assert ev("x1/0", x1=np.array([1.0]))[0] == math.inf  # a node-dependent failure
 
 
 def test_evaluates_on_jets():

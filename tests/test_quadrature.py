@@ -280,50 +280,55 @@ def test_an_odd_dimensional_product_is_rejected_not_zero(functional):
         functional_density(metric, functional)(np.array([[1.0, 2.0, 3.0]]), np.arange(1))
 
 
-def test_coordinate_frame_contracts_each_factor_once_per_distinct_point(monkeypatch):
+def test_product_integral_contracts_only_its_factors_grids(monkeypatch):
     import curvfun.quadrature as Q
 
-    spec = manifold_by_name("e2xe2")
+    spec = manifold_by_name("e2xe2")  # each factor reads both of its axes
     grid = Grid(tuple(Axis(a.lo, a.hi, 3, a.periodic) for a in spec.default_grid.axes))
-    pts, _ = grid.points_weights()
-    batches = []
+    batches, grids = [], []
     for name in ("sectional_from_riemann", "riemann_in_frame"):
         def spy(riem, frames, real=getattr(Q, name)):
             batches.append(riem.shape)
             return real(riem, frames)
 
         monkeypatch.setattr(Q, name, spy)
-    first, second = spec.metric.factors
-    distinct = [len({tuple(row) for row in cols[:, list(factor.depends_on)]})
-                for factor, cols in ((first, pts[:, :2]), (second, pts[:, 2:]))]
-    assert sum(distinct) < len(pts)
-    for functional in ("gamma_d", "gbc", "hilbert"):
+    real_integrate = Q.integrate
+    monkeypatch.setattr(Q, "integrate", lambda *a, **k: grids.append(a[1]) or real_integrate(*a, **k))
+    for functional in ("gamma_d", "gbc", "hilbert", "volume"):
         batches.clear()
-        functional_density(spec.metric, functional)(pts, np.arange(len(pts)))
-        assert [shape[1:] for shape in batches] == [(2, 2, 2, 2)] * 2
-        assert [shape[0] for shape in batches] == distinct
+        grids.clear()
+        integrate_functional(spec.metric, grid, functional)
+        # each factor's 3 x 3 grid, then its halved 2 x 2 grid; never the 81 product nodes
+        want = [] if functional == "volume" else [(9,) + (2,) * 4] * 2 + [(4,) + (2,) * 4] * 2
+        assert batches == want, functional
+        assert {g.n_points for g in grids} == {9, 4}, functional
     # a Haar frame mixes the factors' planes, so it contracts the assembled tensors
     batches.clear()
-    functional_density(spec.metric, "gamma_d", frame="haar")(pts, np.arange(len(pts)))
-    assert batches == [(len(pts), 4, 4, 4, 4)]
+    integrate_functional(spec.metric, grid, "gamma_d", frame="haar", with_error_estimate=False)
+    assert batches == [(81, 4, 4, 4, 4)]
 
 
-def test_coordinate_frame_searches_each_factor_once_for_distinct_rows(monkeypatch):
-    import curvfun.geometry as G
-    import curvfun.quadrature as Q
+def _product_grid(name, n):
+    """A product metric and its grid with ``n`` nodes per axis; "s2xs2xs2" nests a product."""
+    if name == "s2xs2xs2":
+        first, second = manifold_by_name("s2xs2"), manifold_by_name("s2")
+        metric = MetricField.block_diagonal(first.metric, second.metric)
+        axes = first.default_grid.axes + second.default_grid.axes
+    else:
+        spec = manifold_by_name(name)
+        metric, axes = spec.metric, spec.default_grid.axes
+    return metric, Grid(tuple(Axis(a.lo, a.hi, n, a.periodic) for a in axes))
 
-    spec = manifold_by_name("e2xe2")
-    grid = Grid(tuple(Axis(a.lo, a.hi, 3, a.periodic) for a in spec.default_grid.axes))
-    pts, _ = grid.points_weights()
-    calls = []
 
-    def spy(points, depends_on, real=G._distinct_rows):
-        calls.append(len(points))
-        return real(points, depends_on)
-
-    monkeypatch.setattr(G, "_distinct_rows", spy)
-    monkeypatch.setattr(Q, "_distinct_rows", spy)
-    for functional in ("gamma_d", "gbc", "hilbert", "volume"):
-        calls.clear()
-        functional_density(spec.metric, functional)(pts, np.arange(len(pts)))
-        assert calls == [len(pts)] * 2, functional
+@pytest.mark.parametrize("name", ["s2xs2", "s3xs1", "e2xe2", "s2xs2xs2"])
+@pytest.mark.parametrize("functional", ["gamma_d", "gbc", "hilbert", "volume"])
+def test_product_integral_matches_the_per_node_integral(name, functional):
+    metric, grid = _product_grid(name, 4)
+    res = integrate_functional(metric, grid, functional)
+    full, _ = integrate(functional_density(metric, functional), grid)
+    if name == "s3xs1" and functional in ("gamma_d", "gbc"):
+        # every pairing of S^3 x S^1 has a plane that mixes the factors
+        assert (res.value, res.error_estimate) == (0.0, 0.0)
+        assert abs(full) < 1e-12
+    else:
+        assert res.value == pytest.approx(full, rel=1e-12)
