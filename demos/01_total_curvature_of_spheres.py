@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from curvfun import curvature_batch, integrate_functional, k_discrete, volume
+from curvfun import curvature_batch, integrate_functional, k_discrete
 from curvfun.zoo import ellipsoid_of_revolution, round_sphere, two_ellipsoid
 
 for dim in (2, 4):
@@ -21,7 +21,7 @@ for dim in (2, 4):
           % (dim, res.value, res.error_estimate))
 
 s4 = round_sphere(4)
-vol = volume(s4.metric, s4.default_grid).value
+vol = integrate_functional(s4.metric, s4.default_grid, functional="volume").value
 print("\n|S^4| = %.12f   vs 8 pi^2/3 = %.12f" % (vol, 8 * math.pi**2 / 3))
 
 # The total scalar curvature comes from the same machinery (sum of ordered

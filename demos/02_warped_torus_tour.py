@@ -26,7 +26,7 @@ for label, u in (("cos t + cos s", "cos(x1) + cos(x2)"),
     print("  sectional curvature matrix at (0.9, 0.4, 0, 0):")
     print(np.array_str(kmat[0], precision=6, suppress_small=True))
     print("  k_d   = % .6e" % k_discrete(kmat)[0])
-    print("  k_gbc = % .6e" % k_gbc(riemann_in_frame(riem, frames)).value[0])
+    print("  k_gbc = % .6e" % k_gbc(riemann_in_frame(riem, frames))[0])
 
     gd = integrate_functional(spec.metric, spec.default_grid, functional="gamma_d")
     gb = integrate_functional(spec.metric, spec.default_grid, functional="gbc")

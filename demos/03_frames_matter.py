@@ -14,8 +14,8 @@ rotating the frame changes the pointwise density.  Two experiments:
 import numpy as np
 
 from curvfun import curvature_batch, integrate_functional, k_discrete
-from curvfun.frames import point_rng, rotate_frame
-from curvfun.functionals import haar_product_estimate
+from curvfun.frames import haar_orthogonal, point_rng, rotate_frame
+from curvfun.functionals import haar_pair_average
 from curvfun.zoo import s2xs2, taubes_torus
 
 spec = s2xs2()
@@ -32,13 +32,16 @@ print("\n(chi(S^2 x S^2) = 4 is recovered only for factor-aligned frames.)")
 
 spec = taubes_torus("cos(x1) + cos(x2)")
 point = np.array([[0.9, 0.4, 0.0, 0.0]])
-k, riem, frames, g = curvature_batch(spec.metric, point)
+k, riem, frames, _ = curvature_batch(spec.metric, point)
 coord = k_discrete(k)[0]
-est = haar_product_estimate(riem[0], g[0], 4000, point_rng(123, 0))
+# 4000 Haar rotations of the point's coordinate frame, averaged as a batch of one
+draws = haar_orthogonal(4, point_rng(123, 0), 4000) @ frames[0]
+values, stderrs = haar_pair_average(riem, draws[None])
+value, stderr = values[0], stderrs[0]
 print("\nwarped torus at (0.9, 0.4, 0, 0):")
 print("  coordinate-frame k_d : % .6e" % coord)
-print("  Haar-averaged k_d    : % .6e +/- %.1e" % (est.value, est.stderr))
-print("  separation           : %.0f standard errors" % (abs(est.value - coord) / est.stderr))
+print("  Haar-averaged k_d    : % .6e +/- %.1e" % (value, stderr))
+print("  separation           : %.0f standard errors" % (abs(value - coord) / stderr))
 
 # On an isotropic space no frame is special, so the Monte Carlo functional
 # (Haar-averaged density at every node) reproduces the coordinate answer

@@ -7,11 +7,12 @@ Gauss-Bonnet-Chern integrand into a single exact rational number -- the
 classical 6-dimensional value that is awkward to trust through floats.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from curvfun.functionals import k_discrete, k_gbc
+from curvfun.functionals import gbc_raw_sum, k_discrete, k_gbc
 from curvfun.geometry import riemann_arrays, riemann_in_frame, sectional_from_riemann
 from curvfun.zoo import klembeck_patch
 
@@ -26,10 +27,12 @@ frame = np.full((1, 6, 6), Fraction(0), dtype=object)
 for i in range(6):
     frame[0, i, i] = Fraction(1)
 
-est = k_gbc(riemann_in_frame(riem, frame))
-print("signed double-permutation sum at the origin:", est.raw_sum[0])
-print("mean term raw/(6!)^2 = -9216/518400 =        ", est.mean_term[0])
-assert est.mean_term[0] == Fraction(-9216, 518400)
+riem_frame = riemann_in_frame(riem, frame)
+raw = gbc_raw_sum(riem_frame)[0]
+print("signed double-permutation sum at the origin:", raw)
+print("mean term raw/(6!)^2 = -9216/518400 =        ", raw / math.factorial(6) ** 2)
+assert raw / math.factorial(6) ** 2 == Fraction(-9216, 518400)
+print("GBC density (the sum, normalized, as a float):", k_gbc(riem_frame)[0])
 
 k = sectional_from_riemann(riem, frame)
 vals = sorted({k[0, i, j] for i in range(6) for j in range(6) if i != j})

@@ -24,18 +24,14 @@ from .errors import (
     SingularMetricError,
 )
 from .frames import (
-    gram_schmidt_frame,
     gram_schmidt_frames,
     haar_orthogonal,
     point_rng,
     rotate_frame,
 )
 from .functionals import (
-    GBCValue,
-    HaarEstimate,
     brute_force_perm_sum,
     gbc_raw_sum,
-    haar_product_estimate,
     k_discrete,
     k_gbc,
     matching_sum,
@@ -59,7 +55,6 @@ from .quadrature import (
     IntegralResult,
     integrate,
     integrate_functional,
-    volume,
 )
 from .zoo import MANIFOLD_NAMES, ManifoldSpec, manifold_by_name
 
@@ -88,7 +83,6 @@ __all__ = [
     "sectional_from_riemann",
     "curvature_batch",
     # frames
-    "gram_schmidt_frame",
     "gram_schmidt_frames",
     "rotate_frame",
     "haar_orthogonal",
@@ -102,17 +96,13 @@ __all__ = [
     "k_discrete",
     "gbc_raw_sum",
     "k_gbc",
-    "GBCValue",
     "scalar_curvature",
-    "haar_product_estimate",
-    "HaarEstimate",
     # quadrature
     "Axis",
     "Grid",
     "IntegralResult",
     "integrate",
     "integrate_functional",
-    "volume",
     "FUNCTIONALS",
     # catalog
     "ManifoldSpec",

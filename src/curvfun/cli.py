@@ -65,6 +65,8 @@ def _parse_params(items):
 def _resolve_manifold(args):
     """The chart named by ``--spec-file`` or ``--manifold``, checked against ``--functional``."""
     if args.spec_file:
+        if args.param:
+            raise ConfigError("--param does not apply to the spec file %s" % args.spec_file)
         spec = load_manifold_file(args.spec_file)
     elif not args.manifold:
         raise ConfigError("one of --manifold or --spec-file is required")

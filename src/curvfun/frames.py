@@ -2,6 +2,7 @@
 
 Frames are stored row-wise: ``frame[i, :]`` holds the chart components of
 the i-th frame vector, so orthonormality reads ``frame @ g @ frame.T = I``.
+``gram_schmidt_frames`` works on a batch of points, one frame per point.
 
 ``haar_orthogonal`` is the package's one Haar sampler: the ``haar`` frame
 strategy and the ``gamma_mc`` estimator both draw a node's rotations from it
@@ -15,7 +16,6 @@ import numpy as np
 from .errors import RankDeficientError
 
 __all__ = [
-    "gram_schmidt_frame",
     "gram_schmidt_frames",
     "rotate_frame",
     "haar_orthogonal",
@@ -25,18 +25,15 @@ __all__ = [
 RANK_TOL = 1e-10
 
 
-def gram_schmidt_frame(g, vectors):
-    """Orthonormalize ``vectors`` (rows) against the metric ``g``.
-
-    Ascending order: vector 0 is normalized first, each later vector has the
-    projections onto the earlier ones removed before its own normalization.
-    Raises :class:`RankDeficientError` if a residual norm falls below 1e-10.
-    """
-    return gram_schmidt_frames(g[None, :, :], np.asarray(vectors, dtype=float)[None, :, :])[0]
-
-
 def gram_schmidt_frames(g, vectors):
-    """Batched metric Gram-Schmidt; ``g`` (p, n, n), ``vectors`` (p, n, n)."""
+    """Orthonormalize each point's ``vectors`` (rows) against its metric.
+
+    ``g`` and ``vectors`` are batches (p, n, n); a single point is a batch of
+    one.  Ascending order: vector 0 is normalized first, each later vector
+    has the projections onto the earlier ones removed before its own
+    normalization.  Raises :class:`RankDeficientError` if a residual norm
+    falls below 1e-10.
+    """
     g = np.asarray(g, dtype=float)
     out = np.array(vectors, dtype=float, copy=True)
     npts, n = g.shape[0], g.shape[1]

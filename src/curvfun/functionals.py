@@ -1,6 +1,8 @@
 """Curvature functionals built from sectional curvatures.
 
-Three pointwise densities on a 2d-dimensional Riemannian manifold:
+Three pointwise densities on a 2d-dimensional Riemannian manifold, each
+taking a batch of points and returning a float array with one value per
+point:
 
 * ``k_discrete`` -- the symmetric-sum density: a constant times the sum over
   all permutations of the frame indices of the product of d sectional
@@ -19,9 +21,10 @@ Three pointwise densities on a 2d-dimensional Riemannian manifold:
   Haar-random orthonormal frames of the product of sectional curvatures of
   consecutive frame planes, times (2d)! and the same normalization constant.
   It is the one Monte Carlo estimator, batched over points and samples, with
-  a standard-error report; the ``gamma_mc`` quadrature density and the
-  single-point wrapper ``haar_product_estimate`` both call it.
+  a standard-error report; the ``gamma_mc`` quadrature density calls it.
 
+The unnormalized sums behind the first two, ``perm_sum`` and
+``gbc_raw_sum``, are exact on object arrays of Fractions.
 ``brute_force_perm_sum`` keeps the literal (2d)!-term permutation sum
 beside its reduction, as the public reference the tests check the reduction
 and the printed SU(3) permutation-sum convention against; the brute-force
@@ -32,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -48,11 +50,8 @@ __all__ = [
     "k_discrete",
     "gbc_raw_sum",
     "k_gbc",
-    "GBCValue",
     "scalar_curvature",
     "haar_pair_average",
-    "haar_product_estimate",
-    "HaarEstimate",
 ]
 
 
@@ -171,24 +170,14 @@ def brute_force_perm_sum(k):
     return total[0] if single else total
 
 
-def k_discrete(k, normalization="geometric"):
+def k_discrete(k):
     """Pointwise symmetric-sum curvature density from sectional matrices.
 
-    ``normalization="geometric"`` multiplies the permutation sum by
-    1/(d!(4 pi)^d), which collapses to matching_sum / (2 pi)^d; ``"raw"``
-    returns the bare permutation sum (exact for Fraction input).
+    The permutation sum times 1/(d!(4 pi)^d), which collapses to
+    matching_sum / (2 pi)^d; a float for each point, Fraction input included.
     """
-    k = np.asarray(k)
-    n = k.shape[-2]
-    d = _check_even(n)
-    if normalization == "raw":
-        return perm_sum(k)
-    if normalization != "geometric":
-        raise ValueError("unknown normalization %r" % (normalization,))
-    ms = matching_sum(k)
-    if np.asarray(ms).dtype == object:
-        ms = np.vectorize(float)(ms) if np.ndim(ms) else float(ms)
-    return ms / (2 * math.pi) ** d
+    d = _check_even(np.shape(k)[-1])
+    return np.asarray(matching_sum(k), dtype=float) / (2 * math.pi) ** d
 
 
 # -- sign-weighted double-permutation density --------------------------------
@@ -260,44 +249,14 @@ def gbc_raw_sum(riem_frame):
     return out[0] if single else out
 
 
-@dataclass
-class GBCValue:
-    """Result of the sign-weighted density at one or more points.
+def k_gbc(riem_frame):
+    """Sign-weighted curvature density from frame-contracted Riemann tensors.
 
-    ``raw_sum`` is the bare double-permutation sum (exact when the input
-    was exact); ``mean_term`` is raw_sum / ((2d)!)^2, the average over the
-    permutation pairs; ``value`` is the geometrically normalized density
-    2^(-d) C_d raw_sum, which integrates to the Euler characteristic.
+    ``gbc_raw_sum`` times 2^(-d) C_d, which integrates to the Euler
+    characteristic; a float for each point, Fraction input included.
     """
-
-    value: object
-    raw_sum: object
-    mean_term: object
-    dim: int
-
-
-def k_gbc(riem_frame, normalization="geometric"):
-    """Sign-weighted curvature density from a frame-contracted Riemann tensor."""
-    r = np.asarray(riem_frame)
-    n = r.shape[-2]
-    d = _check_even(n)
-    raw = gbc_raw_sum(riem_frame)
-    npairs = math.factorial(n) ** 2
-    if np.asarray(raw).dtype == object:
-        from fractions import Fraction
-
-        mean = raw * Fraction(1, npairs) if np.ndim(raw) == 0 else raw / Fraction(npairs)
-        raw_f = float(raw) if np.ndim(raw) == 0 else np.vectorize(float)(raw)
-    else:
-        mean = raw / npairs
-        raw_f = raw
-    if normalization == "raw":
-        value = raw
-    elif normalization == "geometric":
-        value = raw_f * (normalization_constant(d) / 2**d)
-    else:
-        raise ValueError("unknown normalization %r" % (normalization,))
-    return GBCValue(value=value, raw_sum=raw, mean_term=mean, dim=n)
+    d = _check_even(np.shape(riem_frame)[-1])
+    return np.asarray(gbc_raw_sum(riem_frame), dtype=float) * (normalization_constant(d) / 2**d)
 
 
 def scalar_curvature(k):
@@ -313,15 +272,6 @@ def scalar_curvature(k):
 
 
 # -- Haar-averaged density ----------------------------------------------------
-
-
-@dataclass
-class HaarEstimate:
-    """Monte Carlo estimate of the frame-averaged density at a point."""
-
-    value: float
-    stderr: float
-    nsamples: int
 
 
 def haar_pair_average(riem, frames):
@@ -348,20 +298,3 @@ def haar_pair_average(riem, frames):
     scale = math.factorial(n) * normalization_constant(d)
     return scale * prods.mean(axis=1), scale * prods.std(axis=1, ddof=1) / math.sqrt(nsamples)
 
-
-def haar_product_estimate(riem, g, nsamples, rng, base_frame=None):
-    """Single-point Haar estimate of the consecutive-pair product average.
-
-    Draws ``nsamples`` Haar-orthogonal rotations of a g-orthonormal base
-    frame (Gram-Schmidt of the chart basis unless ``base_frame`` is given)
-    and averages with :func:`haar_pair_average`.
-    """
-    from .frames import gram_schmidt_frame, haar_orthogonal
-
-    riem = np.asarray(riem, dtype=float)
-    n = riem.shape[0]
-    if base_frame is None:
-        base_frame = gram_schmidt_frame(np.asarray(g, dtype=float), np.eye(n))
-    frames = haar_orthogonal(n, rng, nsamples) @ base_frame
-    value, stderr = haar_pair_average(riem[None], frames[None])
-    return HaarEstimate(value=float(value[0]), stderr=float(stderr[0]), nsamples=nsamples)

@@ -17,9 +17,10 @@ axis outside ``metric.depends_on``, so :func:`integrate_functional`
 evaluates it on the grid with each such axis collapsed to one node, its
 midpoint, weighted by the axis length (the sum of its weights).  The
 half-resolution estimate grid is collapsed the same way.  Only the
-densities that draw Haar frames per node (``gamma_mc`` and the ``"haar"``
-frame) keep the requested grid; their curvature is still computed once per
-distinct row of the metric's ``depends_on`` columns in a chunk (see
+densities that draw Haar frames per node (``gamma_mc``, and the ``"haar"``
+frame for every functional but ``volume``, which draws no frame) keep the
+requested grid; their curvature is still computed once per distinct row of
+the metric's ``depends_on`` columns in a chunk (see
 :func:`curvfun.geometry.curvature_chunk`), and only the Haar draws and the
 contraction run per node.  The result's ``n_points`` is still the requested
 grid's, and a failing node's coordinate on a collapsed axis reads that
@@ -73,7 +74,6 @@ __all__ = [
     "integrate",
     "functional_density",
     "integrate_functional",
-    "volume",
     "FUNCTIONALS",
 ]
 
@@ -253,11 +253,11 @@ def _contract(functional, riem, frames):
     if functional == "gamma_d":
         return k_discrete(sectional_from_riemann(riem, frames))
     if functional == "gbc":
-        return k_gbc(riemann_in_frame(riem, frames)).value
+        return k_gbc(riemann_in_frame(riem, frames))
     return scalar_curvature(sectional_from_riemann(riem, frames))
 
 
-def _factored_integral(metric, functional, grid, workers, chunk):
+def _factored_integral(metric, functional, grid, workers):
     """Coordinate-frame integral over ``grid``; a product's from its factors' integrals.
 
     A product's grid is the tensor product of its factors' sub-grids and its
@@ -269,7 +269,7 @@ def _factored_integral(metric, functional, grid, workers, chunk):
     """
     if metric.factors is None:
         density = functional_density(metric, functional)
-        return integrate(density, grid, workers=workers, chunk=chunk)[0]
+        return integrate(density, grid, workers=workers)[0]
     if functional in ("gamma_d", "gbc") and any(f.dim % 2 for f in metric.factors):
         return 0.0
     n1 = metric.factors[0].dim
@@ -277,7 +277,7 @@ def _factored_integral(metric, functional, grid, workers, chunk):
 
     def part(k, name):
         try:
-            return _factored_integral(metric.factors[k], name, grids[k], workers, chunk)
+            return _factored_integral(metric.factors[k], name, grids[k], workers)
         except ChartSingularityError as exc:
             parts = [[a.nodes_weights()[0][0] for a in g.axes] for g in grids]
             parts[k] = exc.point
@@ -341,14 +341,14 @@ def integrate_functional(
     seed=0,
     nsamples=64,
     workers=1,
-    chunk=DEFAULT_CHUNK,
     with_error_estimate=True,
 ):
     """Integrate a curvature functional over a chart grid.
 
     The density is evaluated on ``grid`` with the axes outside
     ``metric.depends_on`` collapsed to one node each, unless it draws Haar
-    frames per node (``gamma_mc``, the ``"haar"`` frame).  A product's
+    frames per node (``gamma_mc``, the ``"haar"`` frame); ``volume`` draws
+    none, so it reads the same in every frame.  A product's
     ``volume``, and its other coordinate-frame functionals, come from its
     factors' integrals (:func:`_factored_integral`).  ``n_points`` is the
     requested grid's.  ``error_estimate`` is the difference against the
@@ -356,16 +356,17 @@ def integrate_functional(
     evaluated grid does not coarsen (every axis has one node).
     """
     density = functional_density(metric, functional, frame=frame, seed=seed, nsamples=nsamples)
+    if functional == "volume":
+        frame = "coordinate"
     per_node = functional == "gamma_mc" or (isinstance(frame, str) and frame == "haar")
     evaluated = grid if per_node else grid.collapse(metric.depends_on)
     # a string frame that is not per node is the coordinate frame, aligned with the factors
-    factored = metric.factors is not None and (
-        functional == "volume" or (isinstance(frame, str) and not per_node))
+    factored = metric.factors is not None and isinstance(frame, str) and not per_node
 
     def run(g):
         if factored:
-            return _factored_integral(metric, functional, g, workers, chunk), None
-        return integrate(density, g, workers=workers, chunk=chunk)
+            return _factored_integral(metric, functional, g, workers), None
+        return integrate(density, g, workers=workers)
 
     value, stderr = run(evaluated)
     err = None
@@ -374,8 +375,3 @@ def integrate_functional(
         err = abs(value - run(coarse_grid)[0])
     return IntegralResult(value=value, error_estimate=err, n_points=grid.n_points, stderr=stderr)
 
-
-def volume(metric, grid, workers=1, chunk=DEFAULT_CHUNK, with_error_estimate=True):
-    """Riemannian volume of the chart domain."""
-    return integrate_functional(metric, grid, "volume", workers=workers, chunk=chunk,
-                                with_error_estimate=with_error_estimate)

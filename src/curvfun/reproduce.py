@@ -31,9 +31,9 @@ import numpy as np
 from . import discrete as D
 from . import liegroups as LG
 from . import zoo
-from .functionals import k_discrete, k_gbc, matching_sum, perm_sum
+from .functionals import gbc_raw_sum, k_discrete, matching_sum, perm_sum
 from .geometry import curvature_batch, curvature_chunk
-from .quadrature import integrate_functional, volume
+from .quadrature import integrate_functional
 
 __all__ = ["CheckResult", "run_case", "CASE_NAMES"]
 
@@ -108,7 +108,7 @@ def _case_spheres(workers):
     out.append(_check("spheres", "gamma_d(S^2)", 2.0, _gamma(s2, workers), 1e-6, "quoted"))
     s4 = zoo.round_sphere(4)
     out.append(_check("spheres", "gamma_d(S^4)", 2.0, _gamma(s4, workers), 1e-3, "quoted"))
-    vol = volume(s4.metric, s4.default_grid, workers=workers).value
+    vol = _gamma(s4, workers, "volume")
     out.append(
         _check("spheres", "volume(S^4)", 8 * math.pi**2 / 3, vol, 1e-6, "quoted")
     )
@@ -208,8 +208,7 @@ def _case_rp2(workers):
     gauss_dev = float(np.max(np.abs(k[:, 0, 1] - 0.5)))
     out.append(_check("rp2", "gauss curvature constant 1/2 (max dev, 10 pts)", 0.0,
                       gauss_dev, 1e-8, "quoted"))
-    out.append(_check("rp2", "volume", 4 * math.pi,
-                      volume(spec.metric, spec.default_grid, workers=workers).value,
+    out.append(_check("rp2", "volume", 4 * math.pi, _gamma(spec, workers, "volume"),
                       1e-6, "quoted"))
     out.append(_check("rp2", "gamma_d", 1.0, _gamma(spec, workers), 1e-5, "quoted",
                       note="chi(RP^2) = 1"))
@@ -323,17 +322,18 @@ def _case_klembeck(workers):
     expected_pairs |= {(j, i) for i, j in expected_pairs}
     out.append(_check("klembeck", "curved planes form two triangles", True,
                       curved == expected_pairs, None, "quoted"))
-    gbc = k_gbc(riem_exact)
+    raw = gbc_raw_sum(riem_exact)
     out.append(_check("klembeck", "origin GBC mean term", Fraction(-9216, 518400),
-                      gbc.mean_term, None, "quoted",
+                      raw / math.factorial(6) ** 2, None, "quoted",
                       note="printed as -9216/(6!)^2; raw double-permutation sum -9216"))
-    out.append(_check("klembeck", "origin GBC raw sum", Fraction(-9216), gbc.raw_sum,
+    out.append(_check("klembeck", "origin GBC raw sum", Fraction(-9216), raw,
                       None, "quoted"))
     out.append(_check("klembeck", "origin k_discrete", Fraction(0),
-                      k_discrete(k_exact, normalization="raw"), None, "derived",
+                      perm_sum(k_exact), None, "derived",
                       note="the printed claim is non-negativity, which holds; the "
                       "two-triangle support makes every pairing product vanish"))
-    out.append(_check("klembeck", "k_gbc < 0 at origin", True, bool(gbc.value < 0),
+    # k_gbc is raw times a positive constant
+    out.append(_check("klembeck", "k_gbc < 0 at origin", True, bool(raw < 0),
                       None, "quoted"))
     return out
 

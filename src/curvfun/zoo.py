@@ -592,8 +592,8 @@ def _spec_axis(k, a):
     for key in ("lo", "hi", "n"):
         if key not in a:
             raise ValueError('spec file: axis %d has no "%s"' % (k, key))
-    if isinstance(a["n"], bool) or not isinstance(a["n"], int):
-        raise ValueError('spec file: axis %d "n" must be an integer' % k)
+    if isinstance(a["n"], bool) or not isinstance(a["n"], int) or a["n"] < 1:
+        raise ConfigError('spec file: axis %d "n" must be a positive integer' % k)
 
     def bound(key):
         v = a[key]

@@ -147,6 +147,6 @@ def block_density(metric, functional, points):
     if functional == "volume":
         return vol
     if functional == "gbc":
-        return k_gbc(riemann_in_frame(riem, base)).value * vol
+        return k_gbc(riemann_in_frame(riem, base)) * vol
     k = sectional_from_riemann(riem, base)
     return (k_discrete(k) if functional == "gamma_d" else scalar_curvature(k)) * vol

@@ -17,9 +17,9 @@ from curvfun.cli import main as cli_main
 from curvfun.frames import haar_orthogonal, point_rng
 from curvfun.functionals import (
     brute_force_perm_sum,
-    haar_product_estimate,
+    gbc_raw_sum,
+    haar_pair_average,
     k_discrete,
-    k_gbc,
     perm_sum,
 )
 from curvfun.geometry import (
@@ -30,7 +30,7 @@ from curvfun.geometry import (
     sectional_from_riemann,
 )
 from curvfun import liegroups as LG
-from curvfun.quadrature import integrate, integrate_functional, volume
+from curvfun.quadrature import integrate, integrate_functional
 from oracles import christoffel_fd
 
 
@@ -50,7 +50,7 @@ def test_criterion_01_round_spheres_normalization():
     s4 = zoo.round_sphere(4)  # 17x17x17x16 grid
     assert tuple(a.n for a in s4.default_grid.axes) == (17, 17, 17, 16)
     assert abs(_gamma(s4) - 2.0) <= 1e-3
-    vol = volume(s4.metric, s4.default_grid, with_error_estimate=False).value
+    vol = _gamma(s4, functional="volume")
     assert abs(vol - 8 * math.pi**2 / 3) <= 1e-6
 
 
@@ -96,8 +96,8 @@ def test_criterion_04_gbc_exactness_and_flat_limit():
         for j in range(6):
             if frames[0, i, j] == 0:
                 frames[0, i, j] = Fraction(0)
-    val = k_gbc(riemann_in_frame(riem, frames))
-    assert val.mean_term[0] == Fraction(-9216, 518400)  # printed -9216/(6!)^2
+    raw = gbc_raw_sum(riemann_in_frame(riem, frames))
+    assert raw[0] / math.factorial(6) ** 2 == Fraction(-9216, 518400)  # printed -9216/(6!)^2
     k = sectional_from_riemann(riem, frames)
     assert {k[0, i, j] for i in range(6) for j in range(6) if i != j} == {
         Fraction(0),
@@ -153,7 +153,7 @@ def test_criterion_07_so4_vanishes_exactly():
     alg = LG.so4()
     K = LG.sectional_exact(alg)
     karr = np.array([[Fraction(K[i][j]) for j in range(6)] for i in range(6)], dtype=object)
-    assert k_discrete(karr, normalization="raw") == Fraction(0)
+    assert perm_sum(karr) == Fraction(0)
     assert LG.gamma_d_group(alg, 1.0) == 0.0
 
 
@@ -171,8 +171,7 @@ def test_criterion_08_ellipsoids_and_projective_plane():
     rpts = rp2.interior_points(20, seed=9)
     rk, _, _, _ = curvature_batch(rp2.metric, rpts)
     assert np.max(np.abs(rk[:, 0, 1] - 0.5)) <= 1e-8
-    assert abs(volume(rp2.metric, rp2.default_grid, with_error_estimate=False).value
-               - 4 * math.pi) <= 1e-6
+    assert abs(_gamma(rp2, functional="volume") - 4 * math.pi) <= 1e-6
     assert abs(_gamma(rp2) - 1.0) <= 1e-5
 
 
@@ -205,8 +204,9 @@ def test_criterion_10_frame_dependence_is_visible():
     pt = np.array([[0.9, 1.7, 0.0, 0.0]])
     k, riem, frames, g = curvature_batch(spec.metric, pt)
     kd_coord = k_discrete(k)[0]
-    est = haar_product_estimate(riem[0], g[0], 4000, point_rng(123, 0))
-    assert abs(est.value - kd_coord) > 3 * est.stderr
+    draws = haar_orthogonal(4, point_rng(123, 0), 4000) @ frames[0]
+    value, stderr = haar_pair_average(riem, draws[None])
+    assert abs(value[0] - kd_coord) > 3 * stderr[0]
     # rotating S^2 x S^2 frames away from the product split lowers gamma_d
     exe = zoo.s2xs2()
     grid = exe.default_grid

@@ -482,6 +482,9 @@ _S2_METRIC = [["1", "0"], ["0", "sin(x1)^2"]]
     ([], [_BOX_AXIS, {"lo": 0, "hi": "exp(1000)", "n": 3}], None, 'axis 2 "hi"'),
     ([], [_BOX_AXIS, {"lo": -1e999, "hi": 0, "n": 3}], None, 'axis 2 "lo": -inf is not finite'),
     ([], [_BOX_AXIS, {"lo": 0, "hi": 10**400, "n": 3}], None, 'axis 2 "hi": int too large'),
+    # a node count below 1 used to reach the catch-all handler without naming the axis
+    ([], [_BOX_AXIS, {"lo": 0, "hi": 1, "n": 0}], None, 'axis 2 "n" must be a positive integer'),
+    ([], [{"lo": 0, "hi": 1, "n": -1}, _BOX_AXIS], None, 'axis 1 "n" must be a positive integer'),
 ])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, axes, metric, named):
     if axes is not None:
@@ -492,6 +495,17 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, axes, met
     assert out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("configuration error") and named in err, err
+
+
+@pytest.mark.parametrize("command", [["compute"], ["frame-sweep", "--plane", "1,2"]])
+def test_param_with_a_spec_file_exits_2(tmp_path, capsys, command):
+    # used to exit 0 and record a parameter that built nothing
+    spec_file = _box_spec(tmp_path, [["1", "0"], ["0", "1"]])
+    code, out, err = run(capsys, command + ["--spec-file", spec_file, "--param", "a=1",
+                                            "--no-timing"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("configuration error") and "--param" in err, err
 
 
 def test_node_dependent_expression_failure_still_exits_3_naming_the_node(capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from curvfun.errors import NonOrthonormalFrameError, RankDeficientError
 from curvfun.frames import (
-    gram_schmidt_frame,
     gram_schmidt_frames,
     haar_orthogonal,
     point_rng,
@@ -23,7 +22,7 @@ def test_gram_schmidt_orthonormal_wrt_metric():
     rng = np.random.default_rng(0)
     for n in (2, 4, 6):
         g = random_spd(n, rng)
-        f = gram_schmidt_frame(g, np.eye(n))
+        f = gram_schmidt_frames(g[None], np.eye(n)[None])[0]
         gram = f @ g @ f.T
         assert np.max(np.abs(gram - np.eye(n))) < 1e-12
         check_orthonormal(g, f)  # must not raise
@@ -34,7 +33,7 @@ def test_gram_schmidt_batched_matches_single():
     gs = np.stack([random_spd(4, rng) for _ in range(5)])
     frames = gram_schmidt_frames(gs, np.broadcast_to(np.eye(4), gs.shape))
     for p in range(5):
-        single = gram_schmidt_frame(gs[p], np.eye(4))
+        single = gram_schmidt_frames(gs[p : p + 1], np.eye(4)[None])[0]
         assert np.max(np.abs(frames[p] - single)) < 1e-12
 
 
@@ -42,7 +41,7 @@ def test_rank_deficient_basis_rejected():
     g = np.eye(3)
     basis = np.array([[1.0, 0, 0], [2.0, 0, 0], [0, 0, 1.0]])
     with pytest.raises(RankDeficientError):
-        gram_schmidt_frame(g, basis)
+        gram_schmidt_frames(g[None], basis[None])
 
 
 def test_check_orthonormal_rejects_skew():
@@ -55,7 +54,7 @@ def test_check_orthonormal_rejects_skew():
 def test_rotate_frame_preserves_orthonormality():
     rng = np.random.default_rng(2)
     g = random_spd(4, rng)
-    f = gram_schmidt_frame(g, np.eye(4))
+    f = gram_schmidt_frames(g[None], np.eye(4)[None])[0]
     r = rotate_frame(f, 0, 2, 0.7)
     check_orthonormal(g, r)
     # rotating by zero is the identity

@@ -13,7 +13,7 @@ from curvfun.functionals import (
     _gbc_combos,
     brute_force_perm_sum,
     gbc_raw_sum,
-    haar_product_estimate,
+    haar_pair_average,
     k_discrete,
     k_gbc,
     matching_sum,
@@ -22,7 +22,7 @@ from curvfun.functionals import (
     perm_sum,
     scalar_curvature,
 )
-from curvfun.frames import point_rng
+from curvfun.frames import gram_schmidt_frames, haar_orthogonal, point_rng
 from curvfun.geometry import riemann_arrays
 from curvfun.quadrature import functional_density
 from curvfun.zoo import taubes_torus
@@ -104,10 +104,8 @@ def test_k_discrete_geometric_normalization():
     # constant curvature 1 on S^4-like pairings: k_d = matching_sum/(2 pi)^2
     k = symmetric_zero_diag(np.ones(6), 4)
     assert k_discrete(k) == pytest.approx(3 / (2 * math.pi) ** 2)
-    # "raw" is the bare permutation sum: 2^d d! * matching_sum = 8 * 3
-    assert k_discrete(k, normalization="raw") == pytest.approx(24.0)
-    with pytest.raises(ValueError):
-        k_discrete(k, normalization="bogus")
+    # the bare permutation sum: 2^d d! * matching_sum = 8 * 3
+    assert perm_sum(k) == pytest.approx(24.0)
 
 
 def test_k_discrete_odd_dimension_rejected():
@@ -135,11 +133,8 @@ def test_gbc_sphere_pattern_value():
     r = np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye)
     raw = gbc_raw_sum(r[None])[0]
     assert raw == pytest.approx(96.0)
-    v = k_gbc(r[None])
-    assert v.raw_sum[0] == pytest.approx(96.0)
-    assert v.mean_term[0] == pytest.approx(96.0 / math.factorial(4) ** 2)
     # integrating this constant density over |S^4| = 8 pi^2/3 gives 2
-    assert v.value[0] * 8 * math.pi**2 / 3 == pytest.approx(2.0)
+    assert k_gbc(r[None])[0] * 8 * math.pi**2 / 3 == pytest.approx(2.0)
 
 
 def test_gbc_exact_fraction_path():
@@ -151,9 +146,13 @@ def test_gbc_exact_fraction_path():
             for k in range(n):
                 for l in range(n):
                     r[0, i, j, k, l] = Fraction(int(i == k) * int(j == l) - int(i == l) * int(j == k))
-    v = k_gbc(r)
-    assert v.raw_sum[0] == Fraction(96)
-    assert v.mean_term[0] == Fraction(96, 576)
+    raw = gbc_raw_sum(r)
+    assert raw[0] == Fraction(96)
+    assert raw[0] / math.factorial(4) ** 2 == Fraction(96, 576)
+    # the density is a float array, the exact sum rounded once and scaled
+    density = k_gbc(r)
+    assert density.dtype == np.float64
+    assert density[0] == float(raw[0]) * (normalization_constant(2) / 2**2)
 
 
 def test_scalar_curvature_sums_ordered_pairs():
@@ -168,10 +167,9 @@ def test_haar_estimate_consistent_on_isotropic_tensor():
     eye = np.eye(n)
     r = np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye)
     k = symmetric_zero_diag(np.ones(6), n)
-    est = haar_product_estimate(r, eye, 200, point_rng(0, 0))
-    assert est.value == pytest.approx(k_discrete(k), rel=1e-12)
-    assert est.stderr < 1e-14
-    assert est.nsamples == 200
+    value, stderr = haar_pair_average(r[None], haar_orthogonal(n, point_rng(0, 0), 200)[None])
+    assert value[0] == pytest.approx(k_discrete(k), rel=1e-12)
+    assert stderr[0] < 1e-14
 
 
 def test_haar_estimate_converges_on_anisotropic_tensor():
@@ -182,25 +180,27 @@ def test_haar_estimate_converges_on_anisotropic_tensor():
     r = a - a.transpose(1, 0, 2, 3)
     r = r - r.transpose(0, 1, 3, 2)
     r = r + r.transpose(2, 3, 0, 1)
-    e1 = haar_product_estimate(r, np.eye(4), 4000, point_rng(1, 0))
-    e2 = haar_product_estimate(r, np.eye(4), 4000, point_rng(2, 0))
-    assert abs(e1.value - e2.value) < 4 * math.hypot(e1.stderr, e2.stderr)
+    frames = np.stack([haar_orthogonal(4, point_rng(seed, 0), 4000) for seed in (1, 2)])
+    (v1, v2), (s1, s2) = haar_pair_average(np.stack([r, r]), frames)
+    assert abs(v1 - v2) < 4 * math.hypot(s1, s2)
 
 
 def test_gamma_mc_density_is_the_single_point_estimate():
-    """The quadrature density at a node is the single-point estimate, seeded
-    by that node's stream, times the volume element."""
+    """The quadrature density at a node is the Haar average over that node's
+    own draws, a batch of one, times the volume element."""
     metric = taubes_torus().metric
     pts = np.array([[0.9, 0.4, 0.0, 0.0], [1.3, 2.1, 0.5, 0.2]])
     nodes = np.array([3, 17])
     vals, stderrs = functional_density(metric, "gamma_mc", seed=5, nsamples=16)(pts, nodes)
     g, dg, d2g = metric.jets(pts)
     riem = riemann_arrays(g, dg, d2g)
+    base = gram_schmidt_frames(g, np.broadcast_to(np.eye(4), g.shape))
     for row, node in enumerate(nodes):
-        est = haar_product_estimate(riem[row], g[row], 16, point_rng(5, node))
+        frames = haar_orthogonal(4, point_rng(5, node), 16) @ base[row]
+        value, stderr = haar_pair_average(riem[row : row + 1], frames[None])
         dv = math.sqrt(np.linalg.det(g[row]))
-        assert vals[row] == pytest.approx(est.value * dv, rel=1e-12)
-        assert stderrs[row] == pytest.approx(est.stderr * dv, rel=1e-12)
+        assert vals[row] == pytest.approx(value[0] * dv, rel=1e-12)
+        assert stderrs[row] == pytest.approx(stderr[0] * dv, rel=1e-12)
 
 
 def test_gbc_dimension_8_memory_is_bounded():
@@ -216,7 +216,7 @@ def test_gbc_dimension_8_memory_is_bounded():
     _gbc_combos(n)  # the cached table is not part of the per-call peak
     tracemalloc.start()
     try:
-        values = k_gbc(batch).value
+        values = k_gbc(batch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -241,7 +241,6 @@ def test_gbc_sum_does_not_depend_on_slicing():
 def test_gbc_density_is_invariant_under_frame_rotation():
     """The signed double-permutation density does not depend on the frame:
     a Haar O(n) rotation of the Gram-Schmidt frames leaves it unchanged."""
-    from curvfun.frames import haar_orthogonal
     from curvfun.geometry import curvature_batch, riemann_in_frame
     from curvfun.zoo import klembeck_patch, round_sphere
 
@@ -249,6 +248,6 @@ def test_gbc_density_is_invariant_under_frame_rotation():
         pts = spec.interior_points(20, seed=11)
         _, riem, frames, _ = curvature_batch(spec.metric, pts)
         rotated = haar_orthogonal(spec.dim, np.random.default_rng(12), 20) @ frames
-        base = k_gbc(riemann_in_frame(riem, frames)).value
-        turned = k_gbc(riemann_in_frame(riem, rotated)).value
+        base = k_gbc(riemann_in_frame(riem, frames))
+        turned = k_gbc(riemann_in_frame(riem, rotated))
         assert turned == pytest.approx(base, rel=1e-12)

@@ -67,3 +67,17 @@ def test_package_modules_use_every_name_they_import():
     unused = [entry for path in sorted((ROOT / "src" / "curvfun").glob("*.py"))
               for entry in _unused_imports(path)]
     assert unused == []
+
+
+def test_every_exported_name_resolves():
+    import importlib
+
+    modules = ["curvfun"] + ["curvfun." + path.stem
+                             for path in sorted((ROOT / "src" / "curvfun").glob("*.py"))
+                             if path.stem != "__init__"]
+    stale = []
+    for name in modules:
+        module = importlib.import_module(name)
+        stale += ["%s.%s" % (name, attr) for attr in getattr(module, "__all__", ())
+                  if not hasattr(module, attr)]
+    assert stale == []
