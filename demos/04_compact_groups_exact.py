@@ -11,26 +11,18 @@ import math
 import numpy as np
 
 from curvfun.frames import haar_orthogonal
-from curvfun.functionals import matching_sum, normalization_constant
-from curvfun.liegroups import (
-    biinvariant_sectional,
-    gamma_d_group,
-    pairing_sums_exact,
-    rotate_algebra,
-    sectional_exact,
-    so4,
-    su3,
-)
+from curvfun.functionals import matching_sum, normalization_constant, perm_sum
+from curvfun.liegroups import biinvariant_sectional, gamma_d_group, rotate_algebra, so4, su3
 
 alg = su3()
-table = sectional_exact(alg)
+table = alg.k_exact
 print("su(3), orthonormal basis for -2 Re tr(XY):")
 print("exact sectional curvature table:")
 width = max(len(str(v)) for row in table for v in row)
 for row in table:
     print("   ", "  ".join(str(v).rjust(width) for v in row))
 
-msum, psum = pairing_sums_exact(alg)
+msum, psum = matching_sum(table[None])[0], perm_sum(table[None])[0]
 print("\nmatching sum    =", msum, " (over the 105 perfect matchings of 8 indices)")
 print("permutation sum =", psum, "   (free sum over all 8! index orderings)")
 assert psum == msum * 2**4 * math.factorial(4)
@@ -43,7 +35,7 @@ print("             = pi^5 * %s * %s = 117 pi / 2^17 ~ %.16f"
 assert abs(gamma - 117 * math.pi / 2**17) < 1e-15
 
 alg4 = so4()
-msum4, _ = pairing_sums_exact(alg4)
+msum4 = matching_sum(alg4.k_exact[None])[0]
 print("\nso(4): matching sum =", msum4)
 print("so(4) = su(2) + su(2); every perfect matching of 6 indices pairs at")
 print("least one generator from each commuting factor (K = 0), so the density")
@@ -52,7 +44,7 @@ print("-- and hence gamma -- vanishes identically, whatever the volume is.")
 # Rotating the basis keeps the algebra closed but the pairing density is a
 # basis-dependent quantity, even on a group.
 rotated = rotate_algebra(su3(), haar_orthogonal(8, np.random.default_rng(7)))
-drift = matching_sum(biinvariant_sectional(rotated))
+drift = matching_sum(biinvariant_sectional(rotated)[None])[0]
 print("\nsu(3) after one random orthogonal change of basis:")
 print("  matching sum drifts from %s = %.8f to %.8f"
       % (msum, float(msum), float(drift)))

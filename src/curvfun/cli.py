@@ -35,7 +35,7 @@ from .errors import (
     SingularMetricError,
 )
 from .frames import rotate_frame
-from .functionals import k_discrete
+from .functionals import k_discrete, matching_sum, perm_sum
 from .quadrature import FUNCTIONALS, Axis, Grid, integrate, integrate_functional
 from .reproduce import CASE_NAMES, run_case
 from .zoo import MANIFOLD_NAMES, load_manifold_file, manifold_by_name
@@ -168,7 +168,7 @@ def _compute_group(args):
         frame = haar_orthogonal(alg.dim, point_rng(args.seed, 0))
     if frame_record["strategy"] != "coordinate":
         alg = LG.rotate_algebra(alg, frame)
-    density = float(k_discrete(LG.biinvariant_sectional(alg)))
+    density = float(k_discrete(LG.biinvariant_sectional(alg)[None])[0])
     volume = LG.VOLUMES.get(args.manifold)
     if volume is None and density != 0:
         raise ConfigError("the %s k_d density in the %s frame is nonzero (%.6g), and the volume "
@@ -179,10 +179,10 @@ def _compute_group(args):
     record.update(n_points=1, samples=None, value=0.0 if volume is None else density * volume,
                   error_estimate=0.0, stderr=None, k_d_density=density, group_volume=volume)
     if args.manifold == "su3" and frame_record["strategy"] == "coordinate":
-        ms, ps = LG.pairing_sums_exact(alg)
+        k = alg.k_exact[None]
         record["exact"] = {
-            "matching_sum": str(ms),
-            "permutation_sum": str(ps),
+            "matching_sum": str(matching_sum(k)[0]),
+            "permutation_sum": str(perm_sum(k)[0]),
             "gamma_closed_form": "117*pi/2^17",
         }
     return record

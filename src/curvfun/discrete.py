@@ -18,11 +18,13 @@ h = omega, where both sides are the Euler characteristic).
 L is the face-inclusion product Z diag(h) Z^T, exact in Python ints or
 Fractions.  The Green sum is a generic solve of L x = 1 (not the Moebius
 closed form), so sum g = sum 1/h stays a check.
+
+Complexes are built in memory: Whitney complexes of given or random graphs.
+The module reads and writes no files.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -42,9 +44,6 @@ __all__ = [
     "transported_index",
     "random_graph",
     "random_corpus",
-    "all_complexes_on",
-    "load_complex",
-    "dump_complex",
 ]
 
 
@@ -81,16 +80,6 @@ class SimplicialComplex:
         out.vertices = tuple(sorted({v for s in out.simplices for v in s}))
         out._index = {s: i for i, s in enumerate(out.simplices)}
         return out
-
-    @classmethod
-    def generated_by(cls, sets):
-        """Closure of the given vertex sets under nonempty subsets."""
-        out = set()
-        for s in sets:
-            s = tuple(sorted(set(s)))
-            for k in range(1, len(s) + 1):
-                out.update(combinations(s, k))
-        return cls(out)
 
     def __len__(self):
         return len(self.simplices)
@@ -260,43 +249,6 @@ def random_corpus(count, seed, n_range=(4, 8), ps=(0.3, 0.5, 0.7)):
     return out
 
 
-def all_complexes_on(max_vertices=4):
-    """Every simplicial complex on a vertex subset of {0..max_vertices-1}.
-
-    Enumerates all downward-closed families of nonempty subsets.  The
-    count grows doubly exponentially; max_vertices = 4 (15 candidate
-    simplices, 2^15 families to filter) is the intended scale.
-    """
-    ground = list(range(max_vertices))
-    subsets = []
-    for k in range(1, max_vertices + 1):
-        subsets.extend(combinations(ground, k))
-    sub_index = {s: i for i, s in enumerate(subsets)}
-    # face_mask[i] = bitmask of proper nonempty faces of subsets[i]
-    face_masks = []
-    for s in subsets:
-        m = 0
-        for k in range(1, len(s)):
-            for sub in combinations(s, k):
-                m |= 1 << sub_index[sub]
-        face_masks.append(m)
-    out = []
-    for family in range(1, 1 << len(subsets)):
-        ok = True
-        f = family
-        while f:
-            i = (f & -f).bit_length() - 1
-            if face_masks[i] & ~family:
-                ok = False
-                break
-            f &= f - 1
-        if ok:
-            # subsets run by size, then lexicographically, so each family is canonical
-            out.append(SimplicialComplex._from_canonical(
-                subsets[i] for i in range(len(subsets)) if family >> i & 1))
-    return out
-
-
 def random_energy(complex_, rng, lo=-3, hi=3, signs_only=False):
     """Random nonzero integer energy per simplex (or +-1 when signs_only)."""
     h = {}
@@ -309,32 +261,3 @@ def random_energy(complex_, rng, lo=-3, hi=3, signs_only=False):
                 v = int(rng.integers(lo, hi + 1))
             h[s] = v
     return h
-
-
-# -- JSON I/O ---------------------------------------------------------------------
-
-
-def dump_complex(complex_, path_or_file):
-    """Write the complex as a JSON list of vertex lists (all simplices)."""
-    payload = [list(s) for s in complex_.simplices]
-    if hasattr(path_or_file, "write"):
-        json.dump(payload, path_or_file)
-    else:
-        with open(path_or_file, "w") as fh:
-            json.dump(payload, fh)
-
-
-def load_complex(path_or_file, generate_closure=False):
-    """Read a complex from a JSON list of vertex lists.
-
-    With ``generate_closure`` the listed sets may be just the maximal
-    simplices; otherwise the list must already be closed under subsets.
-    """
-    if hasattr(path_or_file, "read"):
-        data = json.load(path_or_file)
-    else:
-        with open(path_or_file) as fh:
-            data = json.load(fh)
-    if generate_closure:
-        return SimplicialComplex.generated_by(data)
-    return SimplicialComplex(data)

@@ -9,7 +9,9 @@ Expressions evaluate over anything with arithmetic dunders -- floats,
 numpy arrays, or jets -- so a parsed metric entry can be differentiated
 by the same hyper-dual machinery as the built-in ones.  Variable-free parts
 are evaluated once, at parse time; one that divides by zero, overflows or
-is not a finite real number is a ``ConfigError`` naming the expression.
+is not a finite real number is a ``ConfigError`` naming the expression.  So
+is an expression nested deeper than ``MAX_NESTING`` or ``MAX_DEPTH``: a
+parsed expression never runs out of Python's recursion limit later.
 """
 
 from __future__ import annotations
@@ -43,6 +45,17 @@ _CONSTANTS = {"pi": math.pi}
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
+# Binding power of each binary operator; ``^`` groups to the right.  A sign
+# binds below ``^`` and above ``*`` and ``/``: -x^2 == -(x^2).
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+_SIGN = 3
+
+# Nesting bounds: the parser takes two frames per level of ``_Parser.depth``,
+# folding and evaluation one per level of the tree, so an accepted expression
+# stays far inside Python's limit of 1000 frames wherever it is evaluated.
+MAX_NESTING = 150
+MAX_DEPTH = 400
+
 
 def _tokenize(text):
     pos = 0
@@ -67,9 +80,18 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    """Precedence climbing over the tokens of ``text``.
+
+    ``depth`` counts the ``expr`` calls in progress: one for the whole text
+    and one more for each bracket, function argument, signed operand or
+    right-hand operand inside another.
+    """
+
+    def __init__(self, text):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -85,49 +107,34 @@ class _Parser:
             raise ValueError("expected %r, found %r" % (op, val))
 
     def parse(self):
-        node = self.expr()
+        node = self.expr(0)
         kind, val = self.peek()
         if kind != "end":
             raise ValueError("unexpected trailing input near %r" % (val,))
         return node
 
-    def expr(self):
-        return self.binary("+-", self.term)
-
-    def term(self):
-        return self.binary("*/", self.unary)
-
-    def binary(self, ops, operand):
-        """Left-associative chain of ``operand``s joined by the operators in ``ops``."""
-        node = operand()
+    def expr(self, min_prec):
+        """Operands joined by the operators that bind at least as tightly as ``min_prec``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ConfigError("expression %r is nested more than %d levels deep"
+                              % (self.text, MAX_NESTING))
+        node = self.operand()
         while True:
             kind, val = self.peek()
-            if kind != "op" or val not in ops:
-                return node
+            prec = _PRECEDENCE.get(val, -1) if kind == "op" else -1
+            if prec < min_prec:
+                break
             self.next()
-            node = (val, node, operand())
-
-    def unary(self):
-        # exponentiation binds tighter than unary minus: -x^2 == -(x^2)
-        kind, val = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
-            return ("neg", self.unary())
-        if kind == "op" and val == "+":
-            self.next()
-            return self.unary()
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        kind, val = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            return ("^", node, self.unary())  # right-associative, signed exponents
+            node = (val, node, self.expr(prec if val == "^" else prec + 1))
+        self.depth -= 1
         return node
 
-    def atom(self):
+    def operand(self):
         kind, val = self.next()
+        if kind == "op" and val in ("-", "+"):
+            node = self.expr(_SIGN)
+            return ("neg", node) if val == "-" else node
         if kind == "num":
             return ("const", val)
         if kind == "name":
@@ -136,14 +143,14 @@ class _Parser:
                 if val not in _FUNCTIONS:
                     raise ValueError("unknown function %r" % val)
                 self.next()
-                arg = self.expr()
+                arg = self.expr(0)
                 self.expect(")")  # every function takes one argument
                 return ("call", val, arg)
             if val in _CONSTANTS:
                 return ("const", _CONSTANTS[val])
             return ("var", val)
         if kind == "op" and val == "(":
-            node = self.expr()
+            node = self.expr(0)
             self.expect(")")
             return node
         raise ValueError("unexpected token %r" % (val,))
@@ -179,7 +186,10 @@ def _fold(node, text):
     """
     if node[0] in ("const", "var"):
         return node
-    node = tuple(_fold(c, text) if isinstance(c, tuple) else c for c in node)
+    parts = []  # a loop, not a generator, so each tree level costs one frame
+    for c in node:
+        parts.append(_fold(c, text) if isinstance(c, tuple) else c)
+    node = tuple(parts)
     if any(isinstance(c, tuple) and c[0] != "const" for c in node):
         return node
     try:
@@ -193,23 +203,21 @@ def _fold(node, text):
     return ("const", value)
 
 
-def _free_variables(node, out):
-    if node[0] == "var":
-        out.add(node[1])
-    for child in node[1:]:
-        if isinstance(child, tuple):
-            _free_variables(child, out)
-
-
 class Expression:
     """A parsed expression; call it with an environment dict."""
 
     def __init__(self, text):
         self.text = text
-        self._ast = _fold(_Parser(_tokenize(text)).parse(), text)
-        vs = set()
-        _free_variables(self._ast, vs)
-        self.variables = frozenset(vs)
+        tree = _Parser(text).parse()
+        height, level, names = 0, [tree], set()
+        while level:  # level by level, without recursion
+            height += 1
+            names.update(n[1] for n in level if n[0] == "var")
+            level = [c for n in level for c in n[1:] if isinstance(c, tuple)]
+        if height > MAX_DEPTH:
+            raise ConfigError("expression %r is more than %d operations deep" % (text, MAX_DEPTH))
+        self._ast = _fold(tree, text)  # folding keeps every variable
+        self.variables = frozenset(names)
 
     def __call__(self, env):
         return _eval(self._ast, env)

@@ -23,12 +23,14 @@ point:
   It is the one Monte Carlo estimator, batched over points and samples, with
   a standard-error report; the ``gamma_mc`` quadrature density calls it.
 
-The unnormalized sums behind the first two, ``perm_sum`` and
-``gbc_raw_sum``, are exact on object arrays of Fractions.
-``brute_force_perm_sum`` keeps the literal (2d)!-term permutation sum
-beside its reduction, as the public reference the tests check the reduction
-and the printed SU(3) permutation-sum convention against; the brute-force
-double-permutation sum is a test oracle and lives with the tests.
+Every function here takes a batch with a leading axis of points; a single
+matrix or tensor is a batch of one.  The unnormalized sums behind the first
+two densities, ``perm_sum`` and ``gbc_raw_sum``, are exact on object arrays
+of Fractions.  ``brute_force_perm_sum`` keeps the literal (2d)!-term
+permutation sum beside its reduction, as the public reference the tests
+check the reduction and the printed SU(3) permutation-sum convention
+against; the brute-force double-permutation sum is a test oracle and lives
+with the tests.
 """
 
 from __future__ import annotations
@@ -122,19 +124,14 @@ def matching_sum(k):
     """Sum over perfect matchings of products of matrix entries.
 
     ``k`` is a batch (npoints, 2d, 2d) of symmetric sectional-curvature
-    matrices (a single matrix is accepted too); returns (npoints,) sums
-    of prod_pairs K[a, b] over all perfect matchings of the index set.
-    Exact for object-dtype (Fraction) input.
+    matrices; returns (npoints,) sums of prod_pairs K[a, b] over all
+    perfect matchings of the index set.  Exact for object-dtype (Fraction)
+    input.
     """
     k = np.asarray(k)
-    single = k.ndim == 2
-    if single:
-        k = k[None]
     _check_even(k.shape[1])
     a, b = _matching_indices(k.shape[1])
-    prods = np.prod(k[:, a, b], axis=2)  # (npoints, n_matchings)
-    out = prods.sum(axis=1)
-    return out[0] if single else out
+    return np.prod(k[:, a, b], axis=2).sum(axis=1)  # product per (point, matching)
 
 
 def perm_sum(k):
@@ -152,22 +149,17 @@ def perm_sum(k):
 
 
 def brute_force_perm_sum(k):
-    """Literal sum over all (2d)! permutations; slow reference path."""
+    """Literal sum over all (2d)! permutations of a batch; slow reference path."""
     k = np.asarray(k)
-    single = k.ndim == 2
-    if single:
-        k = k[None]
     n = k.shape[1]
     d = _check_even(n)
-    total = np.zeros(len(k), dtype=k.dtype if k.dtype == object else np.float64)
-    if k.dtype == object:
-        total = np.array([0] * len(k), dtype=object)
+    total = 0
     for sigma in itertools.permutations(range(n)):
         term = k[:, sigma[0], sigma[1]]
         for kk in range(1, d):
             term = term * k[:, sigma[2 * kk], sigma[2 * kk + 1]]
         total = total + term
-    return total[0] if single else total
+    return total
 
 
 def k_discrete(k):
@@ -227,17 +219,14 @@ def gbc_raw_sum(riem_frame):
     """Signed double-permutation sum of Riemann components in a frame.
 
     ``riem_frame`` is a batch (npoints, 2d, 2d, 2d, 2d) of frame-contracted
-    Riemann tensors (single tensor accepted).  Exact on object dtype.  The
-    points are taken in slices whose gather stays within
-    ``GBC_GATHER_BYTES`` (three points per slice in dimension 8, where the
-    table has 264,600 combinations), so memory does not grow with the batch.
+    Riemann tensors.  Exact on object dtype.  The points are taken in
+    slices whose gather stays within ``GBC_GATHER_BYTES`` (three points per
+    slice in dimension 8, where the table has 264,600 combinations), so
+    memory does not grow with the batch.
     Each point's terms are summed along its own row, so its sum does not
     depend on the batch or the slicing.
     """
     r = np.asarray(riem_frame)
-    single = r.ndim == 4
-    if single:
-        r = r[None]
     signs, flat, factor = _gbc_combos(r.shape[1])
     r = r.reshape(len(r), -1)
     rows = max(1, GBC_GATHER_BYTES // (flat.size * r.itemsize))
@@ -245,8 +234,7 @@ def gbc_raw_sum(riem_frame):
     for part in np.array_split(r, -(-len(r) // rows)):
         prods = np.prod(np.take(part, flat, axis=1), axis=2)  # (rows, ncombos)
         sums.append((prods * signs).sum(axis=1))
-    out = factor * np.concatenate(sums)
-    return out[0] if single else out
+    return factor * np.concatenate(sums)
 
 
 def k_gbc(riem_frame):
@@ -260,15 +248,12 @@ def k_gbc(riem_frame):
 
 
 def scalar_curvature(k):
-    """Scalar curvature from a sectional matrix in an orthonormal frame.
+    """Scalar curvature from a batch of sectional matrices in orthonormal frames.
 
     Twice the sum of sectional curvatures over unordered frame planes,
-    i.e. the plain sum of the full matrix (diagonal is zero).
+    i.e. the plain sum of each full matrix (diagonal is zero).
     """
-    k = np.asarray(k)
-    if k.ndim == 2:
-        return k.sum()
-    return k.sum(axis=(1, 2))
+    return np.asarray(k).sum(axis=(1, 2))
 
 
 # -- Haar-averaged density ----------------------------------------------------

@@ -148,25 +148,21 @@ def variables(x):
 
     Parameters
     ----------
-    x : array_like, shape (npoints, nvars) or (nvars,)
-        Chart coordinates.  dtype may be float or object (Fraction).
+    x : array_like, shape (npoints, nvars)
+        Chart coordinates; a single point is a batch of one.  dtype may be
+        float or object (Fraction).
 
     Returns
     -------
     list of Jet2, one per chart variable.
     """
     x = np.asarray(x)
-    if x.ndim == 1:
-        x = x[None, :]
     npts, n = x.shape
     dtype = x.dtype
     out = []
     for k in range(n):
         grad = np.zeros((npts, n), dtype=dtype)
-        if dtype == object:
-            grad[:, k] = 1
-        else:
-            grad[:, k] = 1.0
+        grad[:, k] = 1
         out.append(Jet2(x[:, k].copy(), grad, np.zeros((npts, n, n), dtype=dtype)))
     return out
 

@@ -41,7 +41,7 @@ from .errors import (
     NotBiInvariantError,
     NotClosedError,
 )
-from .functionals import k_discrete, matching_sum, perm_sum
+from .functionals import k_discrete
 
 __all__ = [
     "LieAlgebra",
@@ -150,24 +150,11 @@ def biinvariant_sectional(algebra, tol=TOL):
     return np.einsum("ijk,ijk->ij", alpha, alpha) / 4.0
 
 
-def sectional_exact(algebra):
-    """Exact rational sectional matrix (built-ins only)."""
-    if algebra.k_exact is None:
-        raise ValueError("no exact sectional matrix available for %r" % algebra.name)
-    return algebra.k_exact
-
-
 def gamma_d_group(algebra, volume):
     """k_discrete of the (constant) sectional matrix times the group volume."""
     if algebra.dim % 2 != 0:
         raise BadDimensionError("even-dimensional algebra required, got %d" % algebra.dim)
-    return k_discrete(biinvariant_sectional(algebra)) * volume
-
-
-def pairing_sums_exact(algebra):
-    """Exact (matching_sum, perm_sum) of the rational sectional matrix."""
-    k = sectional_exact(algebra)
-    return matching_sum(k), perm_sum(k)
+    return k_discrete(biinvariant_sectional(algebra)[None])[0] * volume
 
 
 def rotate_algebra(algebra, q):

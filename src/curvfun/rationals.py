@@ -2,13 +2,15 @@
 
 numpy's solvers are floating point only, and the identities checked on the
 discrete side (determinants of counting matrices, Green-function sums) as
-well as the exact curvature paths are *exact* statements.  Determinant,
-solve and inverse share one fraction-free elimination (E. H. Bareiss,
-"Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 22 (1968)).  Each row of ``[A | B]`` is scaled
-to integers by the lcm of its denominators; every entry the forward pass
-produces is then a minor of the scaled matrix, so each division is exact
-and no Fraction is formed until the results are.
+well as the exact curvature paths are *exact* statements.  ``exact_det``,
+``exact_inv`` and the solve ``L x = 1`` behind
+:func:`curvfun.discrete.green_sum` share one fraction-free elimination,
+``_eliminate`` (E. H. Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 22 (1968)).  Each
+row of ``[A | B]`` is scaled to integers by the lcm of its denominators;
+every entry the forward pass produces is then a minor of the scaled
+matrix, so each division is exact and no Fraction is formed until the
+results are.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["exact_det", "exact_solve", "exact_inv"]
+__all__ = ["exact_det", "exact_inv"]
 
 
 def _eliminate(A, B):
@@ -62,14 +64,6 @@ def exact_det(A):
     """Determinant of a square rational matrix, exact; 1 for the empty matrix."""
     A = list(A)
     return _eliminate(A, [[]] * len(A))[0]
-
-
-def exact_solve(A, b):
-    """Solve ``A x = b`` exactly, as a list of Fractions; ``ValueError`` if singular."""
-    _, x = _eliminate(list(A), [[v] for v in b])
-    if x is None:
-        raise ValueError("singular matrix")
-    return [r[0] for r in x]
 
 
 def exact_inv(A):

@@ -237,13 +237,13 @@ def _case_cp2(workers):
     out = []
     std = zoo.cp2_sectional_exact([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     out.append(_check("cp2", "standard-basis permutation sum", Fraction(144),
-                      perm_sum(std), None, "quoted"))
+                      perm_sum(std[None])[0], None, "quoted"))
     pattern_ok = std[0, 1] == 4 and std[2, 3] == 4 and std[0, 2] == 1 and std[1, 3] == 1
     out.append(_check("cp2", "standard-basis pattern (K12=K34=4, rest 1)", True,
                       bool(pattern_ok), None, "quoted"))
     rot = zoo.cp2_sectional_exact([[1, 0, 1, 0], [0, 1, 0, 0], [1, 0, -1, 0], [0, 0, 0, 1]])
     out.append(_check("cp2", "rotated-basis permutation sum", Fraction(108),
-                      perm_sum(rot), None, "quoted"))
+                      perm_sum(rot[None])[0], None, "quoted"))
     out.append(_check("cp2", "rotated-basis unit pairs", (Fraction(1), Fraction(1)),
                       (rot[0, 2], rot[1, 3]), None, "quoted",
                       note="printed pattern claim 'K13 = K23 = 1' is inconsistent with "
@@ -256,14 +256,14 @@ def _case_so4(workers):
     out = []
     alg = LG.so4()
     out.append(_check("so4", "jacobi residual", 0.0, alg.jacobi_residual(), 1e-10, "identity"))
-    kx = LG.sectional_exact(alg)
+    kx = alg.k_exact
     mixed = max(kx[i, j] for i in range(3) for j in range(3, 6))
     out.append(_check("so4", "mixed-plane sectional curvature", Fraction(0), mixed,
                       None, "quoted"))
     within = {kx[0, 1], kx[0, 2], kx[1, 2], kx[3, 4], kx[3, 5], kx[4, 5]}
     out.append(_check("so4", "within-factor sectional curvature", {Fraction(1, 4)}, within,
                       None, "quoted"))
-    out.append(_check("so4", "matching sum (exact)", Fraction(0), matching_sum(kx),
+    out.append(_check("so4", "matching sum (exact)", Fraction(0), matching_sum(kx[None])[0],
                       None, "quoted", note="every pairing uses a mixed flat plane"))
     out.append(_check("so4", "gamma_d", 0.0, LG.gamma_d_group(alg, 1.0), None, "quoted",
                       note="density is exactly zero, so the volume is irrelevant"))
@@ -274,15 +274,14 @@ def _case_su3(workers):
     out = []
     alg = LG.su3()
     out.append(_check("su3", "jacobi residual", 0.0, alg.jacobi_residual(), 1e-10, "identity"))
-    kx = LG.sectional_exact(alg)
+    kx = alg.k_exact
     printed = _su3_printed_matrix()
     out.append(_check("su3", "sectional matrix equals printed 8x8 table", True,
                       bool(np.all(kx == printed)), None, "quoted"))
     prod = kx[0, 1] * kx[2, 3] * kx[4, 5] * kx[6, 7]
     out.append(_check("su3", "K12 K34 K56 K78", Fraction(3, 16384), prod, None, "quoted"))
-    ms, ps = LG.pairing_sums_exact(alg)
     out.append(_check("su3", "permutation sum over curvature quadruples", Fraction(351, 64),
-                      ps, None, "quoted",
+                      perm_sum(kx[None])[0], None, "quoted",
                       note="the printed 351/64 is the full signed-free sum over all 8! "
                       "index permutations = 2^4 4! times the 105-pairing sum 117/8192; "
                       "convention fixed by the brute-force permutation oracle"))
@@ -293,8 +292,7 @@ def _case_su3(workers):
     from .frames import haar_orthogonal
 
     rot = LG.rotate_algebra(alg, haar_orthogonal(8, rng))
-    kd0 = k_discrete(LG.biinvariant_sectional(alg))
-    kd1 = k_discrete(LG.biinvariant_sectional(rot))
+    kd0, kd1 = k_discrete(np.stack([LG.biinvariant_sectional(a) for a in (alg, rot)]))
     out.append(_check("su3", "frame dependence (relative k_d change > 1e-3)", True,
                       bool(abs(kd1 / kd0 - 1.0) > 1e-3), None, "quoted",
                       note="a generic basis rotation shifts k_d by a few percent, far "
@@ -322,14 +320,14 @@ def _case_klembeck(workers):
     expected_pairs |= {(j, i) for i, j in expected_pairs}
     out.append(_check("klembeck", "curved planes form two triangles", True,
                       curved == expected_pairs, None, "quoted"))
-    raw = gbc_raw_sum(riem_exact)
+    raw = gbc_raw_sum(riem_exact[None])[0]
     out.append(_check("klembeck", "origin GBC mean term", Fraction(-9216, 518400),
                       raw / math.factorial(6) ** 2, None, "quoted",
                       note="printed as -9216/(6!)^2; raw double-permutation sum -9216"))
     out.append(_check("klembeck", "origin GBC raw sum", Fraction(-9216), raw,
                       None, "quoted"))
     out.append(_check("klembeck", "origin k_discrete", Fraction(0),
-                      perm_sum(k_exact), None, "derived",
+                      perm_sum(k_exact[None])[0], None, "derived",
                       note="the printed claim is non-negativity, which holds; the "
                       "two-triangle support makes every pairing product vanish"))
     # k_gbc is raw times a positive constant

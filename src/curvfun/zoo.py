@@ -611,7 +611,11 @@ def _spec_axis(k, a):
     if lo >= hi:
         raise ConfigError('spec file: axis %d needs "lo" < "hi", got %r and %r'
                           % (k, a["lo"], a["hi"]))
-    return Axis(lo, hi, a["n"], bool(a.get("periodic", False)))
+    periodic = a.get("periodic", False)
+    if not isinstance(periodic, bool):
+        raise ConfigError('spec file: axis %d "periodic" must be true or false, got %r'
+                          % (k, periodic))
+    return Axis(lo, hi, a["n"], periodic)
 
 
 def _check_symmetric(exprs, grid, var_names):

@@ -20,6 +20,7 @@ from curvfun.functionals import (
     gbc_raw_sum,
     haar_pair_average,
     k_discrete,
+    matching_sum,
     perm_sum,
 )
 from curvfun.geometry import (
@@ -125,7 +126,7 @@ def test_criterion_05_cp2_permutation_sums_exact():
 
 def test_criterion_06_su3_exact_table_and_gamma():
     alg = LG.su3()
-    K = LG.sectional_exact(alg)
+    K = alg.k_exact
     q, s, t, z = Fraction(1, 4), Fraction(1, 16), Fraction(3, 16), Fraction(0)
     printed = [
         [z, q, q, s, s, s, s, z],
@@ -139,11 +140,11 @@ def test_criterion_06_su3_exact_table_and_gamma():
     ]
     assert all(K[i][j] == printed[i][j] for i in range(8) for j in range(8))
     assert K[0][1] * K[2][3] * K[4][5] * K[6][7] == Fraction(3, 16384)
-    ms, ps = LG.pairing_sums_exact(alg)
+    ms, ps = matching_sum(K[None])[0], perm_sum(K[None])[0]
     assert ps == Fraction(351, 64)
     # convention check: the quoted sum is the free sum over all 8! permutations
     karr = np.array([[Fraction(K[i][j]) for j in range(8)] for i in range(8)], dtype=object)
-    assert brute_force_perm_sum(karr) == Fraction(351, 64)
+    assert brute_force_perm_sum(karr[None])[0] == Fraction(351, 64)
     assert ms == Fraction(117, 8192)
     gamma = LG.gamma_d_group(alg, math.pi**5)
     assert abs(gamma - 117 * math.pi / 2**17) <= 1e-15
@@ -151,9 +152,9 @@ def test_criterion_06_su3_exact_table_and_gamma():
 
 def test_criterion_07_so4_vanishes_exactly():
     alg = LG.so4()
-    K = LG.sectional_exact(alg)
+    K = alg.k_exact
     karr = np.array([[Fraction(K[i][j]) for j in range(6)] for i in range(6)], dtype=object)
-    assert perm_sum(karr) == Fraction(0)
+    assert perm_sum(karr[None])[0] == Fraction(0)
     assert LG.gamma_d_group(alg, 1.0) == 0.0
 
 
@@ -185,13 +186,13 @@ def test_criterion_09_independent_oracles():
                 for j in range(i + 1, n):
                     k[i, j] = k[j, i] = rng.uniform(-1, 1)
             fast = perm_sum(k[None])[0]
-            slow = brute_force_perm_sum(k)
+            slow = brute_force_perm_sum(k[None])[0]
             assert abs(fast - slow) <= 1e-10 * max(1.0, abs(slow))
     k = np.zeros((8, 8))
     for i in range(8):
         for j in range(i + 1, 8):
             k[i, j] = k[j, i] = rng.uniform(-1, 1)
-    assert abs(perm_sum(k[None])[0] - brute_force_perm_sum(k)) <= 1e-9
+    assert abs(perm_sum(k[None])[0] - brute_force_perm_sum(k[None])[0]) <= 1e-9
     # hyper-dual Christoffels vs central finite differences
     spec = zoo.taubes_torus()
     for x in spec.interior_points(5, seed=3):

@@ -8,10 +8,10 @@ import math
 
 import pytest
 
-from curvfun.cli import main, write_record
+from curvfun.cli import GROUP_NAMES, main, write_record
 from curvfun.errors import NonFiniteError
 from curvfun.quadrature import DEFAULT_CHUNK, Axis, Grid, integrate
-from curvfun.zoo import manifold_by_name
+from curvfun.zoo import MANIFOLD_NAMES, manifold_by_name
 
 S2_ARGS = ["compute", "--manifold", "s2", "--grid", "9,8", "--no-timing"]
 
@@ -514,3 +514,72 @@ def test_node_dependent_expression_failure_still_exits_3_naming_the_node(capsys)
     assert code == 3
     assert out == ""
     assert len(json.loads(err)["failing_point"]) == 4
+
+
+@pytest.mark.parametrize("name", MANIFOLD_NAMES + GROUP_NAMES)
+def test_every_catalog_name_computes(capsys, name):
+    grid = [] if name in GROUP_NAMES else ["--grid", "2"]
+    code, out, _ = run(capsys, ["compute", "--manifold", name, "--no-timing"] + grid)
+    assert code == 0
+    assert math.isfinite(json.loads(out)["value"])
+
+
+_QUARTIC_METRIC = [["(1+x1)^4", "0"], ["0", "1"]]  # volume 7/3 on the unit square
+
+
+@pytest.mark.parametrize("periodic", [False, None])
+def test_spec_file_axis_is_open_unless_periodic_is_true(tmp_path, capsys, periodic):
+    axis = dict(_BOX_AXIS) if periodic is None else dict(_BOX_AXIS, periodic=periodic)
+    spec_file = _box_spec(tmp_path, _QUARTIC_METRIC, [axis, _BOX_AXIS])
+    code, out, _ = run(capsys, ["compute", "--spec-file", spec_file, "--functional", "volume",
+                                "--no-timing"])
+    assert code == 0
+    assert json.loads(out)["value"] == pytest.approx(7 / 3, rel=1e-12)
+
+
+@pytest.mark.parametrize("periodic", ["false", 0])
+def test_spec_file_periodic_must_be_a_json_boolean(tmp_path, capsys, periodic):
+    # "false" used to make the axis periodic and exit 0 with a midpoint-rule volume
+    spec_file = _box_spec(tmp_path, _QUARTIC_METRIC,
+                          [dict(_BOX_AXIS, periodic=periodic), _BOX_AXIS])
+    code, out, err = run(capsys, ["compute", "--spec-file", spec_file, "--functional", "volume",
+                                  "--no-timing"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("configuration error") and 'axis 1 "periodic"' in err, err
+
+
+def _nested(levels):
+    return "(" * levels + "cos(x1)" + ")" * levels
+
+
+def _chained(terms):
+    return "0*x1+" * terms + "cos(x1)"
+
+
+def _deep_runs(tmp_path, expression):
+    """A ``--param`` run and a spec-file run that each parse ``expression``."""
+    spec_file = _box_spec(tmp_path, [["1", "0"], ["0", expression]])
+    return [["--manifold", "taubes", "--grid", "3", "--param", "u=" + expression],
+            ["--spec-file", spec_file]]
+
+
+@pytest.mark.parametrize("expression", [_nested(160), _chained(600)],
+                         ids=["160-brackets", "600-terms"])
+def test_too_deep_expression_exits_2_naming_it(tmp_path, capsys, expression):
+    # both used to end in a RecursionError traceback
+    for argv in _deep_runs(tmp_path, expression):
+        code, out, err = run(capsys, ["compute", "--no-timing"] + argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("configuration error") and repr(expression) in err
+
+
+@pytest.mark.parametrize("expression", [_nested(130), _chained(300)],
+                         ids=["130-brackets", "300-terms"])
+def test_deep_expression_within_bounds_runs(tmp_path, capsys, expression):
+    for argv in _deep_runs(tmp_path, expression):
+        code, out, _ = run(capsys, ["compute", "--no-timing"] + argv)
+        assert code == 0
+        assert math.isfinite(json.loads(out)["value"])

@@ -1,6 +1,5 @@
 """Exact identities on simplicial complexes: indices, counting matrices, Green sums."""
 
-import io
 from fractions import Fraction
 
 import numpy as np
@@ -8,14 +7,11 @@ import pytest
 
 from curvfun.discrete import (
     SimplicialComplex,
-    all_complexes_on,
     counting_determinant,
     counting_matrix,
     determinant_and_green_sum,
-    dump_complex,
     euler_characteristic,
     green_sum,
-    load_complex,
     omega,
     ph_index,
     random_corpus,
@@ -48,7 +44,7 @@ def test_whitney_complex_finds_cliques():
 def test_complex_requires_closure():
     with pytest.raises(ValueError):
         SimplicialComplex([(1, 2)])  # faces {1}, {2} missing
-    ok = SimplicialComplex.generated_by([(1, 2)])
+    ok = SimplicialComplex([(1,), (2,), (1, 2)])
     assert len(ok) == 3
 
 
@@ -170,26 +166,3 @@ def test_random_corpus_shapes():
     for g in corpus:
         assert len(g.vertices) >= 4
         assert euler_characteristic(g) == sum(omega(s) for s in g.simplices)
-
-
-def test_all_complexes_on_small_vertex_sets():
-    fams = all_complexes_on(3)
-    # every family is closed under faces and non-empty
-    assert all(len(c) >= 1 for c in fams)
-    seen = set(fams)
-    assert len(seen) == len(fams)
-    # the full triangle complex is among them
-    assert triangle().induced([1, 2, 3]) in seen or any(len(c) == 7 for c in fams)
-
-
-def test_dump_and_load_round_trip():
-    t = triangle()
-    buf = io.StringIO()
-    dump_complex(t, buf)
-    buf.seek(0)
-    again = load_complex(buf)
-    assert again == t
-    # closure generation from maximal simplices alone
-    buf2 = io.StringIO("[[1, 2, 3]]")
-    gen = load_complex(buf2, generate_closure=True)
-    assert gen == t

@@ -12,16 +12,14 @@ import numpy as np
 import pytest
 
 from curvfun.errors import BadDimensionError, NotBiInvariantError, NotClosedError
-from curvfun.functionals import k_discrete
+from curvfun.functionals import k_discrete, matching_sum, perm_sum
 from curvfun.liegroups import (
     LieAlgebra,
     biinvariant_sectional,
     builtin_algebra,
     gamma_d_group,
     load_algebra,
-    pairing_sums_exact,
     rotate_algebra,
-    sectional_exact,
     so3,
     so4,
     structure_constants,
@@ -45,13 +43,13 @@ def test_builtin_alpha_antisymmetric_and_matches_exact_table(build):
     a = alg.alpha
     for axes in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
         assert np.array_equal(np.transpose(a, axes), -a)
-    exact = np.array([[float(v) for v in row] for row in sectional_exact(alg)])
+    exact = np.array([[float(v) for v in row] for row in alg.k_exact])
     assert np.max(np.abs(biinvariant_sectional(alg) - exact)) <= 1e-15
 
 
 def test_so3_constant_curvature_quarter():
     alg = so3()
-    K = sectional_exact(alg)
+    K = alg.k_exact
     for i in range(3):
         for j in range(3):
             assert K[i][j] == (Fraction(1, 4) if i != j else 0)
@@ -62,14 +60,15 @@ def test_su3_jacobi_and_matrix_shape():
     alg = su3()
     assert alg.dim == 8
     assert alg.jacobi_residual() < 1e-12
-    K = sectional_exact(alg)
+    K = alg.k_exact
     assert K[0][1] == Fraction(1, 4)
     assert K[3][7] == Fraction(3, 16)
     assert K[0][7] == 0
 
 
 def test_su3_pairing_sums_exact():
-    ms, ps = pairing_sums_exact(su3())
+    k = su3().k_exact[None]
+    ms, ps = matching_sum(k)[0], perm_sum(k)[0]
     assert ms == Fraction(117, 8192)
     assert ps == Fraction(351, 64)
     # gamma for the standard volume pi^5
@@ -79,8 +78,8 @@ def test_su3_pairing_sums_exact():
 
 def test_so4_density_vanishes_identically():
     alg = so4()
-    k = biinvariant_sectional(alg)
-    assert k_discrete(k) == 0.0
+    k = biinvariant_sectional(alg)[None]
+    assert k_discrete(k)[0] == 0.0
     assert gamma_d_group(alg, 123.456) == 0.0
 
 
@@ -98,7 +97,7 @@ def test_rotate_algebra_preserves_biinvariance_and_jacobi():
     k = biinvariant_sectional(rot)  # total antisymmetry preserved
     assert np.all(np.isfinite(k))
     # rotation is a genuine frame change: the density moves
-    assert abs(k_discrete(k) / k_discrete(biinvariant_sectional(alg)) - 1) > 1e-4
+    assert abs(k_discrete(k[None])[0] / k_discrete(biinvariant_sectional(alg)[None])[0] - 1) > 1e-4
 
 
 def test_rotate_algebra_rejects_non_orthogonal():

@@ -238,3 +238,10 @@ def test_product_k_d_is_the_product_of_factor_k_d():
     k1, _, _, _ = curvature_batch(factor.metric, pts[:, :2])
     k2, _, _, _ = curvature_batch(factor.metric, pts[:, 2:])
     assert k_discrete(k) == pytest.approx(k_discrete(k1) * k_discrete(k2), rel=1e-12)
+
+
+def test_extended_with_v_zero_is_taubes():
+    taubes, extended = manifold_by_name("taubes"), manifold_by_name("extended")
+    pts = taubes.interior_points(50, seed=23)
+    for a, b in zip(extended.metric.jets(pts), taubes.metric.jets(pts)):
+        assert np.array_equal(a, b)
