@@ -30,7 +30,6 @@ from .frames import (
     rotate_frame,
 )
 from .functionals import (
-    brute_force_perm_sum,
     gbc_raw_sum,
     k_discrete,
     k_gbc,
@@ -92,7 +91,6 @@ __all__ = [
     "perfect_matchings",
     "matching_sum",
     "perm_sum",
-    "brute_force_perm_sum",
     "k_discrete",
     "gbc_raw_sum",
     "k_gbc",

@@ -9,9 +9,10 @@ Expressions evaluate over anything with arithmetic dunders -- floats,
 numpy arrays, or jets -- so a parsed metric entry can be differentiated
 by the same hyper-dual machinery as the built-in ones.  Variable-free parts
 are evaluated once, at parse time; one that divides by zero, overflows or
-is not a finite real number is a ``ConfigError`` naming the expression.  So
-is an expression nested deeper than ``MAX_NESTING`` or ``MAX_DEPTH``: a
-parsed expression never runs out of Python's recursion limit later.
+is not a finite real number is a ``ConfigError`` naming the expression (a
+long one by its two ends, see ``QUOTE_CHARS``).  So is an expression nested
+deeper than ``MAX_NESTING`` or ``MAX_DEPTH``: a parsed expression never runs
+out of Python's recursion limit later.
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ _SIGN = 3
 # stays far inside Python's limit of 1000 frames wherever it is evaluated.
 MAX_NESTING = 150
 MAX_DEPTH = 400
+
+# Longest expression text an error message quotes whole; a longer one is cut
+# to its first and last ``QUOTE_CHARS // 2`` characters.
+QUOTE_CHARS = 60
 
 
 def _tokenize(text):
@@ -117,8 +122,8 @@ class _Parser:
         """Operands joined by the operators that bind at least as tightly as ``min_prec``."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ConfigError("expression %r is nested more than %d levels deep"
-                              % (self.text, MAX_NESTING))
+            raise ConfigError("expression %s is nested more than %d levels deep"
+                              % (_quote(self.text), MAX_NESTING))
         node = self.operand()
         while True:
             kind, val = self.peek()
@@ -178,6 +183,14 @@ def _eval(node, env):
     return a**b
 
 
+def _quote(text):
+    """``text`` as an error message names it: whole up to ``QUOTE_CHARS``, else its two ends."""
+    if len(text) <= QUOTE_CHARS:
+        return repr(text)
+    half = QUOTE_CHARS // 2
+    return "%r (%d characters)" % (text[:half] + " ... " + text[-half:], len(text))
+
+
 def _fold(node, text):
     """``node`` with every variable-free subtree replaced by its value.
 
@@ -198,8 +211,8 @@ def _fold(node, text):
     except (ZeroDivisionError, OverflowError):
         value = math.nan
     if isinstance(value, complex) or not math.isfinite(value):
-        raise ConfigError("expression %r has a constant part that is not a finite real "
-                          "number" % text)
+        raise ConfigError("expression %s has a constant part that is not a finite real "
+                          "number" % _quote(text))
     return ("const", value)
 
 
@@ -215,7 +228,8 @@ class Expression:
             names.update(n[1] for n in level if n[0] == "var")
             level = [c for n in level for c in n[1:] if isinstance(c, tuple)]
         if height > MAX_DEPTH:
-            raise ConfigError("expression %r is more than %d operations deep" % (text, MAX_DEPTH))
+            raise ConfigError("expression %s is more than %d operations deep"
+                              % (_quote(text), MAX_DEPTH))
         self._ast = _fold(tree, text)  # folding keeps every variable
         self.variables = frozenset(names)
 

@@ -5,8 +5,9 @@ the i-th frame vector, so orthonormality reads ``frame @ g @ frame.T = I``.
 ``gram_schmidt_frames`` works on a batch of points, one frame per point.
 
 ``haar_orthogonal`` is the package's one Haar sampler: the ``haar`` frame
-strategy and the ``gamma_mc`` estimator both draw a node's rotations from it
-in one batch, from that node's own ``point_rng`` stream.
+strategy and the ``gamma_mc`` estimator draw a block of nodes' rotations
+from it in one stacked QR, each node's normals from that node's own
+``point_rng`` stream.
 """
 
 from __future__ import annotations
@@ -74,9 +75,17 @@ def haar_orthogonal(n, rng, count=None):
     which removes the sign ambiguity that would otherwise bias the draw.
     With ``count`` set, returns a (count, n, n) stack from one stacked QR;
     its bits equal ``count`` sequential single draws from the same ``rng``.
+    ``rng`` may also be an iterable of generators, one per node: each draws
+    its own normals, they are stacked on a new leading axis, (nodes, n, n)
+    or (nodes, count, n, n), and one QR runs over the whole stack, every
+    rotation keeping the bits of the draw its generator makes alone.
     """
     shape = (n, n) if count is None else (count, n, n)
-    q, r = np.linalg.qr(rng.standard_normal(shape))
+    if isinstance(rng, np.random.Generator):
+        normals = rng.standard_normal(shape)
+    else:
+        normals = np.stack([r.standard_normal(shape) for r in rng])
+    q, r = np.linalg.qr(normals)
     return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
 

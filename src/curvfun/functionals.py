@@ -22,15 +22,14 @@ point:
   consecutive frame planes, times (2d)! and the same normalization constant.
   It is the one Monte Carlo estimator, batched over points and samples, with
   a standard-error report; the ``gamma_mc`` quadrature density calls it.
+  Each plane's curvature is one batched matmul: with the Riemann tensor read
+  as an (n^2, n^2) matrix R and x = u (x) v, K(u, v) = x R x.
 
 Every function here takes a batch with a leading axis of points; a single
 matrix or tensor is a batch of one.  The unnormalized sums behind the first
 two densities, ``perm_sum`` and ``gbc_raw_sum``, are exact on object arrays
-of Fractions.  ``brute_force_perm_sum`` keeps the literal (2d)!-term
-permutation sum beside its reduction, as the public reference the tests
-check the reduction and the printed SU(3) permutation-sum convention
-against; the brute-force double-permutation sum is a test oracle and lives
-with the tests.
+of Fractions.  The literal permutation and double-permutation sums they
+reduce are test oracles and live with the tests.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ __all__ = [
     "perfect_matchings",
     "matching_sum",
     "perm_sum",
-    "brute_force_perm_sum",
     "k_discrete",
     "gbc_raw_sum",
     "k_gbc",
@@ -146,20 +144,6 @@ def perm_sum(k):
     d = _check_even(n)
     factor = 2**d * math.factorial(d)
     return factor * matching_sum(k)
-
-
-def brute_force_perm_sum(k):
-    """Literal sum over all (2d)! permutations of a batch; slow reference path."""
-    k = np.asarray(k)
-    n = k.shape[1]
-    d = _check_even(n)
-    total = 0
-    for sigma in itertools.permutations(range(n)):
-        term = k[:, sigma[0], sigma[1]]
-        for kk in range(1, d):
-            term = term * k[:, sigma[2 * kk], sigma[2 * kk + 1]]
-        total = total + term
-    return total
 
 
 def k_discrete(k):
@@ -267,7 +251,8 @@ def haar_pair_average(riem, frames):
     rotations of a base frame.  For each frame the product
     prod_k K(t_{2k-1}, t_{2k}) of sectional curvatures of consecutive frame
     planes is formed; returns per-point arrays of (2d)! C_d times the sample
-    mean and the matching standard error.
+    mean and the matching standard error.  A point's values come from its
+    own rows alone, so they do not depend on the batch it is in.
     """
     riem = np.asarray(riem, dtype=float)
     frames = np.asarray(frames, dtype=float)
@@ -275,11 +260,13 @@ def haar_pair_average(riem, frames):
     d = _check_even(n)
     if nsamples < 2:
         raise ValueError("a Monte Carlo standard error needs at least 2 samples")
+    rop = riem.reshape(npts, n * n, n * n)
     prods = np.ones((npts, nsamples))
     for k in range(d):
-        u = frames[:, :, 2 * k, :]
-        v = frames[:, :, 2 * k + 1, :]
-        prods *= np.einsum("psa,psb,psc,psd,pabcd->ps", u, v, u, v, riem, optimize=True)
+        # K(u, v) = R_abcd u_a v_b u_c v_d = x R x with x = u (x) v and R as (n^2, n^2)
+        x = (frames[:, :, 2 * k, :, None] * frames[:, :, 2 * k + 1, None, :]).reshape(
+            npts, nsamples, n * n)
+        prods *= np.einsum("psi,psi->ps", x @ rop, x)
     scale = math.factorial(n) * normalization_constant(d)
     return scale * prods.mean(axis=1), scale * prods.std(axis=1, ddof=1) / math.sqrt(nsamples)
 

@@ -26,6 +26,14 @@ contraction run per node.  The result's ``n_points`` is still the requested
 grid's, and a failing node's coordinate on a collapsed axis reads that
 axis's midpoint.
 
+Haar frames: every node draws its normals from its own ``point_rng(seed,
+node)`` stream, and a batch of nodes is orthogonalized by one stacked QR
+and rotated onto the base frames by one matmul.  ``gamma_mc`` draws and
+contracts a chunk in blocks of rows whose (rows, samples, n, n) frame stack
+stays within ``HAAR_BLOCK_BYTES``, so its memory per chunk does not grow
+with the sample count.  Each node's frames and value come from its own row,
+so neither the block size, the chunk nor the worker count changes a bit.
+
 Products: a product's grid is the tensor product of its factors' axes, so
 where the frame is aligned with the factors (the coordinate frame, and any
 frame for ``volume``) its integral on a grid, or on the halved grid, is
@@ -80,6 +88,10 @@ __all__ = [
 FUNCTIONALS = ("gamma_d", "gamma_mc", "gbc", "hilbert", "volume")
 
 DEFAULT_CHUNK = 4096
+
+# Byte budget of one block of ``gamma_mc`` Haar frames, (rows, samples, n, n)
+# floats: a chunk is drawn and contracted a block at a time.
+HAAR_BLOCK_BYTES = 2**20
 
 # A density raising one of these fails at a node, which the integrator locates.
 _NODE_FAILURES = (NonFiniteError, SingularMetricError, RankDeficientError, np.linalg.LinAlgError)
@@ -235,17 +247,30 @@ def integrate(density, grid, workers=1, chunk=DEFAULT_CHUNK):
     return value, stderr
 
 
-def _haar_node_frames(base, node_idx, seed, count):
-    """``count`` Haar rotations of each node's base frame, (P, count, n, n).
+def _haar_node_frames(base, node_idx, seed, count=None):
+    """Haar rotations of each node's base frame, (P, count, n, n) or (P, n, n).
 
     Node ``node_idx[row]`` draws from its own ``point_rng(seed, node)``
-    stream, so the frames do not depend on chunking or worker count.
+    stream, so the frames do not depend on chunking or worker count; one
+    stacked QR and one matmul serve the whole batch.
     """
-    npts, n = base.shape[0], base.shape[1]
-    out = np.empty((npts, count, n, n))
-    for row, ni in enumerate(node_idx):
-        out[row] = haar_orthogonal(n, point_rng(seed, int(ni)), count) @ base[row]
-    return out
+    rngs = (point_rng(seed, int(ni)) for ni in node_idx)
+    return haar_orthogonal(base.shape[1], rngs, count) @ (base if count is None else base[:, None])
+
+
+def _haar_pair_density(riem, base, node_idx, seed, nsamples):
+    """``gamma_mc`` values and standard errors of a chunk, a block of rows at a time.
+
+    A block's (rows, nsamples, n, n) frame stack stays within
+    ``HAAR_BLOCK_BYTES``; each node's value comes from its own row, so it
+    does not depend on the block size.
+    """
+    rows = max(1, HAAR_BLOCK_BYTES // (nsamples * base[0].nbytes))
+    parts = [haar_pair_average(riem[s : s + rows],
+                               _haar_node_frames(base[s : s + rows], node_idx[s : s + rows],
+                                                 seed, nsamples))
+             for s in range(0, len(base), rows)]
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def _contract(functional, riem, frames):
@@ -320,12 +345,11 @@ def functional_density(metric, functional, frame="coordinate", seed=0, nsamples=
         if functional == "volume":
             return vol, None
         if functional == "gamma_mc":
-            sframes = _haar_node_frames(base, node_idx, seed, nsamples)
-            vals, stderrs = haar_pair_average(riem, sframes)
+            vals, stderrs = _haar_pair_density(riem, base, node_idx, seed, nsamples)
             return vals * vol, stderrs * vol
         if isinstance(frame, str):
             frames = (base if frame == "coordinate"
-                      else _haar_node_frames(base, node_idx, seed, 1)[:, 0])
+                      else _haar_node_frames(base, node_idx, seed))
         else:
             frames = np.einsum("ia,pab->pib", np.asarray(frame, dtype=float), base)
         return _contract(functional, riem, frames) * vol, None

@@ -2,11 +2,12 @@
 
 Each oracle computes a quantity the package also computes, by a separate
 route: central finite differences instead of hyper-dual jets, the literal
-double-permutation sum instead of its matching reduction, a direct
-Gram-matrix check of a frame, a product's curvature from its padded
-full-dimensional jets instead of from its factors, and a product's
-coordinate-frame density from its assembled full-dimensional chunk instead
-of from its factors' densities.
+permutation and double-permutation sums instead of their matching
+reductions, a five-operand einsum per frame plane instead of the Monte
+Carlo estimator's matmul, a direct Gram-matrix check of a frame, a
+product's curvature from its padded full-dimensional jets instead of from
+its factors, and a product's coordinate-frame density from its assembled
+full-dimensional chunk instead of from its factors' densities.
 """
 
 import itertools
@@ -77,6 +78,35 @@ def christoffel_fd(metric, x, h=1e-5):
                     s += ginv[kk, l] * (dg[j, l, i] + dg[i, l, j] - dg[i, j, l])
                 gamma[kk, i, j] = s / 2
     return gamma
+
+
+def brute_force_perm_sum(k):
+    """Literal sum over all (2d)! permutations of a batch; slow reference path."""
+    k = np.asarray(k)
+    n = k.shape[1]
+    d = n // 2
+    total = 0
+    for sigma in itertools.permutations(range(n)):
+        term = k[:, sigma[0], sigma[1]]
+        for kk in range(1, d):
+            term = term * k[:, sigma[2 * kk], sigma[2 * kk + 1]]
+        total = total + term
+    return total
+
+
+def einsum_pair_products(riem, frames):
+    """Per-sample products of consecutive-plane sectional curvatures, (P, S).
+
+    One five-operand einsum per frame plane, K(u, v) = R_abcd u_a v_b u_c v_d,
+    apart from the package's matmul over u (x) v.
+    """
+    npts, nsamples, n = frames.shape[:3]
+    prods = np.ones((npts, nsamples))
+    for k in range(n // 2):
+        u = frames[:, :, 2 * k, :]
+        v = frames[:, :, 2 * k + 1, :]
+        prods *= np.einsum("psa,psb,psc,psd,pabcd->ps", u, v, u, v, riem, optimize=True)
+    return prods
 
 
 def brute_force_gbc_raw_sum(riem_frame):

@@ -16,7 +16,6 @@ from curvfun import zoo
 from curvfun.cli import main as cli_main
 from curvfun.frames import haar_orthogonal, point_rng
 from curvfun.functionals import (
-    brute_force_perm_sum,
     gbc_raw_sum,
     haar_pair_average,
     k_discrete,
@@ -32,7 +31,7 @@ from curvfun.geometry import (
 )
 from curvfun import liegroups as LG
 from curvfun.quadrature import integrate, integrate_functional
-from oracles import christoffel_fd
+from oracles import brute_force_perm_sum, christoffel_fd
 
 
 def _gamma(spec, functional="gamma_d", frame="coordinate"):

@@ -573,7 +573,9 @@ def test_too_deep_expression_exits_2_naming_it(tmp_path, capsys, expression):
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "Traceback" not in err
-        assert err.startswith("configuration error") and repr(expression) in err
+        assert err.startswith("configuration error")
+        # named by its two ends, in a message that does not grow with the text
+        assert expression[:20] in err and expression[-20:] in err and len(err) < 200
 
 
 @pytest.mark.parametrize("expression", [_nested(130), _chained(300)],

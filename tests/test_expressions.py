@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from curvfun.errors import ConfigError
-from curvfun.expressions import Expression, parse_expression
+from curvfun.expressions import QUOTE_CHARS, Expression, parse_expression
 from curvfun.jets import variables
 
 
@@ -79,3 +79,16 @@ def test_integer_float_exponents_on_jets():
     out = parse_expression("x^2.0")({"x": x})
     assert out.value[0] == pytest.approx(1.4**2)
     assert out.grad[0, 0] == pytest.approx(2 * 1.4)
+
+
+@pytest.mark.parametrize("text", ["(" * 200 + "x1" + ")" * 200, "0*x1+" * 600 + "cos(x1)",
+                                  "x1 + " * 40 + "1/0"],
+                         ids=["nested", "deep", "constant-part"])
+def test_error_message_names_a_long_expression_by_its_ends(text):
+    with pytest.raises(ConfigError) as info:
+        parse_expression(text)
+    message = str(info.value)
+    assert len(message) < 200
+    half = QUOTE_CHARS // 2
+    assert text[:half] in message and text[-half:] in message
+    assert "(%d characters)" % len(text) in message

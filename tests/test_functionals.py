@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from curvfun.errors import BadDimensionError
 from curvfun.functionals import (
     _gbc_combos,
-    brute_force_perm_sum,
     gbc_raw_sum,
     haar_pair_average,
     k_discrete,
@@ -26,7 +25,7 @@ from curvfun.frames import gram_schmidt_frames, haar_orthogonal, point_rng
 from curvfun.geometry import riemann_arrays
 from curvfun.quadrature import functional_density
 from curvfun.zoo import taubes_torus
-from oracles import brute_force_gbc_raw_sum
+from oracles import brute_force_gbc_raw_sum, brute_force_perm_sum, einsum_pair_products
 
 
 def symmetric_zero_diag(values, n):
@@ -183,6 +182,35 @@ def test_haar_estimate_converges_on_anisotropic_tensor():
     frames = np.stack([haar_orthogonal(4, point_rng(seed, 0), 4000) for seed in (1, 2)])
     (v1, v2), (s1, s2) = haar_pair_average(np.stack([r, r]), frames)
     assert abs(v1 - v2) < 4 * math.hypot(s1, s2)
+
+
+def _gauss_tensor(rng, n, terms=3):
+    """An algebraic curvature tensor whose sectional curvatures are all positive.
+
+    R_abcd = sum over positive-definite S of S_ac S_bd - S_ad S_bc (the Gauss
+    equation), so K(u, v) = S(u, u) S(v, v) - S(u, v)^2 > 0 by Cauchy-Schwarz.
+    """
+    r = np.zeros((n,) * 4)
+    for _ in range(terms):
+        a = rng.standard_normal((n, n))
+        s = a @ a.T + np.eye(n)
+        r += np.einsum("ac,bd->abcd", s, s) - np.einsum("ad,bc->abcd", s, s)
+    return r
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_haar_pair_average_matches_the_five_operand_einsum(n):
+    """The matmul over u (x) v gives the einsum's products to rounding."""
+    rng = np.random.default_rng(40 + n)
+    riem = np.stack([_gauss_tensor(rng, n) for _ in range(3)])
+    frames = haar_orthogonal(n, [point_rng(7, node) for node in range(3)], 50)
+    value, stderr = haar_pair_average(riem, frames)
+    prods = einsum_pair_products(riem, frames)
+    scale = math.factorial(n) * normalization_constant(n // 2)
+    assert np.allclose(value, scale * prods.mean(axis=1), rtol=1e-12, atol=0)
+    # in dimension 2 every frame gives the same K, so the stderr is rounding alone
+    assert np.allclose(stderr, scale * prods.std(axis=1, ddof=1) / math.sqrt(50),
+                       rtol=1e-12, atol=1e-12 * value.max())
 
 
 def test_gamma_mc_density_is_the_single_point_estimate():

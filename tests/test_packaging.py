@@ -83,15 +83,6 @@ def test_every_exported_name_resolves():
     assert stale == []
 
 
-# Exported names that nothing in src/curvfun or demos/ reads and README.md
-# does not mention, each kept on purpose for the reason given.
-UNREAD_EXPORTS = {
-    "brute_force_perm_sum": "the literal (2d)!-term permutation sum that the matching "
-                            "reduction and the printed su3 permutation-sum convention are "
-                            "checked against",
-}
-
-
 def _names_read(path):
     """Every name ``path`` reads, as a bare ``Name`` or as an ``Attribute``."""
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -117,5 +108,4 @@ def test_every_exported_name_is_read_or_documented():
     readme = (ROOT / "README.md").read_text()
     unread = sorted("%s.%s" % (path.stem, name) for path in sources for name in _exports(path)
                     if name not in read and not re.search(r"\b%s\b" % re.escape(name), readme))
-    assert [e for e in unread if e.split(".")[1] not in UNREAD_EXPORTS] == []
-    assert {e.split(".")[1] for e in unread} == set(UNREAD_EXPORTS)
+    assert unread == []

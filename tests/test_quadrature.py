@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from curvfun import quadrature
 from curvfun.errors import BadDimensionError, ChartSingularityError, ConfigError, CurvfunError
-from curvfun.frames import rotate_frame
+from curvfun.frames import haar_orthogonal, point_rng, rotate_frame
 from curvfun.geometry import MetricField
 from curvfun.jets import sin
 from curvfun.quadrature import (
     Axis,
     Grid,
+    _haar_node_frames,
     functional_density,
     integrate,
     integrate_functional,
@@ -342,3 +344,50 @@ def test_product_integral_matches_the_per_node_integral(name, functional):
         assert abs(full) < 1e-12
     else:
         assert res.value == pytest.approx(full, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_haar_frames_drawn_as_one_block_equal_node_by_node_draws(n):
+    """One stacked QR and one matmul give each node the bits of its own draw,
+    whether the nodes are drawn as one block or as two."""
+    base = np.random.default_rng(n).standard_normal((7, n, n))
+    nodes = np.arange(40, 47)
+    for count in (None, 3):
+        block = _haar_node_frames(base, nodes, 5, count)
+        halves = np.concatenate([_haar_node_frames(base[:4], nodes[:4], 5, count),
+                                 _haar_node_frames(base[4:], nodes[4:], 5, count)])
+        for row, node in enumerate(nodes):
+            alone = haar_orthogonal(n, point_rng(5, int(node)), count or 1) @ base[row]
+            expected = alone if count else alone[0]
+            assert np.array_equal(block[row], expected)
+            assert np.array_equal(halves[row], expected)
+
+
+def test_gamma_mc_values_do_not_depend_on_the_block_size(monkeypatch):
+    """Ten rows drawn and contracted three at a time keep every bit of one block."""
+    spec = manifold_by_name("taubes")
+    pts, nodes = spec.interior_points(10, 4), np.arange(60, 70)
+    density = functional_density(spec.metric, "gamma_mc", seed=3, nsamples=8)
+    whole = density(pts, nodes)
+    monkeypatch.setattr(quadrature, "HAAR_BLOCK_BYTES", 3 * 8 * 4 * 4 * 8)
+    blocked = density(pts, nodes)
+    assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
+
+
+def test_gamma_mc_chunk_memory_is_bounded():
+    """A 4,096-row taubes chunk at 64 samples peaks where its curvature does,
+    about 39 MB; drawn as one (4096, 64, 4, 4) stack, the frames, their
+    normals and QR factors took it to 145 MB."""
+    import tracemalloc
+
+    spec = manifold_by_name("taubes")
+    pts = spec.interior_points(4096, 1)
+    density = functional_density(spec.metric, "gamma_mc", nsamples=64)
+    tracemalloc.start()
+    try:
+        values, stderrs = density(pts, np.arange(4096))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(values)) and np.all(stderrs > 0)
+    assert peak < 48 * 2**20
