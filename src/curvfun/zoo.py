@@ -19,7 +19,7 @@ from . import jets as J
 from .errors import BadDimensionError, ConfigError, NonOrthonormalFrameError
 from .expressions import parse_expression
 from .geometry import SYMMETRY_TOL, EmbeddingMap, MetricField
-from .quadrature import DEFAULT_CHUNK, Axis, Grid
+from .quadrature import Axis, Grid
 
 __all__ = [
     "ManifoldSpec",
@@ -588,17 +588,18 @@ def manifold_by_name(name, params=None):
 def _spec_axis(k, a):
     """One ``Axis`` from the k-th entry of a spec file's ``"axes"`` list."""
     if not isinstance(a, dict):
-        raise ValueError('spec file: axis %d must be an object with "lo", "hi" and "n"' % k)
+        raise ConfigError('spec file: axis %d must be an object with "lo", "hi" and "n"' % k)
     for key in ("lo", "hi", "n"):
         if key not in a:
-            raise ValueError('spec file: axis %d has no "%s"' % (k, key))
+            raise ConfigError('spec file: axis %d has no "%s"' % (k, key))
     if isinstance(a["n"], bool) or not isinstance(a["n"], int) or a["n"] < 1:
         raise ConfigError('spec file: axis %d "n" must be a positive integer' % k)
 
     def bound(key):
         v = a[key]
         if isinstance(v, bool) or not isinstance(v, (int, float, str)):
-            raise ValueError('spec file: axis %d "%s" must be a number or an expression' % (k, key))
+            raise ConfigError('spec file: axis %d "%s" must be a number or an expression'
+                              % (k, key))
         try:
             x = float(parse_expression(v)({}) if isinstance(v, str) else v)
             if not math.isfinite(x):
@@ -618,16 +619,21 @@ def _spec_axis(k, a):
     return Axis(lo, hi, a["n"], periodic)
 
 
+# Nodes per step of the spec-file symmetry check, which holds (rows,) scalars only.
+_SYMMETRY_STRIDE = 4096
+
+
 def _check_symmetric(exprs, grid, var_names):
     """Reject a metric whose (i, j) and (j, i) entries differ at a grid node.
 
-    The nodes are visited in chunks of ``DEFAULT_CHUNK``, so memory stays
-    bounded however large the grid.
+    The nodes are visited ``_SYMMETRY_STRIDE`` at a time, each entry read
+    as one scalar per node, so memory stays bounded however large the grid.
     """
     axis_nodes = [a.nodes_weights()[0] for a in grid.axes]
     shape = tuple(a.n for a in grid.axes)
-    for start in range(0, grid.n_points, DEFAULT_CHUNK):
-        idx = np.unravel_index(np.arange(start, min(start + DEFAULT_CHUNK, grid.n_points)), shape)
+    for start in range(0, grid.n_points, _SYMMETRY_STRIDE):
+        idx = np.unravel_index(np.arange(start, min(start + _SYMMETRY_STRIDE, grid.n_points)),
+                               shape)
         env = {nm: x[i] for nm, x, i in zip(var_names, axis_nodes, idx)}
         for i in range(len(exprs)):
             for j in range(i + 1, len(exprs)):
@@ -635,7 +641,7 @@ def _check_symmetric(exprs, grid, var_names):
                     gap = np.atleast_1d(np.abs(exprs[i][j](env) - exprs[j][i](env)))
                 gap = gap[gap > SYMMETRY_TOL]
                 if gap.size:
-                    raise ValueError(
+                    raise ConfigError(
                         "spec file: metric entries (%d,%d) and (%d,%d) differ by %.3g at a "
                         "default grid node; the metric must be symmetric"
                         % (i + 1, j + 1, j + 1, i + 1, gap.max())
@@ -656,27 +662,27 @@ def load_manifold_file(path):
     chart variables x1..xn, and the metric's ``depends_on`` is the set of
     variables they use.  A missing or ill-typed key, or a metric whose
     transposed entries differ at a node of the default grid by more than
-    ``SYMMETRY_TOL``, raises ``ValueError`` naming the problem.
+    ``SYMMETRY_TOL``, raises ``ConfigError`` naming the problem.
     """
     import json
 
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except OSError as exc:
-        raise ValueError("cannot read spec file: %s" % exc) from None
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+        raise ConfigError("cannot read spec file: %s" % exc) from None
     if not isinstance(data, dict):
-        raise ValueError("spec file must hold a JSON object")
+        raise ConfigError("spec file must hold a JSON object")
     axes_spec = data.get("axes")
     if not isinstance(axes_spec, list) or not axes_spec:
-        raise ValueError('spec file needs "axes": a non-empty list of axis objects')
+        raise ConfigError('spec file needs "axes": a non-empty list of axis objects')
     dim = len(axes_spec)
     grid = Grid(tuple(_spec_axis(k + 1, a) for k, a in enumerate(axes_spec)))
     rows = data.get("metric")
     if not isinstance(rows, list) or len(rows) != dim or any(
         not isinstance(r, list) or len(r) != dim for r in rows
     ):
-        raise ValueError('spec file: "metric" must be a %dx%d matrix of expressions' % (dim, dim))
+        raise ConfigError('spec file: "metric" must be a %dx%d matrix of expressions' % (dim, dim))
     var_names = ["x%d" % (i + 1) for i in range(dim)]
     exprs = []
     for r in rows:
@@ -685,7 +691,8 @@ def load_manifold_file(path):
             e = parse_expression(str(cell))
             bad = e.variables - set(var_names)
             if bad:
-                raise ValueError("metric entry uses unknown variables %s" % sorted(bad))
+                raise ConfigError("spec file: metric entry uses unknown variables %s"
+                                  % sorted(bad))
             row_exprs.append(e)
         exprs.append(row_exprs)
     _check_symmetric(exprs, grid, var_names)

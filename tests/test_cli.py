@@ -10,7 +10,7 @@ import pytest
 
 from curvfun.cli import GROUP_NAMES, main, write_record
 from curvfun.errors import NonFiniteError
-from curvfun.quadrature import DEFAULT_CHUNK, Axis, Grid, integrate
+from curvfun.quadrature import Axis, Grid, _chunk_rows, integrate
 from curvfun.zoo import MANIFOLD_NAMES, manifold_by_name
 
 S2_ARGS = ["compute", "--manifold", "s2", "--grid", "9,8", "--no-timing"]
@@ -76,7 +76,7 @@ def test_wall_time_present_by_default(capsys):
 
 
 def test_byte_identity_across_worker_counts(tmp_path):
-    # 65 x 65 nodes exceed one chunk, so the thread pool runs two chunks
+    # 65 x 65 nodes exceed one chunk, so the thread pool runs several chunks
     cases = (
         ["--functional", "gamma_d"],
         ["--functional", "gamma_mc", "--samples", "8"],
@@ -92,13 +92,13 @@ def test_byte_identity_across_worker_counts(tmp_path):
             )
             assert code == 0
             outputs.append(p.read_bytes())
-        assert json.loads(outputs[0])["n_points"] > DEFAULT_CHUNK
+        assert json.loads(outputs[0])["n_points"] > _chunk_rows(4)
         assert outputs[0] == outputs[1] == outputs[2], extra
 
 
 def test_frame_sweep_byte_identity_across_worker_counts(tmp_path):
     # e2xe2 reads all four axes, so its 9 x 8 x 9 x 8 evaluated nodes exceed one chunk
-    # and the thread pool runs two chunks
+    # and the thread pool runs several chunks
     outputs = []
     for w in (1, 2, 8):
         p = tmp_path / ("w%d.json" % w)
@@ -107,7 +107,7 @@ def test_frame_sweep_byte_identity_across_worker_counts(tmp_path):
         assert code == 0
         outputs.append(p.read_bytes())
     grid = Grid(tuple(Axis(**a) for a in json.loads(outputs[0])["grid"]))
-    assert grid.collapse(manifold_by_name("e2xe2").metric.depends_on).n_points > DEFAULT_CHUNK
+    assert grid.collapse(manifold_by_name("e2xe2").metric.depends_on).n_points > _chunk_rows(4)
     assert len(json.loads(outputs[0])["rows"]) == 3
     assert outputs[0] == outputs[1] == outputs[2]
 

@@ -52,13 +52,16 @@ def test_grid_point_count_and_weights():
     assert halved.axes[0].n == 2 and halved.axes[1].n == 2
 
 
-def test_integrate_worker_count_is_bit_identical():
+def test_integrate_worker_count_is_bit_identical(monkeypatch):
+    # a budget of 64 two-dimensional rows: the 420 nodes span seven chunks
+    monkeypatch.setattr(quadrature, "CHUNK_BYTES", 64 * 8 * 2**4)
     grid = Grid((Axis(0, math.pi, 21), Axis(0, 2 * math.pi, 20, periodic=True)))
+    assert quadrature._chunk_rows(grid.dim) == 64
 
     def density(p, idx):
         return np.sin(p[:, 0]) * (1 + 0.3 * np.cos(p[:, 1])), None
 
-    vals = [integrate(density, grid, workers=w, chunk=64)[0] for w in (1, 2, 8)]
+    vals = [integrate(density, grid, workers=w)[0] for w in (1, 2, 8)]
     assert vals[0] == vals[1] == vals[2]
     # int_0^pi sin = 2 times int_0^2pi (1 + 0.3 cos) = 2 pi
     assert vals[0] == pytest.approx(4 * math.pi)
@@ -391,3 +394,51 @@ def test_gamma_mc_chunk_memory_is_bounded():
         tracemalloc.stop()
     assert np.all(np.isfinite(values)) and np.all(stderrs > 0)
     assert peak < 48 * 2**20
+
+
+@pytest.mark.parametrize("n, rows", [(2, 16384), (4, 1024), (6, 202), (8, 64)])
+def test_chunk_rows_keep_one_riemann_array_within_the_budget(n, rows):
+    assert quadrature._chunk_rows(n) == rows
+    assert rows >= 1 and rows * 8 * n**4 <= quadrature.CHUNK_BYTES
+
+
+def test_dimension_8_integral_memory_is_bounded():
+    """256 dimension-8 nodes are four 64-row chunks and peak near 9 MB; as one
+    chunk, which a fixed 4,096-row chunk made them, they took 35 MB."""
+    import tracemalloc
+
+    n = 8
+    # diagonal, each g_ii reading the next axis, so the chart is curved
+    metric = MetricField.from_entries(
+        n, lambda v: [[1 + 0.25 * sin(v[(i + 1) % n]) if i == j else 0.0 for j in range(n)]
+                      for i in range(n)])
+    grid = Grid((Axis(0.0, 1.0, 2),) * n)
+    # warm the per-dimension caches, which are not part of the per-call peak
+    integrate_functional(metric, Grid((Axis(0.0, 1.0, 1),) * n), "gamma_d")
+    tracemalloc.start()
+    try:
+        value = integrate_functional(metric, grid, "gamma_d", with_error_estimate=False).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(value) and value != 0.0
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("name, functional, seed", [
+    ("s4", "gamma_d", 0),
+    ("taubes", "gamma_mc", 1),
+])
+def test_integral_does_not_depend_on_the_chunk_budget(monkeypatch, name, functional, seed):
+    """37-row chunks cut the grids at other nodes than the default's; every
+    record field keeps its bits."""
+    spec = manifold_by_name(name)
+
+    def fields():
+        res = integrate_functional(spec.metric, spec.default_grid, functional, seed=seed)
+        return res.value, res.error_estimate, res.stderr
+
+    whole = fields()
+    monkeypatch.setattr(quadrature, "CHUNK_BYTES", 37 * 8 * 4**4)
+    assert quadrature._chunk_rows(4) == 37
+    assert fields() == whole

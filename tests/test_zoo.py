@@ -187,7 +187,7 @@ def test_load_manifold_file_rejects_bad_shapes(tmp_path):
     }
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="1x1 matrix"):
         load_manifold_file(path)
 
 
@@ -200,11 +200,25 @@ def test_load_manifold_file_rejects_bad_shapes(tmp_path):
     ({"axes": [{"lo": None, "hi": 1, "n": 4}], "metric": [["1"]]}, '"lo"'),
     ({"axes": [{"lo": 0, "hi": 1, "n": 4}]}, "metric"),
     ({"axes": [{"lo": 0, "hi": 1, "n": 4}], "metric": "1"}, "metric"),
+    ({"axes": [4], "metric": [["1"]]}, "axis 1 must be an object"),
+    ({"axes": [{"lo": 0, "hi": 1, "n": 4}], "metric": [["1 + x2"]]}, "unknown variables"),
+    ([1, 2], "JSON object"),
 ])
 def test_load_manifold_file_names_the_bad_key(tmp_path, payload, key):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match=key):
+    with pytest.raises(ConfigError, match=key):
+        load_manifold_file(path)
+
+
+@pytest.mark.parametrize("content", [None, "{not json", b"\xff\xfe"])
+def test_unreadable_spec_file_is_a_config_error(tmp_path, content):
+    path = tmp_path / "spec.json"
+    if isinstance(content, str):
+        path.write_text(content)
+    elif content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ConfigError, match="cannot read spec file"):
         load_manifold_file(path)
 
 
@@ -214,7 +228,7 @@ def test_load_manifold_file_rejects_asymmetric_metric(tmp_path):
     # sqrt(x1) is NaN on half the nodes; the finite half must still be caught
     for upper in ("x1", "sqrt(x1)"):
         path.write_text(json.dumps({"axes": axes, "metric": [["2", upper], ["0", "1"]]}))
-        with pytest.raises(ValueError, match="symmetric"):
+        with pytest.raises(ConfigError, match="symmetric"):
             load_manifold_file(path)
     # transposed entries that agree as functions pass, whatever their text
     path.write_text(json.dumps({"axes": axes, "metric": [["2", "x1*x2"], ["x2*x1", "1"]]}))
