@@ -2,8 +2,9 @@
 
 For a bi-invariant metric, sectional curvatures of orthonormal-basis planes
 are K_ij = (1/4) sum_k alpha_ijk^2 in terms of the structure constants, so
-every pairing sum is a finite rational computation -- no quadrature, and no
-floats until the very end.
+every pairing sum is a finite rational computation.  The same groups are
+catalog charts: one node weighted by the group volume, integrated by the
+pipeline every other manifold goes through.
 """
 
 import math
@@ -12,10 +13,11 @@ import numpy as np
 
 from curvfun.frames import haar_orthogonal
 from curvfun.functionals import matching_sum, normalization_constant, perm_sum
-from curvfun.liegroups import biinvariant_sectional, gamma_d_group, rotate_algebra, so4, su3
+from curvfun.liegroups import so4, su3
+from curvfun.quadrature import integrate_functional
+from curvfun.zoo import manifold_by_name
 
-alg = su3()
-table = alg.k_exact
+table = su3().k_exact
 print("su(3), orthonormal basis for -2 Re tr(XY):")
 print("exact sectional curvature table:")
 width = max(len(str(v)) for row in table for v in row)
@@ -27,24 +29,32 @@ print("\nmatching sum    =", msum, " (over the 105 perfect matchings of 8 indice
 print("permutation sum =", psum, "   (free sum over all 8! index orderings)")
 assert psum == msum * 2**4 * math.factorial(4)
 
-volume = math.pi**5  # Haar volume of SU(3) in this normalization
-gamma = gamma_d_group(alg, volume)
+spec = manifold_by_name("su3")  # one node on [0, pi^5] x [0, 1]^7
+
+
+def gamma(functional="gamma_d", **kwargs):
+    return integrate_functional(spec.metric, spec.default_grid, functional, **kwargs)
+
+
+g = gamma().value
 print("\ngamma(SU(3)) = volume * C_4 * permutation sum")
 print("             = pi^5 * %s * %s = 117 pi / 2^17 ~ %.16f"
-      % (normalization_constant(4), psum, gamma))
-assert abs(gamma - 117 * math.pi / 2**17) < 1e-15
+      % (normalization_constant(4), psum, g))
+assert abs(g - 117 * math.pi / 2**17) < 1e-15
 
-alg4 = so4()
-msum4 = matching_sum(alg4.k_exact[None])[0]
+mc = gamma("gamma_mc", nsamples=4096)
+print("frame average over 4,096 Haar frames: %.7f +- %.7f" % (mc.value, mc.stderr))
+print("gbc (chi(SU(3)) = 0): %.3g   scalar curvature * volume: %.6f = 6 pi^5"
+      % (gamma("gbc").value, gamma("hilbert").value))
+
+msum4 = matching_sum(so4().k_exact[None])[0]
 print("\nso(4): matching sum =", msum4)
 print("so(4) = su(2) + su(2); every perfect matching of 6 indices pairs at")
 print("least one generator from each commuting factor (K = 0), so the density")
 print("-- and hence gamma -- vanishes identically, whatever the volume is.")
 
-# Rotating the basis keeps the algebra closed but the pairing density is a
-# basis-dependent quantity, even on a group.
-rotated = rotate_algebra(su3(), haar_orthogonal(8, np.random.default_rng(7)))
-drift = matching_sum(biinvariant_sectional(rotated)[None])[0]
+# The pairing density is a basis-dependent quantity, even on a group: an
+# explicit frame rotates the orthonormal basis before the contraction.
+rotated = gamma(frame=haar_orthogonal(8, np.random.default_rng(7))).value
 print("\nsu(3) after one random orthogonal change of basis:")
-print("  matching sum drifts from %s = %.8f to %.8f"
-      % (msum, float(msum), float(drift)))
+print("  gamma_d drifts from %.8f to %.8f" % (g, rotated))

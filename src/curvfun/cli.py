@@ -35,12 +35,9 @@ from .errors import (
     SingularMetricError,
 )
 from .frames import rotate_frame
-from .functionals import k_discrete, matching_sum, perm_sum
 from .quadrature import FUNCTIONALS, Axis, Grid, integrate, integrate_functional
 from .reproduce import CASE_NAMES, run_case
 from .zoo import MANIFOLD_NAMES, load_manifold_file, manifold_by_name
-
-GROUP_NAMES = ("su3", "so4")
 
 _NORMALIZATION = {
     "gamma_d": "C_d = 1/(d!(4pi)^d) times the permutation sum "
@@ -152,46 +149,8 @@ def _record(args, name, frame, grid):
 # -- compute ----------------------------------------------------------------------
 
 
-def _compute_group(args):
-    from . import liegroups as LG
-
-    if args.functional != "gamma_d":
-        raise ConfigError("group manifolds support --functional gamma_d only")
-    for flag, given in (("--grid", args.grid), ("--param", args.param)):
-        if given:
-            raise ConfigError("%s does not apply to the group manifold %s" % (flag, args.manifold))
-    alg = LG.builtin_algebra(args.manifold)
-    frame, frame_record = _frame(args, alg.dim)
-    if frame_record["strategy"] == "haar":
-        from .frames import haar_orthogonal, point_rng
-
-        frame = haar_orthogonal(alg.dim, point_rng(args.seed, 0))
-    if frame_record["strategy"] != "coordinate":
-        alg = LG.rotate_algebra(alg, frame)
-    density = float(k_discrete(LG.biinvariant_sectional(alg)[None])[0])
-    volume = LG.VOLUMES.get(args.manifold)
-    if volume is None and density != 0:
-        raise ConfigError("the %s k_d density in the %s frame is nonzero (%.6g), and the volume "
-                          "of SO(4) is not on record" % (args.manifold, frame_record["strategy"],
-                                                        density))
-    record = _record(args, args.manifold, frame_record, None)
-    record["normalization"] += "; curvature constant over the group"
-    record.update(n_points=1, samples=None, value=0.0 if volume is None else density * volume,
-                  error_estimate=0.0, stderr=None, k_d_density=density, group_volume=volume)
-    if args.manifold == "su3" and frame_record["strategy"] == "coordinate":
-        k = alg.k_exact[None]
-        record["exact"] = {
-            "matching_sum": str(matching_sum(k)[0]),
-            "permutation_sum": str(perm_sum(k)[0]),
-            "gamma_closed_form": "117*pi/2^17",
-        }
-    return record
-
-
 def cmd_compute(args):
     samples = _samples(args)
-    if args.manifold in GROUP_NAMES and not args.spec_file:
-        return _compute_group(args), 0
     spec = _resolve_manifold(args)
     grid = _grid(args, spec)
     frame, frame_record = _frame(args, spec.dim)
@@ -341,7 +300,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--manifold", choices=sorted(MANIFOLD_NAMES + GROUP_NAMES))
+        sp.add_argument("--manifold", choices=sorted(MANIFOLD_NAMES))
         sp.add_argument("--spec-file", help="declarative JSON chart definition")
         sp.add_argument("--param", action="append", metavar="KEY=VALUE",
                         help="manifold parameter (repeatable), e.g. u=cos(x1)+cos(x2)")

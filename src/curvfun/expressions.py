@@ -7,12 +7,14 @@ functions ``sin cos exp sqrt log``, and free variables (typically
 
 Expressions evaluate over anything with arithmetic dunders -- floats,
 numpy arrays, or jets -- so a parsed metric entry can be differentiated
-by the same hyper-dual machinery as the built-in ones.  Variable-free parts
-are evaluated once, at parse time; one that divides by zero, overflows or
-is not a finite real number is a ``ConfigError`` naming the expression (a
-long one by its two ends, see ``QUOTE_CHARS``).  So is an expression nested
-deeper than ``MAX_NESTING`` or ``MAX_DEPTH``: a parsed expression never runs
-out of Python's recursion limit later.
+by the same hyper-dual machinery as the built-in ones.  Text that does not
+parse, an unknown function and, at evaluation, an unbound variable are
+``ConfigError`` naming the expression (a long one by its two ends, see
+``QUOTE_CHARS``).  Variable-free parts are evaluated once, at parse time;
+one that divides by zero, overflows or is not a finite real number is a
+``ConfigError`` too.  So is an expression nested deeper than ``MAX_NESTING``
+or ``MAX_DEPTH``: a parsed expression never runs out of Python's recursion
+limit later.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ def _tokenize(text):
             rest = text[pos:].strip()
             if not rest:
                 break
-            raise ValueError("cannot tokenize expression at %r" % rest[:20])
+            raise ConfigError("expression %s: cannot tokenize at %r" % (_quote(text), rest[:20]))
         pos = m.end()
         if m.lastgroup == "num":
             tokens.append(("num", float(m.group("num"))))
@@ -98,6 +100,9 @@ class _Parser:
         self.pos = 0
         self.depth = 0
 
+    def error(self, problem):
+        return ConfigError("expression %s: %s" % (_quote(self.text), problem))
+
     def peek(self):
         return self.tokens[self.pos]
 
@@ -109,13 +114,13 @@ class _Parser:
     def expect(self, op):
         kind, val = self.next()
         if kind != "op" or val != op:
-            raise ValueError("expected %r, found %r" % (op, val))
+            raise self.error("expected %r, found %r" % (op, val))
 
     def parse(self):
         node = self.expr(0)
         kind, val = self.peek()
         if kind != "end":
-            raise ValueError("unexpected trailing input near %r" % (val,))
+            raise self.error("unexpected trailing input near %r" % (val,))
         return node
 
     def expr(self, min_prec):
@@ -146,7 +151,7 @@ class _Parser:
             k2, v2 = self.peek()
             if k2 == "op" and v2 == "(":
                 if val not in _FUNCTIONS:
-                    raise ValueError("unknown function %r" % val)
+                    raise self.error("unknown function %r" % val)
                 self.next()
                 arg = self.expr(0)
                 self.expect(")")  # every function takes one argument
@@ -158,7 +163,7 @@ class _Parser:
             node = self.expr(0)
             self.expect(")")
             return node
-        raise ValueError("unexpected token %r" % (val,))
+        raise self.error("unexpected end" if kind == "end" else "unexpected token %r" % (val,))
 
 
 def _eval(node, env):
@@ -166,10 +171,7 @@ def _eval(node, env):
     if tag == "const":
         return node[1]
     if tag == "var":
-        try:
-            return env[node[1]]
-        except KeyError:
-            raise ValueError("unbound variable %r" % node[1]) from None
+        return env[node[1]]
     if tag == "neg":
         return -_eval(node[1], env)
     if tag == "call":
@@ -234,6 +236,10 @@ class Expression:
         self.variables = frozenset(names)
 
     def __call__(self, env):
+        unbound = self.variables - env.keys()
+        if unbound:
+            raise ConfigError("expression %s: unbound variables %s"
+                              % (_quote(self.text), sorted(unbound)))
         return _eval(self._ast, env)
 
     def __repr__(self):

@@ -2,8 +2,14 @@
 
 Given an orthonormal basis e_1..e_n of a Lie algebra with a bi-invariant
 inner product, the structure constants alpha[i, j, k] = <[e_i, e_j], e_k>
-are totally antisymmetric and the sectional curvature of the (e_i, e_j)
-plane is K_ij = |[e_i, e_j]|^2 / 4 = sum_k alpha[i, j, k]^2 / 4.
+are totally antisymmetric and the curvature tensor in that basis is
+R_ijkl = sum_m alpha[i, j, m] alpha[k, l, m] / 4, the same at every point
+of the group; the sectional curvature of the (e_i, e_j) plane is
+K_ij = |[e_i, e_j]|^2 / 4 = sum_k alpha[i, j, k]^2 / 4.
+
+:func:`biinvariant_metric` hands that tensor to the chart pipeline as a
+metric with constant jets, and the catalog (:mod:`curvfun.zoo`) integrates
+it over a one-node chart weighted by the group volume in ``VOLUMES``.
 
 Built-ins:
 
@@ -35,33 +41,26 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    BadDimensionError,
-    NonOrthonormalFrameError,
-    NotBiInvariantError,
-    NotClosedError,
-)
-from .functionals import k_discrete
+from .errors import NonOrthonormalFrameError, NotBiInvariantError, NotClosedError
+from .geometry import MetricField
 
 __all__ = [
     "LieAlgebra",
     "structure_constants",
-    "biinvariant_sectional",
-    "gamma_d_group",
-    "rotate_algebra",
+    "biinvariant_metric",
     "su3",
     "so4",
     "so3",
     "load_algebra",
-    "builtin_algebra",
     "VOLUMES",
 ]
 
 TOL = 1e-10
 
-# Haar volumes of the built-in groups in their normalizations; SO(4)'s is
-# not on record.
-VOLUMES = {"su3": math.pi**5}
+# Haar volumes of the built-in groups in their normalizations.  SO(4): under
+# -tr(XY)/2 it is vol(S^3) vol SO(3) = 16 pi^4, and -tr(XY) scales the
+# 6-volume by 8; also Spin(4) = S^3(2) x S^3(2) has volume (16 pi^2)^2 = 2x.
+VOLUMES = {"su3": math.pi**5, "so4": 128 * math.pi**4}
 
 
 @dataclass
@@ -136,38 +135,30 @@ def structure_constants(basis, inner, tol=TOL):
     return alpha.astype(float)
 
 
-def biinvariant_sectional(algebra, tol=TOL):
-    """Sectional curvature matrix K_ij = sum_k alpha_ijk^2 / 4.
+def biinvariant_metric(algebra):
+    """The bi-invariant metric of ``algebra`` as a :class:`MetricField`.
 
-    Requires total antisymmetry of alpha (the bi-invariance condition);
-    raises :class:`NotBiInvariantError` otherwise.
+    Its jets are constant (``depends_on`` is empty): g = I, dg = 0, and
+    ``d2g[i, j, k, l] = R[i, l, k, j] / 2``.  That d2g is no true second
+    derivative; :meth:`MetricField.jets` only promises d2g inside the
+    combination :func:`curvfun.geometry.riemann_arrays` reads, and this one
+    makes it return R bit for bit (the normal-coordinate Hessian
+    -(R_ikjl + R_iljk) / 3 gives R only to rounding).  Raises
+    :class:`NotBiInvariantError` unless alpha is totally antisymmetric.
     """
-    alpha = algebra.alpha if isinstance(algebra, LieAlgebra) else np.asarray(algebra)
-    if np.max(np.abs(alpha + np.swapaxes(alpha, 1, 2))) > tol:
+    alpha = algebra.alpha
+    if np.max(np.abs(alpha + np.swapaxes(alpha, 1, 2))) > TOL:
         raise NotBiInvariantError(
             "structure constants are not totally antisymmetric; metric is not bi-invariant"
         )
-    return np.einsum("ijk,ijk->ij", alpha, alpha) / 4.0
+    n = algebra.dim
+    riem = np.einsum("ijm,klm->ijkl", alpha, alpha) / 4.0
+    jets = np.eye(n), np.zeros((n, n, n)), np.transpose(riem, (0, 3, 2, 1)) / 2
 
+    def jets_fn(points):
+        return tuple(np.broadcast_to(a, (len(points),) + a.shape).copy() for a in jets)
 
-def gamma_d_group(algebra, volume):
-    """k_discrete of the (constant) sectional matrix times the group volume."""
-    if algebra.dim % 2 != 0:
-        raise BadDimensionError("even-dimensional algebra required, got %d" % algebra.dim)
-    return k_discrete(biinvariant_sectional(algebra)[None])[0] * volume
-
-
-def rotate_algebra(algebra, q):
-    """Structure constants after the orthogonal change of basis e' = q e."""
-    q = np.asarray(q, dtype=float)
-    if np.max(np.abs(q @ q.T - np.eye(len(q)))) > 1e-8:
-        raise NonOrthonormalFrameError("basis change must be orthogonal")
-    alpha = np.einsum("ai,bj,ck,ijk->abc", q, q, q, algebra.alpha, optimize=True)
-    return LieAlgebra(
-        name="%s-rotated" % algebra.name,
-        alpha=alpha,
-        metric_note=algebra.metric_note,
-    )
+    return MetricField(n, jets_fn, "bi-invariant %s" % algebra.name, depends_on=())
 
 
 # -- built-ins ----------------------------------------------------------------
@@ -270,13 +261,6 @@ def su3():
         1,
         "inner product -2 Re tr(AB) = (2/3) * (-Killing/2) for su(3)",
     )
-
-
-def builtin_algebra(name):
-    table = {"su3": su3, "so4": so4, "so3": so3}
-    if name not in table:
-        raise ValueError("unknown built-in algebra %r" % name)
-    return table[name]()
 
 
 # -- JSON user algebras --------------------------------------------------------

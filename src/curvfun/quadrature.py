@@ -22,7 +22,9 @@ Independent axes: a density built from a metric is constant along every
 axis outside ``metric.depends_on``, so :func:`integrate_functional`
 evaluates it on the grid with each such axis collapsed to one node, its
 midpoint, weighted by the axis length (the sum of its weights).  The
-half-resolution estimate grid is collapsed the same way.  Only the
+half-resolution estimate grid is collapsed the same way.  A compact group's
+bi-invariant metric reads no axis, so it is integrated on one node weighted
+by the box's volume, which the catalog sets to the group's volume.  Only the
 densities that draw Haar frames per node (``gamma_mc``, and the ``"haar"``
 frame for every functional but ``volume``, which draws no frame) keep the
 requested grid; their curvature is still computed once per distinct row of

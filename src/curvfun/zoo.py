@@ -1,10 +1,11 @@
 """Catalog of concrete manifolds: charts, metrics and oracles.
 
 Each entry is a :class:`ManifoldSpec` bundling a chart domain (a default
-quadrature grid), a metric source (closed-form entries or an embedding),
-and optional closed-form pointwise oracles (independent of the tensor
-pipeline, used to cross-check it).  The reference values these manifolds
-are checked against live in :mod:`curvfun.reproduce`.
+quadrature grid), a metric source (closed-form entries, an embedding, or
+a compact group's bi-invariant metric on one node weighted by the group
+volume), and optional closed-form pointwise oracles (independent of the
+tensor pipeline, used to cross-check it).  The reference values these
+manifolds are checked against live in :mod:`curvfun.reproduce`.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import jets as J
+from . import liegroups as LG
 from .errors import BadDimensionError, ConfigError, NonOrthonormalFrameError
 from .expressions import parse_expression
+from .functionals import k_discrete
 from .geometry import SYMMETRY_TOL, EmbeddingMap, MetricField
 from .quadrature import Axis, Grid
 
@@ -32,6 +35,7 @@ __all__ = [
     "extended_torus",
     "klembeck_patch",
     "flat_torus",
+    "compact_group",
     "product",
     "cp2_sectional_exact",
     "CP2_J",
@@ -274,7 +278,8 @@ def _as_scalar_field(u):
     expr = parse_expression(str(u))
     extra = expr.variables - {"x1", "x2"}
     if extra:
-        raise ValueError("warp function may only use x1, x2; found %s" % sorted(extra))
+        raise ConfigError("warp function %r may only use x1, x2; found %s"
+                          % (expr.text, sorted(extra)))
     return lambda a, b: expr({"x1": a, "x2": b})
 
 
@@ -407,6 +412,32 @@ def flat_torus(dim=4):
         dim=dim,
         metric=metric,
         default_grid=grid,
+    )
+
+
+# -- compact groups --------------------------------------------------------------
+
+
+def compact_group(algebra):
+    """A compact group with its bi-invariant metric, as a one-node chart.
+
+    The metric (:func:`curvfun.liegroups.biinvariant_metric`) has the same
+    curvature at every point, so one node integrates it exactly: axis 1
+    spans [0, V], V the group volume in ``liegroups.VOLUMES``, the others
+    [0, 1], and the node's weights multiply to V.  The k_d oracle comes
+    from the exact rational sectional table ``algebra.k_exact``.
+    """
+    volume = LG.VOLUMES[algebra.name]
+    grid = Grid((Axis(0.0, volume, 1),) + (Axis(0.0, 1.0, 1),) * (algebra.dim - 1))
+    density = float(k_discrete(algebra.k_exact[None])[0])
+    return ManifoldSpec(
+        name=algebra.name,
+        dim=algebra.dim,
+        metric=LG.biinvariant_metric(algebra),
+        default_grid=grid,
+        oracles={"k_d": lambda p: np.full(len(p), density), "dV": lambda p: np.ones(len(p))},
+        notes="bi-invariant metric, %s; curvature constant over the group, so one node "
+        "weighted by the group volume (axis 1's length)" % algebra.metric_note,
     )
 
 
@@ -569,6 +600,8 @@ _BUILDERS = {
     "s2xs2": lambda p: s2xs2(),
     "s3xs1": lambda p: s3xs1(),
     "e2xe2": lambda p: e2xe2(),
+    "su3": lambda p: compact_group(LG.su3()),
+    "so4": lambda p: compact_group(LG.so4()),
 }
 
 MANIFOLD_NAMES = tuple(_BUILDERS)
@@ -581,7 +614,8 @@ def manifold_by_name(name, params=None):
     params = dict(params or {})
     spec = _BUILDERS[name](params)
     if params:
-        raise ConfigError("unused parameters for %r: %s" % (name, sorted(params)))
+        raise ConfigError("unused parameters for %r: %s (given with --param)"
+                          % (name, sorted(params)))
     return spec
 
 

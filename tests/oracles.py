@@ -6,8 +6,10 @@ permutation and double-permutation sums instead of their matching
 reductions, a five-operand einsum per frame plane instead of the Monte
 Carlo estimator's matmul, a direct Gram-matrix check of a frame, a
 product's curvature from its padded full-dimensional jets instead of from
-its factors, and a product's coordinate-frame density from its assembled
-full-dimensional chunk instead of from its factors' densities.
+its factors, a product's coordinate-frame density from its assembled
+full-dimensional chunk instead of from its factors' densities, and a Lie
+group's curvature in a rotated frame from its rotated structure constants
+instead of from the frame contraction.
 """
 
 import itertools
@@ -180,3 +182,17 @@ def block_density(metric, functional, points):
         return k_gbc(riemann_in_frame(riem, base)) * vol
     k = sectional_from_riemann(riem, base)
     return (k_discrete(k) if functional == "gamma_d" else scalar_curvature(k)) * vol
+
+
+def rotated_structure_constants(alpha, q):
+    """Structure constants after the orthogonal change of basis e' = q e.
+
+    The sectional matrix of the rotated basis is then
+    ``np.einsum("ijk,ijk->ij", a, a) / 4``, with no Riemann tensor and no
+    frame contraction.  Raises ``NonOrthonormalFrameError`` unless ``q`` is
+    orthogonal.
+    """
+    q = np.asarray(q, dtype=float)
+    if np.max(np.abs(q @ q.T - np.eye(len(q)))) > 1e-8:
+        raise NonOrthonormalFrameError("basis change must be orthogonal")
+    return np.einsum("ai,bj,ck,ijk->abc", q, q, q, alpha, optimize=True)

@@ -145,7 +145,7 @@ def test_criterion_06_su3_exact_table_and_gamma():
     karr = np.array([[Fraction(K[i][j]) for j in range(8)] for i in range(8)], dtype=object)
     assert brute_force_perm_sum(karr[None])[0] == Fraction(351, 64)
     assert ms == Fraction(117, 8192)
-    gamma = LG.gamma_d_group(alg, math.pi**5)
+    gamma = _gamma(zoo.manifold_by_name("su3"))  # one node weighted by the volume pi^5
     assert abs(gamma - 117 * math.pi / 2**17) <= 1e-15
 
 
@@ -154,7 +154,7 @@ def test_criterion_07_so4_vanishes_exactly():
     K = alg.k_exact
     karr = np.array([[Fraction(K[i][j]) for j in range(6)] for i in range(6)], dtype=object)
     assert perm_sum(karr[None])[0] == Fraction(0)
-    assert LG.gamma_d_group(alg, 1.0) == 0.0
+    assert _gamma(zoo.manifold_by_name("so4")) == 0.0
 
 
 def test_criterion_08_ellipsoids_and_projective_plane():

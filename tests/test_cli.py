@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from curvfun.cli import GROUP_NAMES, main, write_record
+from curvfun.cli import main, write_record
 from curvfun.errors import NonFiniteError
 from curvfun.quadrature import Axis, Grid, _chunk_rows, integrate
 from curvfun.zoo import MANIFOLD_NAMES, manifold_by_name
@@ -284,16 +284,53 @@ def test_group_manifold_record(capsys):
     code, out, _ = run(capsys, ["compute", "--manifold", "su3", "--no-timing"])
     assert code == 0
     rec = json.loads(out)
-    assert rec["value"] == pytest.approx(117 * math.pi / 2**17, rel=1e-12)
-    assert rec["exact"]["permutation_sum"] == "351/64"
-    assert rec["exact"]["matching_sum"] == "117/8192"
+    assert rec["value"] == 0.0028043086278534374
+    assert rec["oracle_value"] == pytest.approx(117 * math.pi / 2**17, rel=1e-12)
+    assert [(a["lo"], a["hi"], a["n"]) for a in rec["grid"]] == (
+        [(0.0, math.pi**5, 1)] + [(0.0, 1.0, 1)] * 7)
+    assert rec["error_estimate"] is None
     code, out, _ = run(capsys, ["compute", "--manifold", "so4", "--no-timing"])
     assert json.loads(out)["value"] == 0.0
 
 
-def test_group_manifold_rejects_other_functionals(capsys):
-    code, _, _ = run(capsys, ["compute", "--manifold", "su3", "--functional", "gbc"])
-    assert code == 2
+def test_group_manifold_runs_every_functional(capsys):
+    for manifold in ("su3", "so4"):
+        for extra in (["--functional", "gbc"], ["--functional", "hilbert"],
+                      ["--functional", "volume"], ["--functional", "gamma_mc", "--samples", "256"],
+                      ["--frame", "haar"],
+                      ["--frame", "rotated", "--rotate-plane", "1,4", "--rotate-angle", "0.3"]):
+            code, out, _ = run(capsys, ["compute", "--manifold", manifold, "--no-timing"] + extra)
+            assert code == 0, (manifold, extra)
+            assert math.isfinite(json.loads(out)["value"]), (manifold, extra)
+
+
+@pytest.mark.parametrize("manifold", ["su3", "so4"])
+def test_group_gamma_d_ignores_the_grid_size(capsys, manifold):
+    values = []
+    for grid in ([], ["--grid", "2"]):
+        code, out, _ = run(capsys, ["compute", "--manifold", manifold, "--no-timing"] + grid)
+        assert code == 0
+        values.append(json.loads(out)["value"])
+    assert values[0] == values[1]
+
+
+@pytest.mark.parametrize("extra", [["--frame", "haar"],
+                                   ["--functional", "gamma_mc", "--samples", "64"]])
+def test_group_records_are_byte_identical_across_workers(capsys, extra):
+    outs = []
+    for workers in ("1", "2"):
+        code, out, _ = run(capsys, ["compute", "--manifold", "su3", "--grid", "2", "--seed", "5",
+                                    "--workers", workers, "--no-timing"] + extra)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_group_frame_sweep_runs(capsys):
+    code, out, _ = run(capsys, ["frame-sweep", "--manifold", "su3", "--plane", "1,2",
+                                "--angles", "3", "--no-timing"])
+    assert code == 0
+    assert all(math.isfinite(r["value"]) for r in json.loads(out)["rows"])
 
 
 @pytest.mark.parametrize("manifold", ["su3", "so4"])
@@ -303,13 +340,6 @@ def test_group_manifold_rejects_chart_flags(capsys, manifold, flag, value):
     assert code == 2
     assert out == ""
     assert flag in err
-
-
-def test_so4_rotated_frame_names_the_missing_volume(capsys):
-    code, out, err = run(capsys, ["compute", "--manifold", "so4", "--frame", "haar"])
-    assert code == 2
-    assert out == ""
-    assert "nonzero" in err and "volume of SO(4) is not on record" in err
 
 
 def test_frame_sweep_csv(capsys):
@@ -516,10 +546,9 @@ def test_node_dependent_expression_failure_still_exits_3_naming_the_node(capsys)
     assert len(json.loads(err)["failing_point"]) == 4
 
 
-@pytest.mark.parametrize("name", MANIFOLD_NAMES + GROUP_NAMES)
+@pytest.mark.parametrize("name", MANIFOLD_NAMES)
 def test_every_catalog_name_computes(capsys, name):
-    grid = [] if name in GROUP_NAMES else ["--grid", "2"]
-    code, out, _ = run(capsys, ["compute", "--manifold", name, "--no-timing"] + grid)
+    code, out, _ = run(capsys, ["compute", "--manifold", name, "--no-timing", "--grid", "2"])
     assert code == 0
     assert math.isfinite(json.loads(out)["value"])
 

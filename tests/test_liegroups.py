@@ -1,4 +1,4 @@
-"""Bi-invariant curvature on compact Lie algebras and the JSON loader."""
+"""Bi-invariant curvature of compact Lie groups through the chart pipeline; the JSON loader."""
 
 import json
 import math
@@ -11,20 +11,39 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvfun.errors import BadDimensionError, NotBiInvariantError, NotClosedError
+from curvfun.errors import NonOrthonormalFrameError, NotBiInvariantError, NotClosedError
+from curvfun.frames import haar_orthogonal, point_rng
 from curvfun.functionals import k_discrete, matching_sum, perm_sum
+from curvfun.geometry import MetricField, curvature_batch, riemann_arrays
 from curvfun.liegroups import (
+    VOLUMES,
     LieAlgebra,
-    biinvariant_sectional,
-    builtin_algebra,
-    gamma_d_group,
+    biinvariant_metric,
     load_algebra,
-    rotate_algebra,
     so3,
     so4,
     structure_constants,
     su3,
 )
+from curvfun.quadrature import integrate_functional
+from curvfun.zoo import manifold_by_name
+
+from oracles import rotated_structure_constants
+
+
+def sectional(alg):
+    """The pipeline's sectional matrix of the bi-invariant metric (constant over the group)."""
+    return curvature_batch(biinvariant_metric(alg), np.zeros((1, alg.dim)))[0][0]
+
+
+def quarter_alpha_squared(alpha):
+    """K_ij = sum_k alpha_ijk^2 / 4, straight from the structure constants."""
+    return np.einsum("ijk,ijk->ij", alpha, alpha) / 4.0
+
+
+def group_value(name, functional="gamma_d", **kwargs):
+    spec = manifold_by_name(name)
+    return integrate_functional(spec.metric, spec.default_grid, functional, **kwargs)
 
 
 def test_builtins_do_not_import_sympy():
@@ -44,7 +63,7 @@ def test_builtin_alpha_antisymmetric_and_matches_exact_table(build):
     for axes in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
         assert np.array_equal(np.transpose(a, axes), -a)
     exact = np.array([[float(v) for v in row] for row in alg.k_exact])
-    assert np.max(np.abs(biinvariant_sectional(alg) - exact)) <= 1e-15
+    assert np.max(np.abs(sectional(alg) - exact)) <= 1e-15
 
 
 def test_so3_constant_curvature_quarter():
@@ -72,39 +91,84 @@ def test_su3_pairing_sums_exact():
     assert ms == Fraction(117, 8192)
     assert ps == Fraction(351, 64)
     # gamma for the standard volume pi^5
-    gamma = gamma_d_group(su3(), math.pi**5)
+    gamma = group_value("su3").value
     assert gamma == pytest.approx(117 * math.pi / 2**17, rel=1e-14)
 
 
 def test_so4_density_vanishes_identically():
     alg = so4()
-    k = biinvariant_sectional(alg)[None]
+    k = sectional(alg)[None]
     assert k_discrete(k)[0] == 0.0
-    assert gamma_d_group(alg, 123.456) == 0.0
-
-
-def test_gamma_d_group_rejects_odd_dimension():
-    with pytest.raises(BadDimensionError):
-        gamma_d_group(so3(), 1.0)
+    assert group_value("so4").value == 0.0
 
 
 def test_rotate_algebra_preserves_biinvariance_and_jacobi():
     alg = su3()
     rng = np.random.default_rng(0)
     q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
-    rot = rotate_algebra(alg, q)
+    rot = LieAlgebra(name="su3-rotated", alpha=rotated_structure_constants(alg.alpha, q))
     assert rot.jacobi_residual() < 1e-10
-    k = biinvariant_sectional(rot)  # total antisymmetry preserved
+    k = sectional(rot)  # total antisymmetry preserved
     assert np.all(np.isfinite(k))
     # rotation is a genuine frame change: the density moves
-    assert abs(k_discrete(k[None])[0] / k_discrete(biinvariant_sectional(alg)[None])[0] - 1) > 1e-4
+    assert abs(k_discrete(k[None])[0] / k_discrete(sectional(alg)[None])[0] - 1) > 1e-4
 
 
 def test_rotate_algebra_rejects_non_orthogonal():
-    from curvfun.errors import NonOrthonormalFrameError
-
     with pytest.raises(NonOrthonormalFrameError):
-        rotate_algebra(su3(), 2.0 * np.eye(8))
+        rotated_structure_constants(su3().alpha, 2.0 * np.eye(8))
+
+
+@pytest.mark.parametrize("build", [so4, su3], ids=lambda f: f.__name__)
+def test_group_metric_riemann_is_quarter_alpha_alpha_exactly(build):
+    alg = build()
+    g, dg, d2g = biinvariant_metric(alg).jets(np.zeros((1, alg.dim)))
+    riem = riemann_arrays(g, dg, d2g)[0]
+    assert np.array_equal(riem, np.einsum("ijm,klm->ijkl", alg.alpha, alg.alpha) / 4.0)
+    assert np.array_equal(sectional(alg), quarter_alpha_squared(alg.alpha))
+
+
+@pytest.mark.parametrize("build", [so4, su3], ids=lambda f: f.__name__)
+def test_normal_coordinate_hessian_gives_the_same_riemann(build):
+    """The Hessian of g in normal coordinates, -(R_ikjl + R_iljk) / 3, feeds
+    ``riemann_arrays`` the same combination as the metric's own d2g."""
+    alg = build()
+    n = alg.dim
+    r = np.einsum("ijm,klm->ijkl", alg.alpha, alg.alpha) / 4.0
+    hess = -(np.einsum("ikjl->ijkl", r) + np.einsum("iljk->ijkl", r)) / 3
+
+    def jets_fn(points):
+        return np.eye(n)[None], np.zeros((1, n, n, n)), hess[None]
+
+    riem = riemann_arrays(*MetricField(n, jets_fn, "normal coordinates").jets(np.zeros((1, n))))
+    assert np.max(np.abs(riem[0] - r)) <= 1e-15 * np.max(np.abs(r))
+
+
+@pytest.mark.parametrize("name, scalar", [("su3", 6), ("so4", 3)])
+def test_group_functionals_on_the_chart_path(name, scalar):
+    volume = VOLUMES[name]
+    assert abs(group_value(name, "gbc").value) <= 1e-12  # chi(G) = 0
+    assert group_value(name, "hilbert").value == pytest.approx(scalar * volume, rel=1e-12)
+    assert group_value(name, "volume").value == volume
+
+
+# gamma_mc references: su3 from 100,000 samples at seed 7; so4 from the exact
+# frame-averaged density 6.2491e-5 times the volume 128 pi^4.
+@pytest.mark.parametrize("name, reference, ref_stderr", [
+    ("su3", 0.0028609, 0.0000086),
+    ("so4", 0.7791, 0.0),
+])
+def test_group_gamma_mc_matches_its_reference(name, reference, ref_stderr):
+    res = group_value(name, "gamma_mc", nsamples=4096)
+    assert abs(res.value - reference) <= 4 * math.hypot(res.stderr, ref_stderr)
+
+
+def test_su3_haar_frame_matches_rotated_structure_constants():
+    spec = manifold_by_name("su3")
+    value = integrate_functional(spec.metric, spec.default_grid, frame="haar", seed=3).value
+    q = haar_orthogonal(8, point_rng(3, 0))
+    k = quarter_alpha_squared(rotated_structure_constants(su3().alpha, q))
+    assert value == pytest.approx(k_discrete(k[None])[0] * VOLUMES["su3"], rel=1e-15)
 
 
 def test_structure_constants_from_matrices_match_so3():
@@ -140,7 +204,7 @@ def test_structure_constants_reject_non_closed_set():
         structure_constants(bad, inner)
 
 
-def test_biinvariant_sectional_rejects_left_invariant_only():
+def test_biinvariant_metric_rejects_left_invariant_only():
     # alpha antisymmetric in (i,j) but not totally antisymmetric
     alpha = np.zeros((3, 3, 3))
     alpha[0, 1, 2] = 1.0
@@ -149,13 +213,13 @@ def test_biinvariant_sectional_rejects_left_invariant_only():
     alpha[2, 0, 2] = -0.5
     alg = LieAlgebra(name="bad", alpha=alpha, metric_note="test")
     with pytest.raises(NotBiInvariantError):
-        biinvariant_sectional(alg)
+        biinvariant_metric(alg)
 
 
 def test_builtin_registry():
-    assert builtin_algebra("so4").dim == 6
+    assert manifold_by_name("so4").dim == 6
     with pytest.raises(ValueError):
-        builtin_algebra("e8")
+        manifold_by_name("e8")
 
 
 def test_load_algebra_from_basis_json(tmp_path):
@@ -169,7 +233,7 @@ def test_load_algebra_from_basis_json(tmp_path):
     path.write_text(json.dumps({"name": "su2", "basis": basis, "inner": "neg_two_re_trace"}))
     alg = load_algebra(path)
     assert alg.dim == 3
-    k = biinvariant_sectional(alg)
+    k = sectional(alg)
     assert k[0, 1] == pytest.approx(0.25)
 
 
@@ -182,7 +246,7 @@ def test_load_algebra_from_structure_constants(tmp_path):
     }
     path.write_text(json.dumps(payload))
     alg = load_algebra(path)
-    k = biinvariant_sectional(alg)
+    k = sectional(alg)
     assert np.allclose(k + np.eye(3) * 0.25, 0.25)  # off-diagonal 1/4, diagonal 0
 
 

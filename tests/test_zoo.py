@@ -32,6 +32,8 @@ ORACLE_SPECS = [
     "s3xs1",
     "e2xe2",
     "flat4",
+    "su3",
+    "so4",
 ]
 
 
@@ -115,7 +117,7 @@ def test_oracle_density_is_constant_off_depends_on():
 
         assert density(moved) == pytest.approx(density(pts), rel=1e-12), name
         checked.append(name)
-    assert checked == ["s2", "s4", "s6", "e4", "taubes"]
+    assert checked == ["s2", "s4", "s6", "e4", "taubes", "su3", "so4"]
 
 
 def test_interior_points_stay_inside_the_grid_box():
@@ -233,6 +235,18 @@ def test_load_manifold_file_rejects_asymmetric_metric(tmp_path):
     # transposed entries that agree as functions pass, whatever their text
     path.write_text(json.dumps({"axes": axes, "metric": [["2", "x1*x2"], ["x2*x1", "1"]]}))
     assert load_manifold_file(path).dim == 2
+
+
+@pytest.mark.parametrize("build", [
+    lambda path: load_manifold_file(path),
+    lambda path: manifold_by_name("taubes", {"u": "x3"}),
+    lambda path: manifold_by_name("taubes", {"u": "cos(x1"}),
+], ids=["spec-file-syntax", "warp-variable", "warp-syntax"])
+def test_expression_errors_are_config_errors(tmp_path, build):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"axes": [{"lo": 0, "hi": 1, "n": 3}], "metric": [["1 +"]]}))
+    with pytest.raises(ConfigError, match="'(1 \\+|x3|cos\\(x1)'"):
+        build(path)
 
 
 def test_cp2_exact_sectional_requires_orthogonal_rows():
