@@ -122,14 +122,18 @@ def _plane(text, dim, flag):
 def _frame(args, dim):
     """The frame ``integrate_functional`` takes, and the record's ``frame`` object."""
     if args.frame != "rotated":
+        for flag in ("rotate_plane", "rotate_angle"):
+            if getattr(args, flag) is not None:
+                raise ConfigError("--%s applies to --frame rotated only" % flag.replace("_", "-"))
         return args.frame, {"strategy": args.frame, "plane": None, "angle": None}
     if not args.rotate_plane:
         raise ConfigError("--frame rotated requires --rotate-plane a,b")
     a, b = _plane(args.rotate_plane, dim, "--rotate-plane")
-    if not math.isfinite(args.rotate_angle):
-        raise ConfigError("--rotate-angle must be finite, got %r" % args.rotate_angle)
-    rot = rotate_frame(np.eye(dim), a - 1, b - 1, args.rotate_angle)
-    return rot, {"strategy": "rotated", "plane": (a, b), "angle": args.rotate_angle}
+    angle = 0.0 if args.rotate_angle is None else args.rotate_angle
+    if not math.isfinite(angle):
+        raise ConfigError("--rotate-angle must be finite, got %r" % angle)
+    rot = rotate_frame(np.eye(dim), a - 1, b - 1, angle)
+    return rot, {"strategy": "rotated", "plane": (a, b), "angle": angle}
 
 
 def _record(args, name, frame, grid):
@@ -171,8 +175,9 @@ def cmd_compute(args):
         error_estimate=result.error_estimate,
         stderr=result.stderr,
     )
-    if args.functional == "gamma_d" and "k_d" in spec.oracles and "dV" in spec.oracles:
-        # the oracles, like the metric, are constant along the other axes
+    oracle = args.functional == "gamma_d" and args.frame == "coordinate"
+    if oracle and "k_d" in spec.oracles and "dV" in spec.oracles:
+        # the coordinate-frame k_d integral; the oracles are constant where the metric is
         record["oracle_value"], _ = integrate(
             lambda p, i: (spec.oracles["k_d"](p) * spec.oracles["dV"](p), None),
             grid.collapse(spec.metric.depends_on),
@@ -319,7 +324,7 @@ def build_parser():
     common(pc)
     pc.add_argument("--frame", default="coordinate", choices=("coordinate", "rotated", "haar"))
     pc.add_argument("--rotate-plane", metavar="A,B", help="1-based frame indices")
-    pc.add_argument("--rotate-angle", type=float, default=0.0)
+    pc.add_argument("--rotate-angle", type=float, help="radians, --frame rotated only (default 0)")
     pc.set_defaults(fn=cmd_compute)
 
     ps = sub.add_parser("frame-sweep", help="sweep a rotation angle in one frame plane")

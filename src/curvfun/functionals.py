@@ -222,10 +222,12 @@ def gbc_raw_sum(riem_frame):
 
 
 def k_gbc(riem_frame):
-    """Sign-weighted curvature density from frame-contracted Riemann tensors.
+    """Sign-weighted curvature density from a batch of Riemann tensors.
 
-    ``gbc_raw_sum`` times 2^(-d) C_d, which integrates to the Euler
-    characteristic; a float for each point, Fraction input included.
+    ``gbc_raw_sum`` times 2^(-d) C_d, a float for each point, Fraction input
+    included.  The sum scales by det(e)^2 in a basis e, 1/det g for an
+    orthonormal frame, where k_gbc sqrt(det g) integrates to the Euler
+    characteristic; from the chart-basis tensor, that is k_gbc / sqrt(det g).
     """
     d = _check_even(np.shape(riem_frame)[-1])
     return np.asarray(gbc_raw_sum(riem_frame), dtype=float) * (normalization_constant(d) / 2**d)

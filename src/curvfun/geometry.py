@@ -18,10 +18,10 @@ the integrator multiplies the factors' integrals instead.  Any other
 metric is evaluated once per distinct row of its ``depends_on`` columns
 and the results are copied to the rows that repeat it.
 
-Everything is evaluated in chart coordinates; scalar outputs (sectional
-curvatures and the functionals built on them) are obtained by contracting
-against an explicitly orthonormalized frame, never by constructing normal
-coordinates.
+Everything is evaluated in chart coordinates, never in normal coordinates:
+sectional curvatures come from contracting against an explicitly
+orthonormalized frame, and the frame-free GBC and scalar curvature
+densities from the chart-basis tensor with g and its inverse.
 
 Index conventions, used consistently below:
 

@@ -18,6 +18,10 @@ slot indexed by the node's global index, and the final reduction is
 so the result is byte-identical no matter how the nodes were chunked or
 how many worker threads ran the chunks.
 
+Frames: only ``gamma_d`` reads one.  ``gbc`` and ``hilbert`` are O(n)
+invariants summed from ``g`` and the chart-basis Riemann tensor, so, like
+``volume``, they are integrated in the coordinate frame whatever is asked.
+
 Independent axes: a density built from a metric is constant along every
 axis outside ``metric.depends_on``, so :func:`integrate_functional`
 evaluates it on the grid with each such axis collapsed to one node, its
@@ -25,14 +29,13 @@ midpoint, weighted by the axis length (the sum of its weights).  The
 half-resolution estimate grid is collapsed the same way.  A compact group's
 bi-invariant metric reads no axis, so it is integrated on one node weighted
 by the box's volume, which the catalog sets to the group's volume.  Only the
-densities that draw Haar frames per node (``gamma_mc``, and the ``"haar"``
-frame for every functional but ``volume``, which draws no frame) keep the
-requested grid; their curvature is still computed once per distinct row of
-the metric's ``depends_on`` columns in a chunk (see
-:func:`curvfun.geometry.curvature_chunk`), and only the Haar draws and the
-contraction run per node.  The result's ``n_points`` is still the requested
-grid's, and a failing node's coordinate on a collapsed axis reads that
-axis's midpoint.
+densities that draw Haar frames per node (``gamma_mc``, and ``gamma_d`` in
+the ``"haar"`` frame) keep the requested grid; their curvature is still
+computed once per distinct row of the metric's ``depends_on`` columns in a
+chunk (see :func:`curvfun.geometry.curvature_chunk`), and only the Haar
+draws and the contraction run per node.  The result's ``n_points`` is still
+the requested grid's, and a failing node's coordinate on a collapsed axis
+reads that axis's midpoint.
 
 Haar frames: every node draws its normals from its own ``point_rng(seed,
 node)`` stream, and a batch of nodes is orthogonalized by one stacked QR
@@ -42,12 +45,11 @@ stays within ``HAAR_BLOCK_BYTES``, so its memory per chunk does not grow
 with the sample count.  Each node's frames and value come from its own row,
 so neither the block size, the chunk nor the worker count changes a bit.
 
-Products: a product's grid is the tensor product of its factors' axes, so
-where the frame is aligned with the factors (the coordinate frame, and any
-frame for ``volume``) its integral on a grid, or on the halved grid, is
-built from its factors' integrals on their own sub-grids.  Rotated and Haar
-frames and ``gamma_mc`` mix the factors' planes and contract the assembled
-product chunk per node.
+Products: a product's grid is the tensor product of its factors' axes and
+its coordinate frame is aligned with them, so there its integral on a grid,
+or on the halved grid, is built from its factors' integrals on their own
+sub-grids.  Only ``gamma_d`` in rotated and Haar frames and ``gamma_mc``
+contract the assembled product chunk.
 
 The error estimate is the difference against a re-run on a half-resolution
 grid; Monte Carlo functionals additionally carry a propagated standard
@@ -71,13 +73,8 @@ from .errors import (
     SingularMetricError,
 )
 from .frames import haar_orthogonal, point_rng
-from .functionals import _check_even, haar_pair_average, k_discrete, k_gbc, scalar_curvature
-from .geometry import (
-    checked_jets,
-    curvature_chunk,
-    riemann_in_frame,
-    sectional_from_riemann,
-)
+from .functionals import _check_even, haar_pair_average, k_discrete, k_gbc
+from .geometry import checked_jets, curvature_chunk, sectional_from_riemann
 
 # Not called here: perfbench's tracer test wraps and restores
 # ``quadrature.riemann_arrays``, so the name stays bound in this module.
@@ -291,15 +288,6 @@ def _haar_pair_density(riem, base, node_idx, seed, nsamples):
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _contract(functional, riem, frames):
-    """The ``gamma_d``, ``gbc`` or ``hilbert`` density of ``riem`` in ``frames``."""
-    if functional == "gamma_d":
-        return k_discrete(sectional_from_riemann(riem, frames))
-    if functional == "gbc":
-        return k_gbc(riemann_in_frame(riem, frames))
-    return scalar_curvature(sectional_from_riemann(riem, frames))
-
-
 def _factored_integral(metric, functional, grid, workers):
     """Coordinate-frame integral over ``grid``; a product's from its factors' integrals.
 
@@ -334,13 +322,13 @@ def _factored_integral(metric, functional, grid, workers):
 def functional_density(metric, functional, frame="coordinate", seed=0, nsamples=64):
     """Build the pointwise density (including the volume element) to integrate.
 
-    ``frame`` is "coordinate" (metric Gram-Schmidt of the chart basis),
-    "haar" (one Haar rotation per node, seeded by the node index), or an
-    explicit (n, n) frame-shaped array of rotation coefficients applied on
-    top of the Gram-Schmidt base frame.  ``gamma_mc`` averages over
-    ``nsamples`` Haar rotations of the Gram-Schmidt frame per node instead,
-    so it accepts only the "coordinate" frame, and needs at least two
-    samples for its standard error.  Every density but a non-product's
+    Only ``gamma_d`` reads ``frame``: "coordinate" (metric Gram-Schmidt of
+    the chart basis), "haar" (one Haar rotation per node, seeded by the node
+    index), or an explicit (n, n) array of rotation coefficients applied on
+    top of the Gram-Schmidt base frame; ``gbc`` and ``hilbert`` are summed
+    in the chart basis.  ``gamma_mc`` averages ``nsamples`` Haar rotations
+    of the Gram-Schmidt frame per node, so it takes only the "coordinate"
+    frame and at least two samples.  Every density but a non-product's
     ``volume`` (read from the metric alone) comes from :func:`curvature_chunk`.
     """
     if functional not in FUNCTIONALS:
@@ -362,6 +350,11 @@ def functional_density(metric, functional, frame="coordinate", seed=0, nsamples=
         vol = np.sqrt(np.linalg.det(g))
         if functional == "volume":
             return vol, None
+        if functional == "gbc":  # an orthonormal frame has det(F)^2 = 1 / det g
+            return k_gbc(riem) / vol, None
+        if functional == "hilbert":  # S = g^ac g^bd R_abcd
+            ginv = np.linalg.inv(g)
+            return np.einsum("pac,pbd,pabcd->p", ginv, ginv, riem) * vol, None
         if functional == "gamma_mc":
             vals, stderrs = _haar_pair_density(riem, base, node_idx, seed, nsamples)
             return vals * vol, stderrs * vol
@@ -370,7 +363,7 @@ def functional_density(metric, functional, frame="coordinate", seed=0, nsamples=
                       else _haar_node_frames(base, node_idx, seed))
         else:
             frames = np.einsum("ia,pab->pib", np.asarray(frame, dtype=float), base)
-        return _contract(functional, riem, frames) * vol, None
+        return k_discrete(sectional_from_riemann(riem, frames)) * vol, None
 
     return density
 
@@ -389,16 +382,15 @@ def integrate_functional(
 
     The density is evaluated on ``grid`` with the axes outside
     ``metric.depends_on`` collapsed to one node each, unless it draws Haar
-    frames per node (``gamma_mc``, the ``"haar"`` frame); ``volume`` draws
-    none, so it reads the same in every frame.  A product's
-    ``volume``, and its other coordinate-frame functionals, come from its
-    factors' integrals (:func:`_factored_integral`).  ``n_points`` is the
-    requested grid's.  ``error_estimate`` is the difference against the
-    half-resolution grid, or ``None`` when it was not asked for or the
-    evaluated grid does not coarsen (every axis has one node).
+    frames per node (``gamma_mc``, ``gamma_d`` in the ``"haar"`` frame);
+    ``volume``, ``gbc`` and ``hilbert`` read any ``frame`` as the coordinate
+    frame, and a product's coordinate-frame integrals come from its factors'
+    (:func:`_factored_integral`).  ``n_points`` is the requested grid's, and
+    ``error_estimate`` the difference against the half-resolution grid, or
+    ``None`` when not asked for or the evaluated grid does not coarsen.
     """
     density = functional_density(metric, functional, frame=frame, seed=seed, nsamples=nsamples)
-    if functional == "volume":
+    if functional in ("volume", "gbc", "hilbert"):
         frame = "coordinate"
     per_node = functional == "gamma_mc" or (isinstance(frame, str) and frame == "haar")
     evaluated = grid if per_node else grid.collapse(metric.depends_on)

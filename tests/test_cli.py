@@ -179,6 +179,40 @@ def test_non_finite_rotate_angle_exits_2(capsys, angle):
     assert "--rotate-angle" in err
 
 
+@pytest.mark.parametrize("frame", [[], ["--frame", "haar"]])
+@pytest.mark.parametrize("flag, value", [("--rotate-plane", "1,2"), ("--rotate-angle", "0.7")])
+def test_rotation_flags_without_the_rotated_frame_exit_2(capsys, frame, flag, value):
+    code, out, err = run(capsys, ["compute", "--manifold", "s2", "--grid", "5", flag, value,
+                                  "--no-timing"] + frame)
+    assert code == 2
+    assert out == ""
+    assert flag in err
+
+
+def test_rotated_frame_angle_defaults_to_zero(capsys):
+    code, out, _ = run(capsys, ["compute", "--manifold", "s2", "--grid", "9,8", "--frame",
+                                "rotated", "--rotate-plane", "1,2", "--no-timing"])
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["frame"] == {"strategy": "rotated", "plane": [1, 2], "angle": 0.0}
+    assert rec["value"] == 1.9999999999999993
+
+
+@pytest.mark.parametrize("manifold, grid, oracle", [("s4", "5", 2.0016727115818287),
+                                                    ("su3", "1", 0.002804308627853438)])
+def test_oracle_value_is_reported_in_the_coordinate_frame_only(capsys, manifold, grid, oracle):
+    # the oracle is the coordinate-frame k_d integral, which another frame need not reach
+    base = ["compute", "--manifold", manifold, "--grid", grid, "--no-timing"]
+    code, out, _ = run(capsys, base)
+    assert code == 0
+    assert json.loads(out)["oracle_value"] == oracle
+    for frame in (["--frame", "haar"], ["--frame", "rotated", "--rotate-plane", "1,2",
+                                        "--rotate-angle", "0.3"]):
+        code, out, _ = run(capsys, base + frame)
+        assert code == 0
+        assert "oracle_value" not in json.loads(out), frame
+
+
 def _flat_box(tmp_path):
     """A 3-axis flat user chart, which cannot carry the even-dimensional functionals."""
     spec = {

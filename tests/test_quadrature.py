@@ -18,7 +18,7 @@ from curvfun.quadrature import (
     integrate,
     integrate_functional,
 )
-from curvfun.zoo import manifold_by_name
+from curvfun.zoo import MANIFOLD_NAMES, manifold_by_name
 
 from oracles import block_density
 
@@ -213,6 +213,8 @@ def test_collapsed_grid_integral_matches_the_full_grid(name, ns, functional, ang
     ("gamma_mc", "coordinate", False),
     ("gamma_d", "haar", False),
     ("volume", "haar", True),
+    ("gbc", "haar", True),
+    ("hilbert", "haar", True),
 ])
 def test_per_node_haar_densities_integrate_the_requested_grid(monkeypatch, functional, frame,
                                                               collapsed):
@@ -229,13 +231,17 @@ def test_per_node_haar_densities_integrate_the_requested_grid(monkeypatch, funct
 
 
 @pytest.mark.parametrize("name, ns", [("s4", (5, 5, 5, 5)), ("rp2", (8, 9)),
-                                      ("s2xs2", (9, 9, 9, 9))])
+                                      ("s2xs2", (9, 9, 9, 9)), ("e2xe2", (5, 5, 5, 5))])
 def test_volume_reads_the_same_in_the_haar_frame(name, ns):
-    # volume draws no frame; on the requested grid it used to differ in the last bits
+    # volume, gbc and hilbert read no frame: a Haar or rotated request is the coordinate run
     metric, grid = zoo_grid(name, ns)
-    coord = integrate_functional(metric, grid, "volume")
-    haar = integrate_functional(metric, grid, "volume", frame="haar", seed=3)
-    assert (haar.value, haar.error_estimate) == (coord.value, coord.error_estimate)
+    rot = rotate_frame(np.eye(metric.dim), 0, metric.dim - 1, 0.7)
+    for functional in ("volume", "gbc", "hilbert"):
+        coord = integrate_functional(metric, grid, functional)
+        for frame in ("haar", rot):
+            res = integrate_functional(metric, grid, functional, frame=frame, seed=3)
+            assert (res.value, res.error_estimate) == (coord.value, coord.error_estimate), \
+                (functional, frame)
 
 
 def test_no_error_estimate_when_the_collapsed_grid_does_not_coarsen():
@@ -271,6 +277,18 @@ def _product_points(name):
     return MetricField.block_diagonal(first.metric, second.metric), pts
 
 
+@pytest.mark.parametrize("name", [n for n in MANIFOLD_NAMES if manifold_by_name(n).dim % 2 == 0])
+@pytest.mark.parametrize("functional", ["gbc", "hilbert"])
+def test_chart_basis_density_matches_the_frame_route(name, functional):
+    # the chart-basis sums against the same tensor contracted into the Gram-Schmidt frame
+    spec = manifold_by_name(name)
+    # a group chart reads no axis, so every point has the same tensor; su3's gbc sum is slow
+    pts = spec.interior_points(50 if spec.metric.depends_on else 3, seed=5)
+    vals, _ = functional_density(spec.metric, functional)(pts, np.arange(len(pts)))
+    ref = block_density(spec.metric, functional, pts)
+    assert np.max(np.abs(vals - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("name", ["s2xs2", "s3xs1", "e2xe2", "s2xs2xs2"])
 @pytest.mark.parametrize("functional", ["gamma_d", "gbc", "hilbert", "volume"])
 def test_product_density_matches_the_block_route(name, functional):
@@ -301,12 +319,13 @@ def test_product_integral_contracts_only_its_factors_grids(monkeypatch):
     spec = manifold_by_name("e2xe2")  # each factor reads both of its axes
     grid = Grid(tuple(Axis(a.lo, a.hi, 3, a.periodic) for a in spec.default_grid.axes))
     batches, grids = [], []
-    for name in ("sectional_from_riemann", "riemann_in_frame"):
-        def spy(riem, frames, real=getattr(Q, name)):
-            batches.append(riem.shape)
-            return real(riem, frames)
+    real_sectional = Q.sectional_from_riemann
 
-        monkeypatch.setattr(Q, name, spy)
+    def spy(riem, frames):
+        batches.append(riem.shape)
+        return real_sectional(riem, frames)
+
+    monkeypatch.setattr(Q, "sectional_from_riemann", spy)
     real_integrate = Q.integrate
     monkeypatch.setattr(Q, "integrate", lambda *a, **k: grids.append(a[1]) or real_integrate(*a, **k))
     for functional in ("gamma_d", "gbc", "hilbert", "volume"):
@@ -314,7 +333,7 @@ def test_product_integral_contracts_only_its_factors_grids(monkeypatch):
         grids.clear()
         integrate_functional(spec.metric, grid, functional)
         # each factor's 3 x 3 grid, then its halved 2 x 2 grid; never the 81 product nodes
-        want = [] if functional == "volume" else [(9,) + (2,) * 4] * 2 + [(4,) + (2,) * 4] * 2
+        want = [(9,) + (2,) * 4] * 2 + [(4,) + (2,) * 4] * 2 if functional == "gamma_d" else []
         assert batches == want, functional
         assert {g.n_points for g in grids} == {9, 4}, functional
     # a Haar frame mixes the factors' planes, so it contracts the assembled tensors
