@@ -35,7 +35,7 @@ from .errors import (
     SingularMetricError,
 )
 from .frames import rotate_frame
-from .quadrature import FUNCTIONALS, Axis, Grid, integrate, integrate_functional
+from .quadrature import FRAME_FREE, FUNCTIONALS, Axis, Grid, integrate, integrate_functional
 from .reproduce import CASE_NAMES, run_case
 from .zoo import MANIFOLD_NAMES, load_manifold_file, manifold_by_name
 
@@ -200,6 +200,9 @@ def cmd_frame_sweep(args):
     grid = _grid(args, spec)
     rows = []
     for angle in np.linspace(0.0, math.pi / 2, args.angles):
+        if rows and args.functional in FRAME_FREE:  # every angle reads as the coordinate frame
+            rows.append({"angle": float(angle), "value": rows[0]["value"]})
+            continue
         rot = rotate_frame(np.eye(spec.dim), a - 1, b - 1, float(angle))
         result = integrate_functional(
             spec.metric, grid, functional=args.functional, frame=rot,

@@ -6,8 +6,9 @@ the i-th frame vector, so orthonormality reads ``frame @ g @ frame.T = I``.
 
 ``haar_orthogonal`` is the package's one Haar sampler: the ``haar`` frame
 strategy and the ``gamma_mc`` estimator draw a block of nodes' rotations
-from it in one stacked QR, each node's normals from that node's own
-``point_rng`` stream.
+from it, each node's normals from that node's own ``point_rng`` stream, and
+orthonormalize the whole block at once by a batched Gram-Schmidt whose
+every step is one elementwise numpy operation over the block.
 """
 
 from __future__ import annotations
@@ -68,25 +69,67 @@ def rotate_frame(frame, i, j, angle):
     return out
 
 
+def _orthonormal_columns(a):
+    """Q of ``a = QR`` with R's diagonal positive, for a (..., n, n) stack.
+
+    Classical Gram-Schmidt of each matrix's columns with one
+    reorthogonalization ("twice is enough"), in a component-leading layout:
+    ``m[i, j]`` holds entry (i, j) of every matrix, shape (B,), so each step
+    is one numpy operation over the whole batch.  Every sum runs in index
+    order through elementwise operations (no ``sum``, ``einsum`` or
+    ``matmul``, whose order depends on the batch), so each matrix keeps its
+    bits whatever stack it is orthonormalized in.  Raises
+    :class:`RankDeficientError` when a column's residual norm is not above
+    ``RANK_TOL`` times the norm of its input column.
+    """
+    n = a.shape[-1]
+    m = np.ascontiguousarray(np.moveaxis(a.reshape(-1, n, n), 0, -1))
+    col_sq = _index_sum(m * m)
+    for j in range(n):
+        v = m[:, j]  # orthonormalized in place, against the columns before it
+        for _ in range(2 if j else 0):
+            coef = _index_sum(m[:, :j] * v[:, None])
+            for k in range(j):
+                v -= coef[k] * m[:, k]
+        sq = _index_sum(v * v)
+        if not np.all(sq > RANK_TOL**2 * col_sq[j]):
+            raise RankDeficientError(
+                "Haar draw: Gram-Schmidt residual below tolerance at column %d" % j
+            )
+        v /= np.sqrt(sq)
+    return np.ascontiguousarray(np.moveaxis(m, -1, 0)).reshape(a.shape)
+
+
+def _index_sum(x):
+    """Sum over the leading axis, in index order."""
+    out = x[0].copy()
+    for row in x[1:]:
+        out += row
+    return out
+
+
 def haar_orthogonal(n, rng, count=None):
     """Draws from the Haar measure on O(n) (Mezzadri 2007, math-ph/0609050).
 
-    QR of a Gaussian matrix with the sign of R's diagonal pushed into Q,
-    which removes the sign ambiguity that would otherwise bias the draw.
-    With ``count`` set, returns a (count, n, n) stack from one stacked QR;
-    its bits equal ``count`` sequential single draws from the same ``rng``.
-    ``rng`` may also be an iterable of generators, one per node: each draws
-    its own normals, they are stacked on a new leading axis, (nodes, n, n)
-    or (nodes, count, n, n), and one QR runs over the whole stack, every
-    rotation keeping the bits of the draw its generator makes alone.
+    The Q of a Gaussian matrix's QR with R's diagonal positive, which
+    removes the sign ambiguity that would otherwise bias the draw; that Q
+    is the Gram-Schmidt of the matrix's columns, computed for a whole stack
+    at once by :func:`_orthonormal_columns`.  With ``count`` set, returns a
+    (count, n, n) stack whose bits equal ``count`` sequential single draws
+    from the same ``rng``.  ``rng`` may also be an iterable of generators,
+    one per node: each draws its own normals into its row of a
+    (nodes, n, n) or (nodes, count, n, n) stack, and every rotation keeps
+    the bits of the draw its generator makes alone.
     """
     shape = (n, n) if count is None else (count, n, n)
     if isinstance(rng, np.random.Generator):
         normals = rng.standard_normal(shape)
     else:
-        normals = np.stack([r.standard_normal(shape) for r in rng])
-    q, r = np.linalg.qr(normals)
-    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+        rngs = list(rng)
+        normals = np.empty((len(rngs),) + shape)
+        for row, r in enumerate(rngs):
+            r.standard_normal(shape, out=normals[row])
+    return _orthonormal_columns(normals)
 
 
 def point_rng(seed, node_index):

@@ -38,11 +38,12 @@ the requested grid's, and a failing node's coordinate on a collapsed axis
 reads that axis's midpoint.
 
 Haar frames: every node draws its normals from its own ``point_rng(seed,
-node)`` stream, and a batch of nodes is orthogonalized by one stacked QR
-and rotated onto the base frames by one matmul.  ``gamma_mc`` draws and
-contracts a chunk in blocks of rows whose (rows, samples, n, n) frame stack
-stays within ``HAAR_BLOCK_BYTES``, so its memory per chunk does not grow
-with the sample count.  Each node's frames and value come from its own row,
+node)`` stream, and a batch of nodes is orthonormalized by one batched
+Gram-Schmidt (:func:`curvfun.frames.haar_orthogonal`) and rotated onto the
+base frames by one matmul.  ``gamma_mc`` draws and contracts a chunk in
+blocks of rows whose (rows, samples, n, n) frame stack stays within
+``HAAR_BLOCK_BYTES``, so its memory per chunk does not grow with the sample
+count.  Each node's frames and value come from its own row,
 so neither the block size, the chunk nor the worker count changes a bit.
 
 Products: a product's grid is the tensor product of its factors' axes and
@@ -91,6 +92,9 @@ __all__ = [
 ]
 
 FUNCTIONALS = ("gamma_d", "gamma_mc", "gbc", "hilbert", "volume")
+
+# The functionals that read every frame as the coordinate frame.
+FRAME_FREE = ("gbc", "hilbert", "volume")
 
 # Byte budget of one chunk's (rows, n, n, n, n) Riemann array (see _chunk_rows).
 CHUNK_BYTES = 2**21
@@ -267,7 +271,7 @@ def _haar_node_frames(base, node_idx, seed, count=None):
 
     Node ``node_idx[row]`` draws from its own ``point_rng(seed, node)``
     stream, so the frames do not depend on chunking or worker count; one
-    stacked QR and one matmul serve the whole batch.
+    batched Gram-Schmidt and one matmul serve the whole batch.
     """
     rngs = (point_rng(seed, int(ni)) for ni in node_idx)
     return haar_orthogonal(base.shape[1], rngs, count) @ (base if count is None else base[:, None])
@@ -390,7 +394,7 @@ def integrate_functional(
     ``None`` when not asked for or the evaluated grid does not coarsen.
     """
     density = functional_density(metric, functional, frame=frame, seed=seed, nsamples=nsamples)
-    if functional in ("volume", "gbc", "hilbert"):
+    if functional in FRAME_FREE:
         frame = "coordinate"
     per_node = functional == "gamma_mc" or (isinstance(frame, str) and frame == "haar")
     evaluated = grid if per_node else grid.collapse(metric.depends_on)

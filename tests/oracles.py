@@ -4,7 +4,8 @@ Each oracle computes a quantity the package also computes, by a separate
 route: central finite differences instead of hyper-dual jets, the literal
 permutation and double-permutation sums instead of their matching
 reductions, a five-operand einsum per frame plane instead of the Monte
-Carlo estimator's matmul, a direct Gram-matrix check of a frame, a
+Carlo estimator's matmul, LAPACK's QR with the sign fix instead of the Haar
+sampler's batched Gram-Schmidt, a direct Gram-matrix check of a frame, a
 product's curvature from its padded full-dimensional jets instead of from
 its factors, a product's coordinate-frame density from its assembled
 full-dimensional chunk instead of from its factors' densities, and a Lie
@@ -94,6 +95,16 @@ def brute_force_perm_sum(k):
             term = term * k[:, sigma[2 * kk], sigma[2 * kk + 1]]
         total = total + term
     return total
+
+
+def haar_qr(a):
+    """Q of a stack's QR with R's diagonal made positive (Mezzadri 2007).
+
+    One LAPACK QR per matrix and the sign of R's diagonal pushed into Q;
+    the Haar sampler reaches the same Q by Gram-Schmidt of the columns.
+    """
+    q, r = np.linalg.qr(a)
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
 
 def einsum_pair_products(riem, frames):

@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from curvfun import cli
 from curvfun.cli import main, write_record
 from curvfun.errors import NonFiniteError
 from curvfun.quadrature import Axis, Grid, _chunk_rows, integrate
@@ -394,6 +395,28 @@ def test_frame_sweep_csv(capsys):
     assert values[0] > values[1]
     assert values[2] == pytest.approx(values[0], rel=1e-12)
     assert values[0] == pytest.approx(4.0, abs=1e-2)
+
+
+@pytest.mark.parametrize("functional, calls", [("gbc", 1), ("gamma_d", 4)])
+def test_frame_sweep_integrates_a_frame_free_functional_once(monkeypatch, capsys,
+                                                              functional, calls):
+    """gbc reads every angle as the coordinate frame, so one integral fills every row."""
+    real, seen = cli.integrate_functional, []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["frame"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate_functional", spy)
+    code, out, _ = run(capsys, ["frame-sweep", "--manifold", "s2xs2", "--plane", "1,3",
+                                "--angles", "4", "--grid", "5", "--functional", functional,
+                                "--no-timing"])
+    assert code == 0
+    assert len(seen) == calls
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 4
+    if calls == 1:
+        assert len({r["value"] for r in rows}) == 1
 
 
 def test_frame_sweep_rejects_bad_plane(capsys):

@@ -5,12 +5,13 @@ import pytest
 
 from curvfun.errors import NonOrthonormalFrameError, RankDeficientError
 from curvfun.frames import (
+    _orthonormal_columns,
     gram_schmidt_frames,
     haar_orthogonal,
     point_rng,
     rotate_frame,
 )
-from oracles import check_orthonormal
+from oracles import check_orthonormal, haar_qr
 
 
 def random_spd(n, rng):
@@ -72,13 +73,47 @@ def test_haar_orthogonal_is_orthogonal():
 
 
 def test_haar_batch_matches_sequential_draws():
-    """A batched draw has the bits of as many single draws from the same stream."""
-    for n in (2, 4, 8):
-        batch = haar_orthogonal(n, point_rng(11, n), 5)
-        rng = point_rng(11, n)
-        sequential = np.array([haar_orthogonal(n, rng) for _ in range(5)])
-        assert batch.shape == (5, n, n)
-        assert np.array_equal(batch, sequential)
+    """A batched draw has the bits of as many single draws from the same
+    stream, and a node drawn in a stack of 8,192 the bits of its own draw."""
+    for n in (2, 4, 6, 8):
+        for count in (1, 3, 5):
+            batch = haar_orthogonal(n, point_rng(11, n), count)
+            rng = point_rng(11, n)
+            sequential = np.array([haar_orthogonal(n, rng) for _ in range(count)])
+            assert batch.shape == (count, n, n)
+            assert np.array_equal(batch, sequential)
+        stack = haar_orthogonal(n, [point_rng(11, node) for node in range(8192)])
+        assert stack.shape == (8192, n, n)
+        for node in (*range(0, 8192, 509), 8191):
+            assert np.array_equal(stack[node], haar_orthogonal(n, point_rng(11, node)))
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_haar_orthogonal_matches_the_qr_oracle(n):
+    """The batched Gram-Schmidt gives the sign-fixed QR's Q up to rounding."""
+    normals = point_rng(13, n).standard_normal((500, n, n))
+    q = haar_orthogonal(n, point_rng(13, n), 500)
+    assert np.max(np.abs(q - haar_qr(normals))) < 1e-12
+
+
+def test_haar_orthogonal_stays_orthonormal_on_ill_conditioned_columns():
+    """Reorthogonalization keeps Q orthonormal at a condition number near 1e8."""
+    rng = np.random.default_rng(14)
+    n = 6
+    u, v = haar_qr(rng.standard_normal((2, 200, n, n)))
+    a = (u * np.logspace(0, -8, n)) @ v
+    assert np.median(np.linalg.cond(a)) > 1e7
+    q = _orthonormal_columns(a)
+    assert np.max(np.abs(q @ q.swapaxes(1, 2) - np.eye(n))) < 1e-14
+    assert np.max(np.abs(q - haar_qr(a))) < 1e-6
+
+
+def test_haar_orthogonal_rejects_a_repeated_column():
+    rng = np.random.default_rng(15)
+    a = rng.standard_normal((3, 4, 4))
+    a[1, :, 2] = a[1, :, 0]
+    with pytest.raises(RankDeficientError):
+        _orthonormal_columns(a)
 
 
 def test_haar_first_component_second_moment():
@@ -90,7 +125,7 @@ def test_haar_first_component_second_moment():
 
 
 def test_haar_orientation_balance():
-    """QR sign-fixing must not bias the determinant sign."""
+    """Orthonormalizing the Gaussian columns must not bias the determinant sign."""
     rng = np.random.default_rng(5)
     dets = [np.linalg.det(haar_orthogonal(3, rng)) for _ in range(2000)]
     frac_pos = np.mean([d > 0 for d in dets])

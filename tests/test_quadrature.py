@@ -370,8 +370,8 @@ def test_product_integral_matches_the_per_node_integral(name, functional):
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_haar_frames_drawn_as_one_block_equal_node_by_node_draws(n):
-    """One stacked QR and one matmul give each node the bits of its own draw,
-    whether the nodes are drawn as one block or as two."""
+    """One batched Gram-Schmidt and one matmul give each node the bits of its
+    own draw, whether the nodes are drawn as one block or as two."""
     base = np.random.default_rng(n).standard_normal((7, n, n))
     nodes = np.arange(40, 47)
     for count in (None, 3):
@@ -394,6 +394,23 @@ def test_gamma_mc_values_do_not_depend_on_the_block_size(monkeypatch):
     monkeypatch.setattr(quadrature, "HAAR_BLOCK_BYTES", 3 * 8 * 4 * 4 * 8)
     blocked = density(pts, nodes)
     assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
+
+
+def test_gamma_mc_names_the_node_whose_haar_draw_is_rank_deficient(monkeypatch):
+    """All-zero normals have no Haar rotation; the failure names that node's point."""
+
+    class Zeros:
+        def standard_normal(self, shape, out):
+            out[...] = 0.0
+
+    real = quadrature.point_rng
+    monkeypatch.setattr(quadrature, "point_rng",
+                        lambda seed, node: Zeros() if node == 40 else real(seed, node))
+    spec = manifold_by_name("taubes")
+    grid = Grid(tuple(Axis(0, 2 * math.pi, 3, periodic=True) for _ in range(4)))
+    with pytest.raises(ChartSingularityError, match="Gram-Schmidt") as info:
+        integrate_functional(spec.metric, grid, "gamma_mc", nsamples=4, with_error_estimate=False)
+    assert np.array_equal(info.value.point, grid.points_weights()[0][40])
 
 
 def test_gamma_mc_chunk_memory_is_bounded():
