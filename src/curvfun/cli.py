@@ -220,9 +220,6 @@ def cmd_frame_sweep(args):
 
 def cmd_reproduce(args):
     cases = list(CASE_NAMES) if args.case == "all" else [args.case]
-    for c in cases:
-        if c not in CASE_NAMES:
-            raise ConfigError("unknown case %r (cases: %s, all)" % (c, ", ".join(CASE_NAMES)))
     results = [r.to_record() for c in cases for r in run_case(c, workers=args.workers)]
     failed = any(r["verdict"] == "FAIL" for r in results)
     return {"command": "reproduce", "cases": cases, "results": results}, 4 if failed else 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import RankDeficientError
+from .errors import ConfigError, RankDeficientError
 
 __all__ = [
     "gram_schmidt_frames",
@@ -60,7 +60,7 @@ def rotate_frame(frame, i, j, angle):
     the rotation acts inside the frame's own span.
     """
     if i == j:
-        raise ValueError("rotation plane needs two distinct frame indices")
+        raise ConfigError("rotation plane needs two distinct frame indices")
     out = np.array(frame, dtype=float, copy=True)
     c, s = np.cos(angle), np.sin(angle)
     vi, vj = out[i].copy(), out[j].copy()

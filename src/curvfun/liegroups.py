@@ -17,7 +17,6 @@ Built-ins:
   orthonormal under <A, B> = -2 Re tr(AB).
 * ``so4()``  -- so(4) in the product-aligned basis splitting it into two
   commuting so(3) factors, orthonormal under <X, Y> = -tr(XY).
-* ``so3()``  -- so(3) with <X, Y> = -tr(XY)/2, alpha = Levi-Civita.
 
 Each built-in starts from pairwise orthogonal integer matrices, positive
 multiples of its basis; su(3) is realified, a complex M becoming the real
@@ -33,7 +32,6 @@ Killing form.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,12 +44,9 @@ from .geometry import MetricField
 
 __all__ = [
     "LieAlgebra",
-    "structure_constants",
     "biinvariant_metric",
     "su3",
     "so4",
-    "so3",
-    "load_algebra",
     "VOLUMES",
 ]
 
@@ -89,50 +84,22 @@ class LieAlgebra:
         )
         return float(np.max(np.abs(r)))
 
-    def validate(self, tol=TOL):
-        a = self.alpha
-        if np.max(np.abs(a + np.swapaxes(a, 0, 1))) > tol:
-            raise NotClosedError("structure constants not antisymmetric in (i, j)")
-        if self.jacobi_residual() > tol:
-            raise NotClosedError("Jacobi identity violated beyond tolerance")
-        return self
 
-
-def _brackets(basis, inner):
+def _brackets(basis):
     """Gram matrix, bracket coefficients and closure residual of a matrix basis.
 
-    ``c[i, j, k] = inner([b_i, b_j], b_k)``.  ``resid[i, j]`` is the largest
-    entry of [b_i, b_j] minus its projection sum_k c[i, j, k] b_k / gram[k, k]
-    onto the span, which assumes the b_k pairwise orthogonal (a zero b_k
-    makes it NaN).
+    Under the inner product -tr(XY), ``c[i, j, k] = -tr([b_i, b_j] b_k)``.
+    ``resid[i, j]`` is the largest entry of [b_i, b_j] minus its projection
+    sum_k c[i, j, k] b_k / gram[k, k] onto the span, which assumes the b_k
+    pairwise orthogonal (a zero b_k makes it NaN).
     """
-    gram = np.array([[inner(a, b) for b in basis] for a in basis])
+    gram = np.array([[-np.trace(a @ b) for b in basis] for a in basis])
     brackets = np.array([[a @ b - b @ a for b in basis] for a in basis])
-    c = np.array([[[inner(br, e) for e in basis] for br in row] for row in brackets])
+    c = np.array([[[-np.trace(br @ e) for e in basis] for br in row] for row in brackets])
     with np.errstate(divide="ignore", invalid="ignore"):
         proj = np.einsum("ijk,kab->ijab", c / np.diag(gram), np.asarray(basis))
     resid = np.max(np.abs(brackets - proj), axis=(2, 3))
     return gram, c, resid
-
-
-def structure_constants(basis, inner, tol=TOL):
-    """Structure constants of a matrix Lie algebra basis.
-
-    ``basis`` is a sequence of square matrices, ``inner(A, B)`` the inner
-    product.  The basis must be orthonormal under ``inner`` and closed
-    under commutators: the residual of each commutator after projection
-    back onto the span must vanish to ``tol``, else :class:`NotClosedError`.
-    """
-    gram, alpha, resid = _brackets(basis, inner)
-    if np.max(np.abs(gram - np.eye(len(basis)))) > 1e-8:
-        raise NonOrthonormalFrameError("basis is not orthonormal under the given inner product")
-    bad = np.argwhere(resid > tol)
-    if len(bad):
-        i, j = bad[0]
-        raise NotClosedError(
-            "commutator [e_%d, e_%d] leaves the span (residual %.2e)" % (i, j, resid[i, j])
-        )
-    return alpha.astype(float)
 
 
 def biinvariant_metric(algebra):
@@ -171,7 +138,7 @@ def _exact_algebra(name, mats, scale, note):
     N_i taken under -tr(XY), alpha_ijk^2 = scale c_ijk^2 / (N_i N_j N_k)
     exactly, and alpha_ijk has the sign of c_ijk.
     """
-    gram, c, resid = _brackets(mats, lambda a, b: -np.trace(a @ b))
+    gram, c, resid = _brackets(mats)
     norms = np.diag(gram)
     if np.any(gram != np.diag(norms)) or np.any(norms <= 0):
         raise NonOrthonormalFrameError("%s basis is not pairwise orthogonal" % name)
@@ -193,17 +160,6 @@ def _rotation(i, j, n):
     m = np.zeros((n, n), dtype=np.int64)
     m[i - 1, j - 1], m[j - 1, i - 1] = 1, -1
     return m
-
-
-@lru_cache(maxsize=None)
-def so3():
-    """so(3), orthonormal under <X, Y> = -tr(XY)/2; alpha = Levi-Civita."""
-    return _exact_algebra(
-        "so3",
-        [_rotation(3, 2, 3), _rotation(1, 3, 3), _rotation(2, 1, 3)],
-        2,
-        "inner product -tr(XY)/2; equals -Killing/2 for so(3)",
-    )
 
 
 @lru_cache(maxsize=None)
@@ -261,91 +217,3 @@ def su3():
         1,
         "inner product -2 Re tr(AB) = (2/3) * (-Killing/2) for su(3)",
     )
-
-
-# -- JSON user algebras --------------------------------------------------------
-
-
-def _matrix_from_json(rows):
-    def entry(v):
-        if isinstance(v, (list, tuple)):
-            if len(v) != 2:
-                raise ValueError("complex entries must be [re, im] pairs")
-            return complex(v[0], v[1])
-        return complex(v)
-
-    if not isinstance(rows, list) or not rows or any(
-        not isinstance(r, list) or len(r) != len(rows) for r in rows
-    ):
-        raise ValueError("algebra file: a basis matrix must be a square list of rows")
-    return np.array([[entry(v) for v in row] for row in rows])
-
-
-_INNER_PRODUCTS = {
-    "neg_trace": lambda a, b: float(-np.trace(a @ b).real),
-    "neg_half_trace": lambda a, b: float(-np.trace(a @ b).real / 2),
-    "neg_two_re_trace": lambda a, b: float(-2 * np.trace(a @ b).real),
-}
-
-
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def load_algebra(path):
-    """Load a Lie algebra from JSON.
-
-    Two forms are accepted::
-
-        {"name": ..., "basis": [matrix, ...], "inner": "neg_trace"}
-        {"name": ..., "dimension": n,
-         "structure_constants": [[i, j, k, value], ...]}   # 1-based indices
-
-    Matrix entries may be numbers or ``[re, im]`` pairs.  Structure
-    constants are completed by antisymmetry in (i, j): each listed
-    ``alpha[i, j, k]`` also sets ``-alpha[j, i, k]``.  An unreadable file,
-    a payload that is not an object, or a missing or malformed key raises
-    ``ValueError`` naming the problem.
-    """
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ValueError("cannot read algebra file: %s" % exc) from None
-    if not isinstance(data, dict):
-        raise ValueError("algebra file must hold a JSON object")
-    name = data.get("name", "user-algebra")
-    if "basis" in data:
-        if not isinstance(data["basis"], list) or not data["basis"]:
-            raise ValueError('algebra file: "basis" must be a non-empty list of matrices')
-        basis = [_matrix_from_json(rows) for rows in data["basis"]]
-        if len({b.shape for b in basis}) != 1:
-            raise ValueError('algebra file: "basis" matrices must all have one size')
-        inner_name = data.get("inner", "neg_trace")
-        if inner_name not in _INNER_PRODUCTS:
-            raise ValueError("unknown inner product %r" % inner_name)
-        alpha = structure_constants(basis, _INNER_PRODUCTS[inner_name])
-        note = "inner product %s from user file" % inner_name
-    elif "structure_constants" in data:
-        n = data.get("dimension")
-        if not _is_int(n) or n < 1:
-            raise ValueError('algebra file: "dimension" must be a positive integer, got %r' % (n,))
-        items = data["structure_constants"]
-        if not isinstance(items, list):
-            raise ValueError('algebra file: "structure_constants" must be a list')
-        alpha = np.zeros((n, n, n))
-        for item in items:
-            if not (isinstance(item, list) and len(item) == 4
-                    and isinstance(item[3], (int, float)) and not isinstance(item[3], bool)):
-                raise ValueError("algebra file: a structure constant must be [i, j, k, value], "
-                                 "got %r" % (item,))
-            i, j, k, v = item
-            if not all(_is_int(t) and 1 <= t <= n for t in (i, j, k)):
-                raise ValueError("algebra file: structure constant indices must be integers "
-                                 "in 1..%d, got %r" % (n, item))
-            alpha[i - 1, j - 1, k - 1] = v
-            alpha[j - 1, i - 1, k - 1] = -v
-        note = "structure constants from user file (orthonormal basis assumed)"
-    else:
-        raise ValueError("algebra file needs either 'basis' or 'structure_constants'")
-    return LieAlgebra(name=name, alpha=alpha, metric_note=note).validate()

@@ -31,6 +31,7 @@ import numpy as np
 from . import discrete as D
 from . import liegroups as LG
 from . import zoo
+from .errors import ConfigError
 from .frames import haar_orthogonal
 from .functionals import gbc_raw_sum, k_discrete, matching_sum, perm_sum
 from .geometry import curvature_batch, curvature_chunk
@@ -423,5 +424,5 @@ CASE_NAMES = tuple(_CASES)
 def run_case(name, workers=1):
     """Run one reproduction case; returns a list of CheckResults."""
     if name not in _CASES:
-        raise ValueError("unknown case %r (cases: %s)" % (name, ", ".join(CASE_NAMES)))
+        raise ConfigError("unknown case %r (cases: %s)" % (name, ", ".join(CASE_NAMES)))
     return _CASES[name](workers)

@@ -431,8 +431,9 @@ def test_reproduce_json_and_exit_codes(capsys):
     assert payload["command"] == "reproduce"
     verdicts = {r["verdict"] for r in payload["results"]}
     assert verdicts <= {"PASS", "DISCREPANCY-DOCUMENTED"}
-    code, _, _ = run(capsys, ["reproduce", "not-a-case"])
+    code, _, err = run(capsys, ["reproduce", "not-a-case"])
     assert code == 2
+    assert len(err.splitlines()) == 1 and "unknown case 'not-a-case'" in err
 
 
 def test_reproduce_text_summary_line(capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from curvfun.errors import NonOrthonormalFrameError, RankDeficientError
+from curvfun.errors import ConfigError, NonOrthonormalFrameError, RankDeficientError
 from curvfun.frames import (
     _orthonormal_columns,
     gram_schmidt_frames,
@@ -63,6 +63,8 @@ def test_rotate_frame_preserves_orthonormality():
     # untouched rows stay put
     assert np.max(np.abs(r[1] - f[1])) == 0.0
     assert np.max(np.abs(r[3] - f[3])) == 0.0
+    with pytest.raises(ConfigError, match="two distinct frame indices"):
+        rotate_frame(f, 1, 1, 0.7)
 
 
 def test_haar_orthogonal_is_orthogonal():
@@ -120,15 +122,14 @@ def test_haar_first_component_second_moment():
     """For Haar-random q, E[(q row . e)^2] = 1/n by symmetry."""
     rng = np.random.default_rng(4)
     n = 4
-    samples = np.array([haar_orthogonal(n, rng)[0, 0] ** 2 for _ in range(4000)])
+    samples = haar_orthogonal(n, rng, 4000)[:, 0, 0] ** 2
     assert samples.mean() == pytest.approx(1.0 / n, abs=3 * samples.std() / 63)
 
 
 def test_haar_orientation_balance():
     """Orthonormalizing the Gaussian columns must not bias the determinant sign."""
     rng = np.random.default_rng(5)
-    dets = [np.linalg.det(haar_orthogonal(3, rng)) for _ in range(2000)]
-    frac_pos = np.mean([d > 0 for d in dets])
+    frac_pos = np.mean(np.linalg.det(haar_orthogonal(3, rng, 2000)) > 0)
     assert abs(frac_pos - 0.5) < 0.04
 
 
@@ -143,8 +144,9 @@ def test_haar_left_rotation_invariance():
     rng = np.random.default_rng(6)
     n = 3
     r = haar_orthogonal(n, np.random.default_rng(99))
-    plain = np.array([haar_orthogonal(n, rng)[0, 0] for _ in range(1500)])
-    rotated = np.array([(r @ haar_orthogonal(n, rng))[0, 0] for _ in range(1500)])
+    qs = haar_orthogonal(n, rng, 3000)  # the bits of 3,000 single draws
+    plain = qs[:1500, 0, 0]
+    rotated = (r @ qs[1500:])[:, 0, 0]
     ks = stats.ks_2samp(plain, rotated)
     assert ks.pvalue > 1e-3
 

@@ -1,6 +1,5 @@
-"""Bi-invariant curvature of compact Lie groups through the chart pipeline; the JSON loader."""
+"""Bi-invariant curvature of compact Lie groups through the chart pipeline."""
 
-import json
 import math
 import os
 import subprocess
@@ -18,11 +17,10 @@ from curvfun.geometry import MetricField, curvature_batch, riemann_arrays
 from curvfun.liegroups import (
     VOLUMES,
     LieAlgebra,
+    _exact_algebra,
+    _rotation,
     biinvariant_metric,
-    load_algebra,
-    so3,
     so4,
-    structure_constants,
     su3,
 )
 from curvfun.quadrature import integrate_functional
@@ -50,13 +48,13 @@ def test_builtins_do_not_import_sympy():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys; from curvfun.liegroups import so3, so4, su3; "
-            "so3(); so4(); su3(); assert 'sympy' not in sys.modules")
+    code = ("import sys; from curvfun.liegroups import so4, su3; "
+            "so4(); su3(); assert 'sympy' not in sys.modules")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("build", [so3, so4, su3], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("build", [so4, su3], ids=lambda f: f.__name__)
 def test_builtin_alpha_antisymmetric_and_matches_exact_table(build):
     alg = build()
     a = alg.alpha
@@ -64,15 +62,6 @@ def test_builtin_alpha_antisymmetric_and_matches_exact_table(build):
         assert np.array_equal(np.transpose(a, axes), -a)
     exact = np.array([[float(v) for v in row] for row in alg.k_exact])
     assert np.max(np.abs(sectional(alg) - exact)) <= 1e-15
-
-
-def test_so3_constant_curvature_quarter():
-    alg = so3()
-    K = alg.k_exact
-    for i in range(3):
-        for j in range(3):
-            assert K[i][j] == (Fraction(1, 4) if i != j else 0)
-    assert alg.jacobi_residual() < 1e-14
 
 
 def test_su3_jacobi_and_matrix_shape():
@@ -171,37 +160,13 @@ def test_su3_haar_frame_matches_rotated_structure_constants():
     assert value == pytest.approx(k_discrete(k[None])[0] * VOLUMES["su3"], rel=1e-15)
 
 
-def test_structure_constants_from_matrices_match_so3():
-    # spin generators: [e_i, e_j] = e_k cyclically
-    e = [
-        np.array([[0, 0, 0], [0, 0, -1.0], [0, 1.0, 0]]),
-        np.array([[0, 0, 1.0], [0, 0, 0], [-1.0, 0, 0]]),
-        np.array([[0, -1.0, 0], [1.0, 0, 0], [0, 0, 0]]),
-    ]
-
-    def inner(a, b):
-        return float(-np.trace(a @ b) / 2)
-
-    alpha = structure_constants(e, inner)
-    assert alpha[0, 1, 2] == pytest.approx(1.0)
-    assert alpha[1, 0, 2] == pytest.approx(-1.0)
-    assert np.max(np.abs(alpha - so3().alpha)) < 1e-12
-
-
-def test_structure_constants_reject_non_closed_set():
-    # a rotation generator and a traceless diagonal: bracket is symmetric,
-    # orthogonal to both, so the pair does not span a subalgebra
-    s = 1 / math.sqrt(2)
-    bad = [
-        s * np.array([[0, -1.0, 0], [1.0, 0, 0], [0, 0, 0]]),
-        s * np.array([[1.0, 0, 0], [0, -1.0, 0], [0, 0, 0]]),
-    ]
-
-    def inner(a, b):
-        return float(np.trace(a @ b.T))
-
+def test_exact_algebra_rejects_non_closed_and_non_orthogonal_bases():
+    # [L12, L13] = -L23 leaves the span of two so(3) generators
     with pytest.raises(NotClosedError):
-        structure_constants(bad, inner)
+        _exact_algebra("pair", [_rotation(1, 2, 3), _rotation(1, 3, 3)], 1, "test")
+    with pytest.raises(NonOrthonormalFrameError):
+        _exact_algebra("skew", [_rotation(1, 2, 3), _rotation(1, 2, 3) + _rotation(1, 3, 3)],
+                       1, "test")
 
 
 def test_biinvariant_metric_rejects_left_invariant_only():
@@ -220,58 +185,3 @@ def test_builtin_registry():
     assert manifold_by_name("so4").dim == 6
     with pytest.raises(ValueError):
         manifold_by_name("e8")
-
-
-def test_load_algebra_from_basis_json(tmp_path):
-    path = tmp_path / "su2.json"
-    # su(2) basis i*sigma/2 as [re, im] pairs, orthonormal under -2 Re tr
-    basis = [
-        [[[0, 0], [0, 0.5]], [[0, 0.5], [0, 0]]],
-        [[[0, 0], [0.5, 0]], [[-0.5, 0], [0, 0]]],
-        [[[0, 0.5], [0, 0]], [[0, 0], [0, -0.5]]],
-    ]
-    path.write_text(json.dumps({"name": "su2", "basis": basis, "inner": "neg_two_re_trace"}))
-    alg = load_algebra(path)
-    assert alg.dim == 3
-    k = sectional(alg)
-    assert k[0, 1] == pytest.approx(0.25)
-
-
-def test_load_algebra_from_structure_constants(tmp_path):
-    path = tmp_path / "so3.json"
-    payload = {
-        "name": "so3-sc",
-        "dimension": 3,
-        "structure_constants": [[1, 2, 3, 1.0], [2, 3, 1, 1.0], [3, 1, 2, 1.0]],
-    }
-    path.write_text(json.dumps(payload))
-    alg = load_algebra(path)
-    k = sectional(alg)
-    assert np.allclose(k + np.eye(3) * 0.25, 0.25)  # off-diagonal 1/4, diagonal 0
-
-
-def test_load_algebra_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"name": "nothing"}))
-    with pytest.raises(ValueError):
-        load_algebra(path)
-
-
-@pytest.mark.parametrize("payload, problem", [
-    pytest.param([1, 2, 3], "JSON object", id="not-an-object"),
-    pytest.param({"structure_constants": [[1, 2, 3, 1.0]]}, '"dimension"', id="no-dimension"),
-    pytest.param({"dimension": 3, "structure_constants": [[0, 1, 2, 1.0]]}, "1..3", id="index-0"),
-    pytest.param({"dimension": 3, "structure_constants": [[1, 2, 4, 1.0]]}, "1..3",
-                 id="index-above-n"),
-    pytest.param({"dimension": 3, "structure_constants": [[1, 2, 3]]}, r"\[i, j, k, value\]",
-                 id="three-entries"),
-    pytest.param(None, "cannot read", id="missing-file"),
-    pytest.param({"basis": [1]}, "square list of rows", id="basis-not-a-matrix"),
-    pytest.param({"basis": [[[0, 1], [-1, 0]], [[0]]]}, "one size", id="basis-sizes-differ"),
-])
-def test_load_algebra_names_the_problem(tmp_path, payload, problem):
-    path = tmp_path / "bad.json"
-    if payload is not None:
-        path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match=problem):
-        load_algebra(path)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from curvfun.errors import ConfigError
 from curvfun.reproduce import CASE_NAMES, _check, run_case
 
 
@@ -33,7 +34,7 @@ def test_records_serialize():
 
 
 def test_run_case_rejects_unknown():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="unknown case 'borel-conjecture'"):
         run_case("borel-conjecture")
 
 
