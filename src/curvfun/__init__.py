@@ -9,6 +9,16 @@ entries, induced from embeddings, assembled as products, or taken from
 bi-invariant structures on compact Lie groups.
 """
 
+import os
+
+# One BLAS thread unless the caller chose a count.  Every BLAS/LAPACK call here
+# is on stacks of n <= 8 matrices or per-point (S, n^2) @ (n^2, n^2) products,
+# too small to split, and ``--workers`` is the package's only parallelism; an
+# OpenBLAS pool would only spin at start-up.  Read when numpy first loads
+# (through ``.frames`` below), so it has no effect if the host loaded it first.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .errors import (
     BadDimensionError,
     ChartSingularityError,

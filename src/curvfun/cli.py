@@ -35,7 +35,16 @@ from .errors import (
     SingularMetricError,
 )
 from .frames import rotate_frame
-from .quadrature import FRAME_FREE, FUNCTIONALS, Axis, Grid, integrate, integrate_functional
+from .quadrature import (
+    FRAME_FREE,
+    FUNCTIONALS,
+    MAX_AXIS_NODES,
+    MAX_SAMPLES,
+    Axis,
+    Grid,
+    integrate,
+    integrate_functional,
+)
 from .reproduce import CASE_NAMES, run_case
 from .zoo import MANIFOLD_NAMES, load_manifold_file, manifold_by_name
 
@@ -88,15 +97,20 @@ def _grid(args, spec):
         raise ConfigError("--grid needs 1 or %d sizes, got %d" % (spec.dim, len(ns)))
     if any(n < 1 for n in ns):
         raise ConfigError("--grid sizes must be positive, got %r" % args.grid)
+    if max(ns) > MAX_AXIS_NODES:
+        raise ConfigError("--grid sizes must be at most %d, got %d" % (MAX_AXIS_NODES, max(ns)))
     return Grid(tuple(Axis(a.lo, a.hi, n, a.periodic) for a, n in zip(spec.default_grid.axes, ns)))
 
 
 def _check_counts(args):
-    """Reject ``--workers`` below 1 and a negative ``--seed``, naming the flag."""
+    """Reject ``--workers`` below 1, a negative ``--seed`` and ``--samples`` over
+    ``MAX_SAMPLES``, naming the flag."""
     if args.workers < 1:
         raise ConfigError("--workers must be at least 1, got %d" % args.workers)
     if getattr(args, "seed", 0) < 0:
         raise ConfigError("--seed must be non-negative, got %d" % args.seed)
+    if (getattr(args, "samples", None) or 0) > MAX_SAMPLES:
+        raise ConfigError("--samples must be at most %d, got %d" % (MAX_SAMPLES, args.samples))
 
 
 def _samples(args):
@@ -297,6 +311,11 @@ def write_record(record, args, t0):
 # -- entry point ---------------------------------------------------------------------
 
 
+_WORKERS_HELP = ("threads that evaluate the grid's chunks, curvfun's only parallelism: BLAS "
+                 "runs one thread unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or "
+                 "OMP_NUM_THREADS is set; records do not depend on either count")
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="curvfun",
@@ -314,7 +333,7 @@ def build_parser():
         sp.add_argument("--samples", type=int,
                         help="Monte Carlo frame samples per node (gamma_mc only; default 64)")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--workers", type=int, default=1)
+        sp.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
         sp.add_argument("--format", default="json", choices=("json", "csv", "text"))
         sp.add_argument("--out", help="write output to this path instead of stdout")
         sp.add_argument("--no-timing", action="store_true",
@@ -335,7 +354,7 @@ def build_parser():
 
     pr = sub.add_parser("reproduce", help="re-derive published reference values")
     pr.add_argument("case", help="one of %s, or 'all'" % ", ".join(CASE_NAMES))
-    pr.add_argument("--workers", type=int, default=1)
+    pr.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     pr.add_argument("--format", default="text", choices=("json", "csv", "text"))
     pr.add_argument("--out")
     pr.set_defaults(fn=cmd_reproduce)

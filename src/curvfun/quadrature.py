@@ -103,6 +103,14 @@ CHUNK_BYTES = 2**21
 # floats: a chunk is drawn and contracted a block at a time.
 HAAR_BLOCK_BYTES = 2**20
 
+# Ceilings on what a run may ask for, so that an oversized request is a
+# configuration error before anything is allocated: Gauss-Legendre nodes per
+# axis (leggauss's n x n companion matrix stays within 8 MiB), Monte Carlo
+# samples per node, and the nodes of an evaluated grid (after the collapse).
+MAX_AXIS_NODES = 1024
+MAX_SAMPLES = 65536
+MAX_NODES = 2**22
+
 # A density raising one of these fails at a node, which the integrator locates.
 _NODE_FAILURES = (NonFiniteError, SingularMetricError, RankDeficientError, np.linalg.LinAlgError)
 
@@ -159,6 +167,13 @@ class Grid:
         for wm in wmesh:
             w = w * wm.reshape(-1)
         return pts, w
+
+    def checked(self):
+        """This grid, or ``ConfigError`` when it has more than ``MAX_NODES`` nodes."""
+        if self.n_points > MAX_NODES:
+            raise ConfigError('%d grid nodes to evaluate, more than the ceiling of %d '
+                              '(lower --grid or the spec file\'s "n")' % (self.n_points, MAX_NODES))
+        return self
 
     def halved(self):
         return Grid(tuple(a.halved() for a in self.axes))
@@ -233,7 +248,7 @@ def integrate(density, grid, workers=1):
     A non-finite value or a node failure (singular or asymmetric metric,
     rank-deficient frame) raises ``ChartSingularityError`` naming the node.
     """
-    pts, w = grid.points_weights()
+    pts, w = grid.checked().points_weights()
     npts = len(pts)
     contrib = np.zeros(npts)
     erracc = np.zeros(npts)

@@ -22,7 +22,7 @@ from .errors import BadDimensionError, ConfigError, NonOrthonormalFrameError
 from .expressions import parse_expression
 from .functionals import k_discrete
 from .geometry import SYMMETRY_TOL, EmbeddingMap, MetricField
-from .quadrature import Axis, Grid
+from .quadrature import MAX_AXIS_NODES, Axis, Grid
 
 __all__ = [
     "ManifoldSpec",
@@ -628,6 +628,9 @@ def _spec_axis(k, a):
             raise ConfigError('spec file: axis %d has no "%s"' % (k, key))
     if isinstance(a["n"], bool) or not isinstance(a["n"], int) or a["n"] < 1:
         raise ConfigError('spec file: axis %d "n" must be a positive integer' % k)
+    if a["n"] > MAX_AXIS_NODES:
+        raise ConfigError('spec file: axis %d "n" must be at most %d, got %d'
+                          % (k, MAX_AXIS_NODES, a["n"]))
 
     def bound(key):
         v = a[key]
@@ -729,14 +732,14 @@ def load_manifold_file(path):
                                   % sorted(bad))
             row_exprs.append(e)
         exprs.append(row_exprs)
-    _check_symmetric(exprs, grid, var_names)
+    used = set().union(*(e.variables for row in exprs for e in row))
+    depends_on = [i for i, nm in enumerate(var_names) if nm in used]
+    # the entries are constant along the other axes, so those are checked at one node
+    _check_symmetric(exprs, grid.collapse(depends_on).checked(), var_names)
 
     def entries(v):
         env = {nm: v[i] for i, nm in enumerate(var_names)}
         return [[e(env) for e in row] for row in exprs]
-
-    used = set().union(*(e.variables for row in exprs for e in row))
-    depends_on = [i for i, nm in enumerate(var_names) if nm in used]
     metric = MetricField.from_entries(dim, entries, provenance="user spec file",
                                       depends_on=depends_on)
     return ManifoldSpec(
