@@ -13,26 +13,29 @@ from fractions import Fraction
 import numpy as np
 
 from curvfun.functionals import gbc_raw_sum, k_discrete, k_gbc
-from curvfun.geometry import riemann_arrays, riemann_in_frame, sectional_from_riemann
+from curvfun.geometry import sectional_from_riemann
+from curvfun.rationals import exact_det
 from curvfun.zoo import klembeck_patch
 
 kb = klembeck_patch()
 print(kb.notes, "\n")
 
 origin = np.full((1, 6), Fraction(0), dtype=object)
-g, dg, d2g = kb.metric.jets(origin)
-riem = riemann_arrays(g, dg, d2g)
+g, riem = kb.metric.jets(origin)  # the metric and its chart-basis Riemann tensor
 
+# g = I at the origin, so the chart basis is an orthonormal frame there
 frame = np.full((1, 6, 6), Fraction(0), dtype=object)
 for i in range(6):
     frame[0, i, i] = Fraction(1)
+assert (g == frame).all()
 
-riem_frame = riemann_in_frame(riem, frame)
-raw = gbc_raw_sum(riem_frame)[0]
+raw = gbc_raw_sum(riem)[0]
 print("signed double-permutation sum at the origin:", raw)
 print("mean term raw/(6!)^2 = -9216/518400 =        ", raw / math.factorial(6) ** 2)
 assert raw / math.factorial(6) ** 2 == Fraction(-9216, 518400)
-print("GBC density (the sum, normalized, as a float):", k_gbc(riem_frame)[0])
+# the chart-basis density, as the integrator reads it: k_gbc(riem) / sqrt(det g)
+gbc = k_gbc(riem)[0] / math.sqrt(exact_det(g[0].tolist()))
+print("GBC density (the sum, normalized, as a float):", gbc)
 
 k = sectional_from_riemann(riem, frame)
 vals = sorted({k[0, i, j] for i in range(6) for j in range(6) if i != j})

@@ -54,7 +54,6 @@ from .geometry import (
     MetricField,
     curvature_batch,
     riemann_arrays,
-    riemann_in_frame,
     sectional_from_riemann,
 )
 from .quadrature import (
@@ -88,7 +87,6 @@ __all__ = [
     "MetricField",
     "EmbeddingMap",
     "riemann_arrays",
-    "riemann_in_frame",
     "sectional_from_riemann",
     "curvature_batch",
     # frames

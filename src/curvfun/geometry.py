@@ -1,22 +1,32 @@
 """Metric fields, Christoffel symbols, Riemann tensor, sectional curvature.
 
-Metrics come in three flavors: closed-form entries (differentiated with
-hyper-dual jets), embedding-induced (first fundamental form of a chart into
-Euclidean space, from second-order jets of the embedding), and constant;
-``block_diagonal`` combines two of them into a product.  All of them feed
-the same Riemann formula.  Each metric declares ``depends_on``, the chart
-axes it reads; the integrator collapses the others to one node.
+Every metric source supplies the same pair for a batch of chart points:
+the metric g and its lowered Riemann tensor R, the metric's invariant
+2-jet (in normal coordinates g = delta - R.x.x / 3 + ...).  Each source
+has one route to it:
+
+* closed-form entries: hyper-dual jets of g, then :func:`riemann_arrays`
+  (the general formula; exact on Fraction input);
+* an embedding: the Gauss equation, from the first and second
+  derivatives of the embedding (:func:`_gauss_jets`);
+* a constant metric: R = 0;
+* a compact group's bi-invariant metric (:mod:`curvfun.liegroups`):
+  R = alpha.alpha / 4.
+
+``block_diagonal`` combines two metrics into a product.  Each metric
+declares ``depends_on``, the chart axes it reads; the integrator collapses
+the others to one node.
 
 The pipeline is batched over chart points.  :func:`curvature_chunk` is the
-one path from a metric to curvature data (jets, metric checks, Riemann
-tensor, Gram-Schmidt base frames); the quadrature densities and
-:func:`curvature_batch` both call it.  There is no single-point API: a
-point is a batch of one.  A product has no jets of its own: its chunk is
-assembled from its factors' chunks, block by block (a product has no
-mixed-block curvature), and where the frame is aligned with the factors
-the integrator multiplies the factors' integrals instead.  Any other
-metric is evaluated once per distinct row of its ``depends_on`` columns
-and the results are copied to the rows that repeat it.
+one path from a metric to curvature data (checked g and R, Gram-Schmidt
+base frames); the quadrature densities and :func:`curvature_batch` both
+call it.  There is no single-point API: a point is a batch of one.  A
+product has no jets of its own: its chunk is assembled from its factors'
+chunks, block by block (a product has no mixed-block curvature), and where
+the frame is aligned with the factors the integrator multiplies the
+factors' integrals instead.  Any other metric is evaluated once per
+distinct row of its ``depends_on`` columns and the results are copied to
+the rows that repeat it.
 
 Everything is evaluated in chart coordinates, never in normal coordinates:
 sectional curvatures come from contracting against an explicitly
@@ -26,9 +36,8 @@ densities from the chart-basis tensor with g and its inverse.
 Index conventions, used consistently below:
 
 * ``g[p, i, j]``            metric at point ``p``
-* ``dg[p, i, j, k]``        del_k g_ij
-* ``d2g[p, i, j, k, l]``    del_k del_l g_ij, up to terms the Riemann
-  tensor cancels (see :meth:`MetricField.jets`)
+* ``dg[p, i, j, k]``        del_k g_ij (closed-form entries only)
+* ``d2g[p, i, j, k, l]``    del_k del_l g_ij (closed-form entries only)
 * ``gamma[p, k, i, j]``     Gamma^k_ij
 * ``riem[p, i, j, k, l]``   R_ijkl, lowered, with R(t_i, t_j, t_i, t_j) the
   sectional curvature of the (t_i, t_j) plane (so the round sphere has
@@ -39,6 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -52,11 +62,9 @@ __all__ = [
     "EmbeddingMap",
     "christoffel_arrays",
     "riemann_arrays",
-    "checked_jets",
     "curvature_chunk",
     "curvature_batch",
     "sectional_from_riemann",
-    "riemann_in_frame",
 ]
 
 SYMMETRY_TOL = 1e-12
@@ -98,10 +106,7 @@ class MetricField:
         object dtype.  ``depends_on`` lists the variables the entries read.
         """
 
-        def jets_fn(points):
-            return _assemble_matrix_jets(entries(J.variables(points)), points, dim)
-
-        return cls(dim, jets_fn, provenance, depends_on)
+        return cls(dim, partial(_entries_jets, entries, dim), provenance, depends_on)
 
     @classmethod
     def constant(cls, matrix):
@@ -110,10 +115,7 @@ class MetricField:
 
         def jets_fn(points):
             npts = len(points)
-            g = np.broadcast_to(matrix, (npts, dim, dim)).copy()
-            dg = np.zeros((npts, dim, dim, dim))
-            d2g = np.zeros((npts, dim, dim, dim, dim))
-            return g, dg, d2g
+            return np.broadcast_to(matrix, (npts, dim, dim)).copy(), np.zeros((npts,) + (dim,) * 4)
 
         return cls(dim, jets_fn, "constant", depends_on=())
 
@@ -125,10 +127,7 @@ class MetricField:
         embedding itself may still move along the others (a rotation axis).
         """
 
-        def jets_fn(points):
-            return _induced_metric_jets(embedding, points)
-
-        return cls(embedding.chart_dim, jets_fn, "embedding", depends_on)
+        return cls(embedding.chart_dim, partial(_gauss_jets, embedding), "embedding", depends_on)
 
     @classmethod
     def block_diagonal(cls, first, second):
@@ -146,27 +145,34 @@ class MetricField:
     # -- evaluation ----------------------------------------------------------
 
     def jets(self, points):
-        """Batched ``(g, dg, d2g)`` at ``points`` of shape (npoints, dim).
+        """Batched, checked ``(g, riem)`` at ``points`` of shape (npoints, dim).
 
-        ``g`` and ``dg`` are the metric and its first derivatives.  ``d2g``
-        only has to be right where :func:`riemann_arrays` reads it, in the
-        combination
-        ``d2g[r,v,m,s] + d2g[s,m,v,r] - d2g[s,v,m,r] - d2g[r,m,v,s]``.
-        Closed-form entries give the true second derivatives; an embedding
-        gives ``<H_ik, H_jl> + <H_il, H_jk>`` from the Hessians ``H`` of its
-        components, leaving out the terms with third derivatives of the
-        embedding, which cancel in that combination (the Gauss equation).
+        ``g`` is the metric and ``riem`` its lowered Riemann tensor, each
+        source's by its own route (see the module docstring).  On float
+        input, raises :class:`NonFiniteError` when either is not finite,
+        :class:`SingularMetricError` when ``g`` is asymmetric beyond
+        ``SYMMETRY_TOL`` at some point, and ``LinAlgError`` when it is not
+        positive definite; the integrator then names the node.  Object
+        (Fraction) input is passed through unchecked and stays exact.
         A product raises ``TypeError``: call ``jets`` on its factors.
         """
         if self.factors is not None:
             raise TypeError("%s has no jets of its own; evaluate its factors "
                             "(metric.factors)" % self.provenance)
-        points = np.asarray(points)
-        g, dg, d2g = self._jets_fn(points)
+        g, riem = self._jets_fn(np.asarray(points))
         if g.dtype != object:
-            if not (np.all(np.isfinite(g)) and np.all(np.isfinite(dg)) and np.all(np.isfinite(d2g))):
-                raise NonFiniteError("metric derivatives are not finite")
-        return g, dg, d2g
+            if not (np.all(np.isfinite(g)) and np.all(np.isfinite(riem))):
+                raise NonFiniteError("metric or curvature is not finite")
+            if np.max(np.abs(g - np.swapaxes(g, 1, 2))) > SYMMETRY_TOL:
+                raise SingularMetricError("metric is not symmetric")
+            np.linalg.cholesky(g)  # raises LinAlgError when not positive definite
+        return g, riem
+
+
+def _entries_jets(entries, dim, points):
+    """``(g, riem)`` of closed-form entries: their jets, then :func:`riemann_arrays`."""
+    g, dg, d2g = _assemble_matrix_jets(entries(J.variables(points)), points, dim)
+    return g, riemann_arrays(g, dg, d2g)
 
 
 def _assemble_matrix_jets(rows, points, dim):
@@ -200,25 +206,28 @@ class EmbeddingMap:
     components: callable
 
 
-def _induced_metric_jets(embedding, points):
-    """``(g, dg, d2g)`` of J^T J from second-order jets of the components.
+def _gauss_jets(embedding, points):
+    """``(g, riem)`` of an embedding by the Gauss equation, on float points.
 
-    ``d2g`` omits the third-derivative terms; see :meth:`MetricField.jets`.
+    With Jacobian G and component Hessians H, g = G^T G; the normal part
+    of the Hessians is Hn = H - G g^-1 G^T H, and
+    R_rsmv = <Hn_rm, Hn_sv> - <Hn_rv, Hn_sm> (do Carmo, *Riemannian
+    Geometry*, ch. 6): one batched solve and one (n^2, m) @ (m, n^2)
+    product per point, no derivative of g.
     """
     npts, n = points.shape
     m = embedding.ambient_dim
-    dtype = points.dtype if points.dtype == object else np.float64
-    G = np.zeros((npts, m, n), dtype=dtype)
-    H = np.zeros((npts, m, n, n), dtype=dtype)
+    G = np.zeros((npts, m, n))
+    H = np.zeros((npts, m, n * n))
     for a, c in enumerate(embedding.components(J.variables(points))):
         if isinstance(c, J.Jet2):
             G[:, a, :] = c.grad
-            H[:, a, :, :] = c.hess
-    g = np.einsum("pai,paj->pij", G, G)
-    dg = np.einsum("paik,paj->pijk", H, G) + np.einsum("pai,pajk->pijk", G, H)
-    hh = np.einsum("paik,pajl->pijkl", H, H)
-    d2g = hh + np.einsum("pijkl->pijlk", hh)  # <H_ik, H_jl> + <H_il, H_jk>
-    return g, dg, d2g
+            H[:, a, :] = c.hess.reshape(npts, n * n)
+    Gt = np.swapaxes(G, 1, 2)
+    g = Gt @ G
+    hn = H - G @ np.linalg.solve(g, Gt @ H)
+    pp = (np.swapaxes(hn, 1, 2) @ hn).reshape(npts, n, n, n, n)  # <Hn_rm, Hn_sv> at [r, m, s, v]
+    return g, np.einsum("prmsv->prsmv", pp) - np.einsum("prvsm->prsmv", pp)
 
 
 # -- curvature pipeline ------------------------------------------------------
@@ -260,9 +269,7 @@ def riemann_arrays(g, dg, d2g):
     R_rsmv = (d2g[r,v,m,s] + d2g[s,m,v,r] - d2g[s,v,m,r] - d2g[r,m,v,s]) / 2
              + Gamma_{a,ms} Gamma^a_rv - Gamma_{a,vs} Gamma^a_rm,
 
-    with one metric inverse.  ``d2g`` enters only through that
-    antisymmetrised combination, which is all :meth:`MetricField.jets`
-    promises of it.  Both parts are antisymmetric in (m, v), so R is
+    with one metric inverse.  Both parts are antisymmetric in (m, v), so R is
     computed as B[r,s,m,v] - B[r,s,v,m] with
     B = (d2g[r,v,m,s] + d2g[s,m,v,r]) / 2 + Gamma_{a,ms} Gamma^a_rv.
 
@@ -291,34 +298,22 @@ def sectional_from_riemann(riem, frames):
 
 
 def riemann_in_frame(riem, frames):
-    """Riemann tensor contracted into an orthonormal frame (all 4 slots)."""
+    """Riemann tensor contracted into an orthonormal frame (all 4 slots).
+
+    Not exported and not called by the pipeline, which reads the frame-free
+    densities from the chart-basis tensor; perfbench's tracer wraps it by name.
+    """
     r = np.einsum("pabcd,pia->pibcd", riem, frames)
     r = np.einsum("pibcd,pjb->pijcd", r, frames)
     r = np.einsum("pijcd,pkc->pijkd", r, frames)
     return np.einsum("pijkd,pld->pijkl", r, frames)
 
 
-def checked_jets(metric, points):
-    """``metric.jets(points)``, rejecting a chunk whose metric is not SPD.
-
-    On float input, raises :class:`SingularMetricError` when ``g`` is
-    asymmetric beyond ``SYMMETRY_TOL`` at some point, and ``LinAlgError``
-    when it is not positive definite; the integrator then names the node.
-    Object (Fraction) input is passed through unchecked and stays exact.
-    """
-    g, dg, d2g = metric.jets(points)
-    if g.dtype != object:
-        if np.max(np.abs(g - np.swapaxes(g, 1, 2))) > SYMMETRY_TOL:
-            raise SingularMetricError("metric is not symmetric")
-        np.linalg.cholesky(g)  # raises LinAlgError when not positive definite
-    return g, dg, d2g
-
-
 def curvature_chunk(metric, points):
     """Metric, Riemann tensor and base frame at a batch of chart points.
 
-    The one curvature path: checked jets, the lowered Riemann tensor, and
-    the metric Gram-Schmidt frame of the chart basis (rows are frame
+    The one curvature path: the metric's checked ``(g, riem)`` and the
+    metric Gram-Schmidt frame of the chart basis (rows are frame
     vectors in chart components).  Returns ``(g, riem, base)``; ``riem`` is
     exact on object input, ``base`` is always float.
 
@@ -337,8 +332,7 @@ def curvature_chunk(metric, points):
                     curvature_chunk(second, points[:, n1:]))
         return tuple(_block_diagonal(a, b) for a, b in parts)
     rows = _distinct_rows(points, metric.depends_on)
-    g, dg, d2g = checked_jets(metric, points if rows is None else points[rows[0]])
-    riem = riemann_arrays(g, dg, d2g)
+    g, riem = metric.jets(points if rows is None else points[rows[0]])
     out = g, riem, gram_schmidt_frames(g, np.broadcast_to(np.eye(metric.dim), g.shape))
     return out if rows is None else tuple(a[rows[1]] for a in out)
 

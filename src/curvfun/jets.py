@@ -2,12 +2,11 @@
 
 A :class:`Jet2` carries the value, gradient and Hessian of a scalar quantity
 with respect to ``n`` chart variables.  Second order is all the curvature
-pipeline needs, for embedded charts too: the Riemann tensor reads the
-metric's second derivatives only through a combination in which the
-embedding's third derivatives cancel (the Gauss equation).  Jets are
-batched: every component has a leading axis of ``npoints`` so that whole
-quadrature grids are differentiated with numpy arithmetic instead of
-per-point Python loops.
+pipeline needs: the Riemann formula reads closed-form metric entries to
+their second derivatives, and the Gauss equation reads an embedding to its
+second derivatives (its Jacobian and Hessians).  Jets are batched: every
+component has a leading axis of ``npoints`` so that whole quadrature grids
+are differentiated with numpy arithmetic instead of per-point Python loops.
 
 The arithmetic is dtype-generic.  With ``float64`` arrays it is the fast
 path; with ``object`` arrays of :class:`fractions.Fraction` the same code

@@ -7,9 +7,10 @@ R_ijkl = sum_m alpha[i, j, m] alpha[k, l, m] / 4, the same at every point
 of the group; the sectional curvature of the (e_i, e_j) plane is
 K_ij = |[e_i, e_j]|^2 / 4 = sum_k alpha[i, j, k]^2 / 4.
 
-:func:`biinvariant_metric` hands that tensor to the chart pipeline as a
-metric with constant jets, and the catalog (:mod:`curvfun.zoo`) integrates
-it over a one-node chart weighted by the group volume in ``VOLUMES``.
+:func:`biinvariant_metric` hands g = I and that tensor to the chart
+pipeline as a metric that reads no chart axis, and the catalog
+(:mod:`curvfun.zoo`) integrates it over a one-node chart weighted by the
+group volume in ``VOLUMES``.
 
 Built-ins:
 
@@ -105,13 +106,10 @@ def _brackets(basis):
 def biinvariant_metric(algebra):
     """The bi-invariant metric of ``algebra`` as a :class:`MetricField`.
 
-    Its jets are constant (``depends_on`` is empty): g = I, dg = 0, and
-    ``d2g[i, j, k, l] = R[i, l, k, j] / 2``.  That d2g is no true second
-    derivative; :meth:`MetricField.jets` only promises d2g inside the
-    combination :func:`curvfun.geometry.riemann_arrays` reads, and this one
-    makes it return R bit for bit (the normal-coordinate Hessian
-    -(R_ikjl + R_iljk) / 3 gives R only to rounding).  Raises
-    :class:`NotBiInvariantError` unless alpha is totally antisymmetric.
+    It reads no chart axis (``depends_on`` is empty), and its ``jets`` are
+    g = I and R_ijkl = sum_m alpha_ijm alpha_klm / 4 at every point.
+    Raises :class:`NotBiInvariantError` unless alpha is totally
+    antisymmetric.
     """
     alpha = algebra.alpha
     if np.max(np.abs(alpha + np.swapaxes(alpha, 1, 2))) > TOL:
@@ -120,7 +118,7 @@ def biinvariant_metric(algebra):
         )
     n = algebra.dim
     riem = np.einsum("ijm,klm->ijkl", alpha, alpha) / 4.0
-    jets = np.eye(n), np.zeros((n, n, n)), np.transpose(riem, (0, 3, 2, 1)) / 2
+    jets = np.eye(n), riem
 
     def jets_fn(points):
         return tuple(np.broadcast_to(a, (len(points),) + a.shape).copy() for a in jets)

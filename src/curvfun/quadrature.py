@@ -75,7 +75,7 @@ from .errors import (
 )
 from .frames import haar_orthogonal, point_rng
 from .functionals import _check_even, haar_pair_average, k_discrete, k_gbc
-from .geometry import checked_jets, curvature_chunk, sectional_from_riemann
+from .geometry import curvature_chunk, sectional_from_riemann
 
 # Not called here: perfbench's tracer test wraps and restores
 # ``quadrature.riemann_arrays``, so the name stays bound in this module.
@@ -159,14 +159,8 @@ class Grid:
         return n
 
     def points_weights(self):
-        per_axis = [a.nodes_weights() for a in self.axes]
-        mesh = np.meshgrid(*[x for x, _ in per_axis], indexing="ij")
-        pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-        wmesh = np.meshgrid(*[w for _, w in per_axis], indexing="ij")
-        w = np.ones(len(pts))
-        for wm in wmesh:
-            w = w * wm.reshape(-1)
-        return pts, w
+        """Every node's point and weight; see :func:`_grid_block`."""
+        return _grid_block([a.nodes_weights() for a in self.axes], 0, self.n_points)
 
     def checked(self):
         """This grid, or ``ConfigError`` when it has more than ``MAX_NODES`` nodes."""
@@ -193,6 +187,22 @@ class Grid:
             {"lo": a.lo, "hi": a.hi, "n": a.n, "periodic": a.periodic}
             for a in self.axes
         ]
+
+
+def _grid_block(per_axis, start, stop):
+    """Points and weights of the flat nodes ``start:stop`` of a tensor grid.
+
+    ``per_axis`` holds each axis's ``nodes_weights()``.  Nodes are numbered
+    in C order (last axis fastest), and a node's weight is the product of
+    its axis weights taken in axis order, so a block is bit-equal to the
+    same rows of the whole grid's arrays.
+    """
+    idx = np.unravel_index(np.arange(start, stop), [len(x) for x, _ in per_axis])
+    pts = np.stack([x[i] for (x, _), i in zip(per_axis, idx)], axis=1)
+    w = np.ones(stop - start)
+    for (_, wa), i in zip(per_axis, idx):
+        w = w * wa[i]
+    return pts, w
 
 
 @dataclass
@@ -247,9 +257,11 @@ def integrate(density, grid, workers=1):
     neither the chunking nor the worker count changes a bit of the result.
     A non-finite value or a node failure (singular or asymmetric metric,
     rank-deficient frame) raises ``ChartSingularityError`` naming the node.
+    Each chunk's points and weights are built when it runs (:func:`_grid_block`),
+    so no array of every node's coordinates is made.
     """
-    pts, w = grid.checked().points_weights()
-    npts = len(pts)
+    per_axis = [a.nodes_weights() for a in grid.checked().axes]
+    npts = grid.n_points
     contrib = np.zeros(npts)
     erracc = np.zeros(npts)
     has_stderr = False
@@ -257,15 +269,16 @@ def integrate(density, grid, workers=1):
     def work(rng_):
         nonlocal has_stderr
         s, e = rng_
+        pts, w = _grid_block(per_axis, s, e)
         idx = np.arange(s, e)
         try:
-            vals, stderrs = _evaluate(density, pts[s:e], idx)
+            vals, stderrs = _evaluate(density, pts, idx)
         except _NODE_FAILURES as exc:
-            _locate_failure(density, pts[s:e], idx, exc)
-        contrib[s:e] = np.asarray(vals, dtype=float) * w[s:e]
+            _locate_failure(density, pts, idx, exc)
+        contrib[s:e] = np.asarray(vals, dtype=float) * w
         if stderrs is not None:
             has_stderr = True
-            erracc[s:e] = (np.asarray(stderrs, dtype=float) * w[s:e]) ** 2
+            erracc[s:e] = (np.asarray(stderrs, dtype=float) * w) ** 2
 
     chunk = _chunk_rows(grid.dim)
     ranges = [(s, min(s + chunk, npts)) for s in range(0, npts, chunk)]
@@ -347,8 +360,8 @@ def functional_density(metric, functional, frame="coordinate", seed=0, nsamples=
     top of the Gram-Schmidt base frame; ``gbc`` and ``hilbert`` are summed
     in the chart basis.  ``gamma_mc`` averages ``nsamples`` Haar rotations
     of the Gram-Schmidt frame per node, so it takes only the "coordinate"
-    frame and at least two samples.  Every density but a non-product's
-    ``volume`` (read from the metric alone) comes from :func:`curvature_chunk`.
+    frame and at least two samples.  Every density comes from
+    :func:`curvature_chunk`.
     """
     if functional not in FUNCTIONALS:
         raise ConfigError("unknown functional %r" % (functional,))
@@ -363,8 +376,6 @@ def functional_density(metric, functional, frame="coordinate", seed=0, nsamples=
         _check_even(metric.dim)  # odd factors of a product give zero, an odd whole no pairing
 
     def density(pts, node_idx):
-        if functional == "volume" and metric.factors is None:
-            return np.sqrt(np.linalg.det(checked_jets(metric, pts)[0])), None
         g, riem, base = curvature_chunk(metric, pts)
         vol = np.sqrt(np.linalg.det(g))
         if functional == "volume":

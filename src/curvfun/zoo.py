@@ -22,7 +22,7 @@ from .errors import BadDimensionError, ConfigError, NonOrthonormalFrameError
 from .expressions import parse_expression
 from .functionals import k_discrete
 from .geometry import SYMMETRY_TOL, EmbeddingMap, MetricField
-from .quadrature import MAX_AXIS_NODES, Axis, Grid
+from .quadrature import MAX_AXIS_NODES, Axis, Grid, _grid_block
 
 __all__ = [
     "ManifoldSpec",
@@ -666,12 +666,10 @@ def _check_symmetric(exprs, grid, var_names):
     The nodes are visited ``_SYMMETRY_STRIDE`` at a time, each entry read
     as one scalar per node, so memory stays bounded however large the grid.
     """
-    axis_nodes = [a.nodes_weights()[0] for a in grid.axes]
-    shape = tuple(a.n for a in grid.axes)
+    per_axis = [a.nodes_weights() for a in grid.axes]
     for start in range(0, grid.n_points, _SYMMETRY_STRIDE):
-        idx = np.unravel_index(np.arange(start, min(start + _SYMMETRY_STRIDE, grid.n_points)),
-                               shape)
-        env = {nm: x[i] for nm, x, i in zip(var_names, axis_nodes, idx)}
+        pts, _ = _grid_block(per_axis, start, min(start + _SYMMETRY_STRIDE, grid.n_points))
+        env = dict(zip(var_names, pts.T))
         for i in range(len(exprs)):
             for j in range(i + 1, len(exprs)):
                 with np.errstate(all="ignore"):  # non-finite entries are left to the run

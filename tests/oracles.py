@@ -5,7 +5,9 @@ route: central finite differences instead of hyper-dual jets, the literal
 permutation and double-permutation sums instead of their matching
 reductions, a five-operand einsum per frame plane instead of the Monte
 Carlo estimator's matmul, LAPACK's QR with the sign fix instead of the Haar
-sampler's batched Gram-Schmidt, a direct Gram-matrix check of a frame, a
+sampler's batched Gram-Schmidt, a direct Gram-matrix check of a frame, an
+embedding's curvature from the derivatives of its induced metric through
+the general Riemann formula instead of from the Gauss equation, a
 product's curvature from its padded full-dimensional jets instead of from
 its factors, a product's coordinate-frame density from its assembled
 full-dimensional chunk instead of from its factors' densities, and a Lie
@@ -21,12 +23,16 @@ from curvfun.errors import NonOrthonormalFrameError
 from curvfun.frames import gram_schmidt_frames
 from curvfun.functionals import _word_sign, k_discrete, k_gbc, scalar_curvature
 from curvfun.geometry import (
+    _assemble_matrix_jets,
     _block_diagonal,
+    _entries_jets,
+    _gauss_jets,
     curvature_chunk,
     riemann_arrays,
     riemann_in_frame,
     sectional_from_riemann,
 )
+from curvfun.jets import Jet2, variables
 
 
 def finite_difference_jet(f, x, h=1e-5):
@@ -152,15 +158,59 @@ def check_orthonormal(g, frame, tol=1e-8):
     return float(err)
 
 
+def induced_metric_jets(embedding, points):
+    """``(g, dg, d2g)`` of the metric G^T G an embedding induces.
+
+    G and H are the Jacobian and the Hessians of the components.  ``d2g``
+    is ``<H_ik, H_jl> + <H_il, H_jk>``: it leaves out the terms with third
+    derivatives of the embedding, which cancel in the antisymmetrised
+    combination :func:`riemann_arrays` reads, so that formula still gives
+    the true Riemann tensor.
+    """
+    npts, n = points.shape
+    m = embedding.ambient_dim
+    G = np.zeros((npts, m, n))
+    H = np.zeros((npts, m, n, n))
+    for a, c in enumerate(embedding.components(variables(points))):
+        if isinstance(c, Jet2):
+            G[:, a, :] = c.grad
+            H[:, a, :, :] = c.hess
+    g = np.einsum("pai,paj->pij", G, G)
+    dg = np.einsum("paik,paj->pijk", H, G) + np.einsum("pai,pajk->pijk", G, H)
+    hh = np.einsum("paik,pajl->pijkl", H, H)
+    return g, dg, hh + np.einsum("pijkl->pijlk", hh)
+
+
+def general_jets(metric, points):
+    """``(g, dg, d2g)`` of a metric that is not a product, for :func:`riemann_arrays`.
+
+    Closed-form entries give their hyper-dual jets, and an embedding the
+    jets of its induced metric (:func:`induced_metric_jets`).  Any other
+    source (a constant metric, a compact group's) reads no chart axis, so
+    dg = 0, and d2g is the Hessian of g in normal coordinates,
+    -(R_ikjl + R_iljk) / 3, from the source's own R.
+    """
+    source = metric._jets_fn
+    if getattr(source, "func", None) is _gauss_jets:
+        return induced_metric_jets(*source.args, points)
+    if getattr(source, "func", None) is _entries_jets:
+        entries, dim = source.args
+        return _assemble_matrix_jets(entries(variables(points)), points, dim)
+    assert metric.depends_on == ()
+    g, riem = metric.jets(points)
+    d2g = -(np.einsum("pikjl->pijkl", riem) + np.einsum("piljk->pijkl", riem)) / 3
+    return g, np.zeros(g.shape + (metric.dim,)), d2g
+
+
 def padded_jets(metric, points):
     """``(g, dg, d2g)`` at every point, a product's padded from its factors'.
 
     A product has no jets of its own; this recurses into ``metric.factors``
-    and places each factor's arrays on its diagonal block, so nested
-    products work too.
+    and places each factor's :func:`general_jets` on its diagonal block, so
+    nested products work too.
     """
     if metric.factors is None:
-        return metric.jets(points)
+        return general_jets(metric, points)
     first, second = metric.factors
     parts = zip(padded_jets(first, points[:, : first.dim]),
                 padded_jets(second, points[:, first.dim :]))

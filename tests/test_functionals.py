@@ -22,7 +22,6 @@ from curvfun.functionals import (
     scalar_curvature,
 )
 from curvfun.frames import gram_schmidt_frames, haar_orthogonal, point_rng
-from curvfun.geometry import riemann_arrays
 from curvfun.quadrature import functional_density
 from curvfun.zoo import taubes_torus
 from oracles import brute_force_gbc_raw_sum, brute_force_perm_sum, einsum_pair_products
@@ -220,8 +219,7 @@ def test_gamma_mc_density_is_the_single_point_estimate():
     pts = np.array([[0.9, 0.4, 0.0, 0.0], [1.3, 2.1, 0.5, 0.2]])
     nodes = np.array([3, 17])
     vals, stderrs = functional_density(metric, "gamma_mc", seed=5, nsamples=16)(pts, nodes)
-    g, dg, d2g = metric.jets(pts)
-    riem = riemann_arrays(g, dg, d2g)
+    g, riem = metric.jets(pts)
     base = gram_schmidt_frames(g, np.broadcast_to(np.eye(4), g.shape))
     for row, node in enumerate(nodes):
         frames = haar_orthogonal(4, point_rng(5, node), 16) @ base[row]

@@ -18,12 +18,12 @@ from curvfun.geometry import (
 from curvfun.jets import cos, sin, variables
 from curvfun.quadrature import Axis, Grid, functional_density, integrate_functional
 from curvfun.zoo import manifold_by_name
-from oracles import christoffel_fd, padded_curvature
+from oracles import christoffel_fd, general_jets, padded_curvature
 
 
 def christoffel(metric, x):
     """Gamma^k_ij at one point, through the batched path."""
-    return christoffel_arrays(*metric.jets(np.array([x], dtype=float))[:2])[0][0]
+    return christoffel_arrays(*general_jets(metric, np.array([x], dtype=float))[:2])[0][0]
 
 
 def sphere_metric(radius=1.0):
@@ -111,8 +111,9 @@ def test_riemann_matches_textbook_formula_from_fd_christoffels():
         + np.einsum("kml,lvs->ksmv", gam, gam)
         - np.einsum("kvl,lms->ksmv", gam, gam)
     )
-    ref = np.einsum("rk,ksmv->rsmv", m.jets(x[None])[0][0], rup)
-    assert np.max(np.abs(riemann_arrays(*m.jets(x[None]))[0] - ref)) < 1e-8
+    g, riem = m.jets(x[None])
+    ref = np.einsum("rk,ksmv->rsmv", g[0], rup)
+    assert np.max(np.abs(riem[0] - ref)) < 1e-8
 
 
 def test_constant_metric_is_flat():
@@ -130,8 +131,8 @@ def test_induced_metric_matches_polar_sphere():
     m = MetricField.from_embedding(emb)
     ref = sphere_metric()
     pts = np.array([[0.7, 0.3], [1.4, 2.0], [2.4, 4.4]])
-    ga, _, _ = m.jets(pts)
-    gb, _, _ = ref.jets(pts)
+    ga, _ = m.jets(pts)
+    gb, _ = ref.jets(pts)
     assert np.max(np.abs(ga - gb)) < 1e-12
     # J^T J from the components' gradients at one point agrees with the batched jets
     jac = np.array([c.grad[0] for c in components(variables(pts[:1]))])
@@ -143,8 +144,8 @@ def test_induced_metric_matches_polar_sphere():
 
 @pytest.mark.parametrize("dim", [2, 4])
 def test_embedding_route_matches_closed_form_sphere(dim):
-    # the embedding route (second-order jets, Gauss part of d2g) against the
-    # same polar chart written as entries diag(1, sin^2 x1, sin^2 x1 sin^2 x2, ...)
+    # the embedding route (the Gauss equation) against the same polar chart
+    # written as entries diag(1, sin^2 x1, sin^2 x1 sin^2 x2, ...)
     from curvfun.zoo import round_sphere
 
     spec = round_sphere(dim)
@@ -160,9 +161,27 @@ def test_embedding_route_matches_closed_form_sphere(dim):
     closed = MetricField.from_entries(dim, entries)
     pts = spec.interior_points(20, seed=3)
     assert spec.metric.provenance == "embedding"
-    riem_emb = riemann_arrays(*spec.metric.jets(pts))
-    riem_closed = riemann_arrays(*closed.jets(pts))
+    riem_emb = spec.metric.jets(pts)[1]
+    riem_closed = closed.jets(pts)[1]
     assert np.max(np.abs(riem_emb - riem_closed)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["s2", "s4", "s6", "e2", "e4", "e4gen", "rp2",
+                                  "s2xs2", "s3xs1"])
+def test_gauss_route_matches_the_general_route(name):
+    # the Gauss equation against the induced metric's jets through riemann_arrays,
+    # on every embedded chart; a product's on its embedded first factor
+    spec = manifold_by_name(name)
+    metric, pts = spec.metric, spec.interior_points(50, seed=5)
+    if metric.factors is not None:
+        metric = metric.factors[0]
+        pts = pts[:, : metric.dim]
+    assert metric.provenance == "embedding"
+    g, riem = metric.jets(pts)
+    ref_g, dg, d2g = general_jets(metric, pts)
+    ref = riemann_arrays(ref_g, dg, d2g)
+    assert np.max(np.abs(g - ref_g)) <= 1e-13 * np.max(np.abs(ref_g))
+    assert np.max(np.abs(riem - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_degenerate_embedding_rejected():
@@ -210,7 +229,7 @@ def test_exact_object_path_produces_fractions():
     pts = np.empty((1, 2), dtype=object)
     pts[0, 0] = Fraction(1, 2)
     pts[0, 1] = Fraction(1, 3)
-    g, _, _ = m.jets(pts)
+    g, _ = m.jets(pts)
     assert g[0, 0, 0] == Fraction(10, 9)
     _, riem, _, _ = curvature_batch(m, pts)
     assert isinstance(riem[0, 0, 1, 0, 1], Fraction)

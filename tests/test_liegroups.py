@@ -13,7 +13,7 @@ import pytest
 from curvfun.errors import NonOrthonormalFrameError, NotBiInvariantError, NotClosedError
 from curvfun.frames import haar_orthogonal, point_rng
 from curvfun.functionals import k_discrete, matching_sum, perm_sum
-from curvfun.geometry import MetricField, curvature_batch, riemann_arrays
+from curvfun.geometry import curvature_batch, riemann_arrays
 from curvfun.liegroups import (
     VOLUMES,
     LieAlgebra,
@@ -111,25 +111,22 @@ def test_rotate_algebra_rejects_non_orthogonal():
 @pytest.mark.parametrize("build", [so4, su3], ids=lambda f: f.__name__)
 def test_group_metric_riemann_is_quarter_alpha_alpha_exactly(build):
     alg = build()
-    g, dg, d2g = biinvariant_metric(alg).jets(np.zeros((1, alg.dim)))
-    riem = riemann_arrays(g, dg, d2g)[0]
-    assert np.array_equal(riem, np.einsum("ijm,klm->ijkl", alg.alpha, alg.alpha) / 4.0)
+    g, riem = biinvariant_metric(alg).jets(np.zeros((1, alg.dim)))
+    assert np.array_equal(g[0], np.eye(alg.dim))
+    assert np.array_equal(riem[0], np.einsum("ijm,klm->ijkl", alg.alpha, alg.alpha) / 4.0)
     assert np.array_equal(sectional(alg), quarter_alpha_squared(alg.alpha))
 
 
 @pytest.mark.parametrize("build", [so4, su3], ids=lambda f: f.__name__)
 def test_normal_coordinate_hessian_gives_the_same_riemann(build):
-    """The Hessian of g in normal coordinates, -(R_ikjl + R_iljk) / 3, feeds
-    ``riemann_arrays`` the same combination as the metric's own d2g."""
+    """The Hessian of g in normal coordinates, -(R_ikjl + R_iljk) / 3, gives
+    the metric's own R back through ``riemann_arrays``."""
     alg = build()
     n = alg.dim
     r = np.einsum("ijm,klm->ijkl", alg.alpha, alg.alpha) / 4.0
     hess = -(np.einsum("ikjl->ijkl", r) + np.einsum("iljk->ijkl", r)) / 3
 
-    def jets_fn(points):
-        return np.eye(n)[None], np.zeros((1, n, n, n)), hess[None]
-
-    riem = riemann_arrays(*MetricField(n, jets_fn, "normal coordinates").jets(np.zeros((1, n))))
+    riem = riemann_arrays(np.eye(n)[None], np.zeros((1, n, n, n)), hess[None])
     assert np.max(np.abs(riem[0] - r)) <= 1e-15 * np.max(np.abs(r))
 
 

@@ -154,7 +154,7 @@ def test_load_manifold_file_round_trip(tmp_path):
     assert spec.dim == 2
     assert spec.default_grid.axes[0].hi == pytest.approx(2 * math.pi)
     pts = spec.interior_points(4, seed=1)
-    g, _, _ = spec.metric.jets(pts)
+    g, _ = spec.metric.jets(pts)
     assert g[:, 0, 0] == pytest.approx(1 + 0.1 * np.sin(pts[:, 0]))
     assert g[:, 1, 1] == pytest.approx(1 + pts[:, 1] ** 2)
 
