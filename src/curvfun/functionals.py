@@ -11,11 +11,14 @@ point:
   ``2^d d!`` times by the permutations), which drops the cost from (2d)! to
   (2d-1)!! terms.
 
-* ``k_gbc`` -- the sign-weighted double-permutation density built from the
-  full Riemann tensor in an orthonormal frame.  Its double sum over pairs of
-  permutations reduces to a double sum over pairs of matchings together with
-  an alignment permutation, with the within-pair orientation flips cancelling
-  against the antisymmetries of the Riemann tensor.
+* ``k_gbc`` -- the Gauss-Bonnet-Chern density: the sign-weighted
+  double-permutation sum of the full Riemann tensor in an orthonormal frame.
+  The sum is d! times the top coefficient of the Pfaffian of a matrix of
+  2-forms, 4 Omega for a curvature tensor, where Omega_ab =
+  sum_{k<l} R_abkl e^k ^ e^l is the curvature 2-form (S.-S. Chern, Ann.
+  Math. 45 (1944); J. Milnor and J. Stasheff, *Characteristic Classes*
+  (1974), appendix C).  The Pfaffian is expanded along its first index, one
+  wedge with a 2-form at a time.
 
 * ``haar_pair_average`` -- the frame-averaged density: expectation over
   Haar-random orthonormal frames of the product of sectional curvatures of
@@ -53,10 +56,6 @@ __all__ = [
     "scalar_curvature",
     "haar_pair_average",
 ]
-
-
-# Byte budget of one gbc_raw_sum gather over the combination table.
-GBC_GATHER_BYTES = 32 * 2**20
 
 
 def normalization_constant(d):
@@ -97,16 +96,6 @@ def perfect_matchings(m):
         return out
 
     return tuple(rec(idx))
-
-
-def _word_sign(word):
-    """Sign of a permutation given as a tuple of images (inversion count)."""
-    inv = 0
-    for i in range(len(word)):
-        for j in range(i + 1, len(word)):
-            if word[i] > word[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
 
 
 @lru_cache(maxsize=None)
@@ -160,65 +149,71 @@ def k_discrete(k):
 
 
 @lru_cache(maxsize=None)
-def _gbc_combos(n):
-    """Reduced index data for the double-permutation sum in dimension n=2d.
+def _wedge_table(n, p):
+    """Terms of the wedge of a p-form with a 2-form in dimension n.
 
-    Returns ``(signs, flat, factor)`` where iterating over combos c and
-    multiplying the components R.flat[flat[c, k]] (``flat`` holds C-order
-    flat indices of 4-index tuples) over k, weighting by signs[c], summing,
-    and scaling by ``factor`` reproduces the full signed sum over pairs of
-    permutations.
-
-    Derivation of the reduction: a permutation is a matching plus an
-    ordering of its pairs plus orientations within pairs.  Reordering whole
-    pairs is an even permutation (a block swap is two transpositions), so
-    only the canonical word of the matching contributes to the sign; the
-    within-pair orientation flips contribute (-1) each to the sign but also
-    (-1) each through the antisymmetry of R in its first and second index
-    pairs, so they cancel and only multiply the count by 2^(2d).  Relative
-    pair orderings between the two permutations survive as an alignment
-    permutation rho in S_d, and the d! absolute orderings give the factor.
+    A q-form is an array of its components on the q-subsets of range(n),
+    in ``itertools.combinations`` order.  Returns ``(form, two, sign,
+    starts)``: term t is sign[t] times p-form component form[t] times
+    2-form component two[t]; the terms are sorted by the (p+2)-subset they
+    land on, and those of output component o begin at starts[o].  The
+    sign of e^I ^ e^k ^ e^l, I sorted and k < l, is -1 to the count of
+    entries of I above k plus those above l.
     """
-    d = _check_even(n)
-    ms = perfect_matchings(n)
-    signs = []
-    idx = []
-    for mp in ms:
-        sp = _word_sign(tuple(x for pair in mp for x in pair))
-        for msig in ms:
-            ss = _word_sign(tuple(x for pair in msig for x in pair))
-            for rho in itertools.permutations(range(d)):
-                rows = [
-                    (mp[k][0], mp[k][1], msig[rho[k]][0], msig[rho[k]][1])
-                    for k in range(d)
-                ]
-                signs.append(sp * ss)
-                idx.append(rows)
-    factor = 2 ** (2 * d) * math.factorial(d)
-    flat = np.ravel_multi_index(np.moveaxis(np.array(idx, dtype=np.intp), 2, 0), (n,) * 4)
-    return np.array(signs, dtype=np.intp), flat, factor
+    out = {sub: i for i, sub in enumerate(itertools.combinations(range(n), p + 2))}
+    terms = []
+    for i, sub in enumerate(itertools.combinations(range(n), p)):
+        for j, (k, l) in enumerate(itertools.combinations(range(n), 2)):
+            if k not in sub and l not in sub:
+                above = sum(x > k for x in sub) + sum(x > l for x in sub)
+                terms.append((out[tuple(sorted(sub + (k, l)))], i, j, (-1) ** above))
+    terms.sort()
+    target, form, two, sign = (np.array(c, dtype=np.intp) for c in zip(*terms))
+    return form, two, sign, np.flatnonzero(np.diff(target, prepend=-1))
 
 
 def gbc_raw_sum(riem_frame):
     """Signed double-permutation sum of Riemann components in a frame.
 
     ``riem_frame`` is a batch (npoints, 2d, 2d, 2d, 2d) of frame-contracted
-    Riemann tensors.  Exact on object dtype.  The points are taken in
-    slices whose gather stays within ``GBC_GATHER_BYTES`` (three points per
-    slice in dimension 8, where the table has 264,600 combinations), so
-    memory does not grow with the batch.
-    Each point's terms are summed along its own row, so its sum does not
-    depend on the batch or the slicing.
+    Riemann tensors; returns (npoints,) sums, over all pairs of permutations
+    (pi, sigma), of sgn(pi) sgn(sigma) prod_k R[pi(2k), pi(2k+1), sigma(2k),
+    sigma(2k+1)].  The sum is d! times the top coefficient of Pf(Omega'),
+    the Pfaffian of the matrix of 2-forms
+    Omega'_ab = sum_{k<l} W[(ab), (kl)] e^k ^ e^l in the commutative algebra
+    of even forms (S.-S. Chern, Ann. Math. 45 (1944); J. Milnor and
+    J. Stasheff, *Characteristic Classes* (1974), appendix C).  Here
+    W[(ab), (kl)] = R_abkl - R_ablk - R_bakl + R_balk for a < b and k < l:
+    the input is antisymmetrized in each index pair, as the permutation sum
+    does implicitly, so no symmetry of R is assumed; for a curvature tensor
+    W is 4R.  The Pfaffian is expanded along its first index, memoised on
+    the index subset within the call.  Exact on object dtype.  A point's sum
+    comes from its own row alone, so it does not depend on the batch.
     """
     r = np.asarray(riem_frame)
-    signs, flat, factor = _gbc_combos(r.shape[1])
-    r = r.reshape(len(r), -1)
-    rows = max(1, GBC_GATHER_BYTES // (flat.size * r.itemsize))
-    sums = []
-    for part in np.array_split(r, -(-len(r) // rows)):
-        prods = np.prod(np.take(part, flat, axis=1), axis=2)  # (rows, ncombos)
-        sums.append((prods * signs).sum(axis=1))
-    return factor * np.concatenate(sums)
+    n = r.shape[1]
+    d = _check_even(n)
+    a, b = np.triu_indices(n, 1)
+    ab, ba = a * n + b, b * n + a
+    rop = r.reshape(len(r), n * n, n * n)  # R_abkl at row an + b, column kn + l
+    w = np.take(rop, ab, axis=1) - np.take(rop, ba, axis=1)
+    w = np.take(w, ab, axis=2) - np.take(w, ba, axis=2)  # (npoints, pair (ab), component (kl))
+    pair = {(i, j): t for t, (i, j) in enumerate(zip(a.tolist(), b.tolist()))}
+    memo = {(): np.ones((len(r), 1), dtype=w.dtype)}
+
+    def pfaffian(s):
+        if s not in memo:
+            form, two, sign, starts = _wedge_table(n, len(s) - 2)
+            total = 0
+            for t in range(1, len(s)):
+                rest = pfaffian(s[1:t] + s[t + 1 :])
+                wedge = np.add.reduceat(rest[:, form] * w[:, pair[s[0], s[t]], two] * sign,
+                                        starts, axis=1)
+                total = total + wedge if t % 2 else total - wedge
+            memo[s] = total
+        return memo[s]
+
+    return math.factorial(d) * pfaffian(tuple(range(n)))[:, 0]
 
 
 def k_gbc(riem_frame):

@@ -21,7 +21,7 @@ import numpy as np
 
 from curvfun.errors import NonOrthonormalFrameError
 from curvfun.frames import gram_schmidt_frames
-from curvfun.functionals import _word_sign, k_discrete, k_gbc, scalar_curvature
+from curvfun.functionals import k_discrete, k_gbc, scalar_curvature
 from curvfun.geometry import (
     _assemble_matrix_jets,
     _block_diagonal,
@@ -126,6 +126,16 @@ def einsum_pair_products(riem, frames):
         v = frames[:, :, 2 * k + 1, :]
         prods *= np.einsum("psa,psb,psc,psd,pabcd->ps", u, v, u, v, riem, optimize=True)
     return prods
+
+
+def _word_sign(word):
+    """Sign of a permutation given as a tuple of images (inversion count)."""
+    inv = 0
+    for i in range(len(word)):
+        for j in range(i + 1, len(word)):
+            if word[i] > word[j]:
+                inv += 1
+    return -1 if inv % 2 else 1
 
 
 def brute_force_gbc_raw_sum(riem_frame):

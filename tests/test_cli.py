@@ -338,7 +338,10 @@ def test_group_manifold_runs_every_functional(capsys):
                       ["--frame", "rotated", "--rotate-plane", "1,4", "--rotate-angle", "0.3"]):
             code, out, _ = run(capsys, ["compute", "--manifold", manifold, "--no-timing"] + extra)
             assert code == 0, (manifold, extra)
-            assert math.isfinite(json.loads(out)["value"]), (manifold, extra)
+            value = json.loads(out)["value"]
+            assert math.isfinite(value), (manifold, extra)
+            if extra == ["--functional", "gbc"]:
+                assert abs(value) <= 1e-12, manifold  # chi(G) = 0 for a compact group
 
 
 @pytest.mark.parametrize("manifold", ["su3", "so4"])

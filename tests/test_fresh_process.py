@@ -1,5 +1,6 @@
 """Fresh curvfun processes: the BLAS thread policy, records that do not depend
-on the BLAS thread count, and the size ceilings under an address-space limit."""
+on the BLAS thread count, the size ceilings under an address-space limit, and
+the peak memory of the dimension-8 GBC sum."""
 
 import json
 import os
@@ -65,6 +66,24 @@ def test_records_do_not_depend_on_the_blas_thread_count(argv):
     one, two = (python(CLI, *argv, env={"OPENBLAS_NUM_THREADS": n}) for n in ("1", "2"))
     assert one.returncode == two.returncode == 0, one.stderr + two.stderr
     assert one.stdout == two.stdout
+
+
+def test_su3_gbc_peaks_with_su3_volume():
+    """In a fresh process su3's gbc run, a GBC sum in dimension 8, peaks
+    within 16 MB of its volume run.  The two runs are compared with each
+    other because the import floor differs by host."""
+    pytest.importorskip("resource")
+    code = ("import resource, sys; from curvfun.cli import main; code = main(); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); "
+            "sys.exit(code)")
+    peaks = []
+    for functional in ("gbc", "volume"):
+        proc = python(code, "compute", "--manifold", "su3", "--functional", functional,
+                      "--no-timing")
+        assert proc.returncode == 0, proc.stderr
+        peaks.append(int(proc.stderr.decode().split()[-1]))
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in bytes on macOS, KiB elsewhere
+    assert (peaks[0] - peaks[1]) * unit < 16 * 2**20, peaks
 
 
 def _spec_file(tmp_path, n, dim):

@@ -282,7 +282,7 @@ def _product_points(name):
 def test_chart_basis_density_matches_the_frame_route(name, functional):
     # the chart-basis sums against the same tensor contracted into the Gram-Schmidt frame
     spec = manifold_by_name(name)
-    # a group chart reads no axis, so every point has the same tensor; su3's gbc sum is slow
+    # a group chart reads no axis, so every point has the same tensor
     pts = spec.interior_points(50 if spec.metric.depends_on else 3, seed=5)
     vals, _ = functional_density(spec.metric, functional)(pts, np.arange(len(pts)))
     ref = block_density(spec.metric, functional, pts)
