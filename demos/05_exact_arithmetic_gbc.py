@@ -1,8 +1,8 @@
 """Running the whole curvature pipeline in exact rational arithmetic.
 
-Metric jets, Riemann tensors, and the signed double-permutation sum all go
-through numpy einsum, which works as happily on object arrays of Fractions
-as on float64.  On a polynomial metric at a rational point this turns the
+Metric jets, Riemann tensors, sectional curvatures and the signed
+double-permutation sum all go through numpy einsum and matmul, which work
+as happily on object arrays of Fractions as on float64.  On a polynomial metric at a rational point this turns the
 Gauss-Bonnet-Chern integrand into a single exact rational number -- the
 classical 6-dimensional value that is awkward to trust through floats.
 """

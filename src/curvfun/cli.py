@@ -206,9 +206,9 @@ def cmd_compute(args):
 
 
 def cmd_frame_sweep(args):
+    if not 2 <= args.angles <= MAX_AXIS_NODES:
+        raise ConfigError("--angles must be in 2..%d, got %d" % (MAX_AXIS_NODES, args.angles))
     spec = _resolve_manifold(args)
-    if args.angles < 2:
-        raise ConfigError("--angles must be at least 2")
     a, b = _plane(args.plane, spec.dim, "--plane")
     _samples(args)
     grid = _grid(args, spec)

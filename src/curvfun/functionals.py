@@ -25,8 +25,9 @@ point:
   consecutive frame planes, times (2d)! and the same normalization constant.
   It is the one Monte Carlo estimator, batched over points and samples, with
   a standard-error report; the ``gamma_mc`` quadrature density calls it.
-  Each plane's curvature is one batched matmul: with the Riemann tensor read
-  as an (n^2, n^2) matrix R and x = u (x) v, K(u, v) = x R x.
+  Each plane's curvature is one batched matmul,
+  :func:`curvfun.geometry.plane_curvatures`: with the Riemann tensor read as
+  an (n^2, n^2) matrix R and x = u (x) v, K(u, v) = x R x.
 
 Every function here takes a batch with a leading axis of points; a single
 matrix or tensor is a batch of one.  The unnormalized sums behind the first
@@ -44,6 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BadDimensionError
+from .geometry import plane_curvatures
 
 __all__ = [
     "normalization_constant",
@@ -257,13 +259,9 @@ def haar_pair_average(riem, frames):
     d = _check_even(n)
     if nsamples < 2:
         raise ValueError("a Monte Carlo standard error needs at least 2 samples")
-    rop = riem.reshape(npts, n * n, n * n)
     prods = np.ones((npts, nsamples))
     for k in range(d):
-        # K(u, v) = R_abcd u_a v_b u_c v_d = x R x with x = u (x) v and R as (n^2, n^2)
-        x = (frames[:, :, 2 * k, :, None] * frames[:, :, 2 * k + 1, None, :]).reshape(
-            npts, nsamples, n * n)
-        prods *= np.einsum("psi,psi->ps", x @ rop, x)
+        prods *= plane_curvatures(riem, frames[:, :, 2 * k], frames[:, :, 2 * k + 1])
     scale = math.factorial(n) * normalization_constant(d)
     return scale * prods.mean(axis=1), scale * prods.std(axis=1, ddof=1) / math.sqrt(nsamples)
 

@@ -65,6 +65,7 @@ __all__ = [
     "curvature_chunk",
     "curvature_batch",
     "sectional_from_riemann",
+    "plane_curvatures",
 ]
 
 SYMMETRY_TOL = 1e-12
@@ -212,8 +213,9 @@ def _gauss_jets(embedding, points):
     With Jacobian G and component Hessians H, g = G^T G; the normal part
     of the Hessians is Hn = H - G g^-1 G^T H, and
     R_rsmv = <Hn_rm, Hn_sv> - <Hn_rv, Hn_sm> (do Carmo, *Riemannian
-    Geometry*, ch. 6): one batched solve and one (n^2, m) @ (m, n^2)
-    product per point, no derivative of g.
+    Geometry*, ch. 6): one batched solve for the tangent projector
+    G g^-1 G^T, (m, m), and one (n^2, m) @ (m, n^2) product per point, no
+    derivative of g.
     """
     npts, n = points.shape
     m = embedding.ambient_dim
@@ -225,7 +227,7 @@ def _gauss_jets(embedding, points):
             H[:, a, :] = c.hess.reshape(npts, n * n)
     Gt = np.swapaxes(G, 1, 2)
     g = Gt @ G
-    hn = H - G @ np.linalg.solve(g, Gt @ H)
+    hn = H - (G @ np.linalg.solve(g, Gt)) @ H
     pp = (np.swapaxes(hn, 1, 2) @ hn).reshape(npts, n, n, n, n)  # <Hn_rm, Hn_sv> at [r, m, s, v]
     return g, np.einsum("prmsv->prsmv", pp) - np.einsum("prvsm->prsmv", pp)
 
@@ -282,31 +284,43 @@ def riemann_arrays(g, dg, d2g):
     return b - np.einsum("prsvm->prsmv", b)
 
 
+def plane_curvatures(riem, u, v):
+    """R(u, v, u, v) for a batch of planes, spanned by ``u`` and ``v``.
+
+    ``riem`` is (P, n, n, n, n) and ``u``, ``v`` are (P, ..., n), any number
+    of planes per point; returns (P, ...).  With R read as an (n^2, n^2)
+    matrix and x = u (x) v, R(u, v, u, v) = x R x: one batched matmul.
+    No symmetry of R is assumed; exact on object (Fraction) arrays.
+    """
+    npts, n = riem.shape[:2]
+    x = (u[..., :, None] * v[..., None, :]).reshape(npts, -1, n * n)
+    xr = x @ riem.reshape(npts, n * n, n * n)
+    return np.einsum("psi,psi->ps", xr, x).reshape(u.shape[:-1])
+
+
 def sectional_from_riemann(riem, frames):
     """Sectional curvature matrices K_ij = R(t_i, t_j, t_i, t_j).
 
     ``frames[p, i, :]`` are the components of frame vector t_i in the chart
-    basis.  Returns (npoints, n, n) with exact zeros on the diagonal.
+    basis.  Returns (npoints, n, n) with exact zeros on the diagonal; both
+    triangles are contracted (:func:`plane_curvatures`).
     """
-    # contract into the frame pairwise to keep intermediates small
-    r1 = np.einsum("pabcd,pia->pibcd", riem, frames)
-    r2 = np.einsum("pibcd,pjb->pijcd", r1, frames)
-    k = np.einsum("pijcd,pic,pjd->pij", r2, frames, frames)
-    for i in range(k.shape[1]):
-        k[:, i, i] = 0
+    i, j = np.nonzero(~np.eye(frames.shape[1], dtype=bool))
+    k = np.zeros(frames.shape, dtype=np.result_type(riem, frames))
+    k[:, i, j] = plane_curvatures(riem, frames[:, i], frames[:, j])
     return k
 
 
 def riemann_in_frame(riem, frames):
     """Riemann tensor contracted into an orthonormal frame (all 4 slots).
 
+    The congruence E R E^T with R as an (n^2, n^2) matrix and E = F (x) F.
     Not exported and not called by the pipeline, which reads the frame-free
     densities from the chart-basis tensor; perfbench's tracer wraps it by name.
     """
-    r = np.einsum("pabcd,pia->pibcd", riem, frames)
-    r = np.einsum("pibcd,pjb->pijcd", r, frames)
-    r = np.einsum("pijcd,pkc->pijkd", r, frames)
-    return np.einsum("pijkd,pld->pijkl", r, frames)
+    npts, n = frames.shape[:2]
+    e = (frames[:, :, None, :, None] * frames[:, None, :, None, :]).reshape(npts, n * n, n * n)
+    return (e @ riem.reshape(npts, n * n, n * n) @ np.swapaxes(e, 1, 2)).reshape(riem.shape)
 
 
 def curvature_chunk(metric, points):

@@ -283,6 +283,30 @@ def _as_scalar_field(u):
     return lambda a, b: expr({"x1": a, "x2": b})
 
 
+def _warped_metric(u_fn, v_fn, provenance):
+    """exp(2v) dx1^2 + exp(-2v) dx2^2 + exp(2u) dx3^2 + exp(-2u) dx4^2, u and v of (x1, x2)."""
+
+    def entries(vars_):
+        w = u_fn(vars_[0], vars_[1])
+        z = v_fn(vars_[0], vars_[1])
+        if not isinstance(z, J.Jet2):
+            z = vars_[0] * 0 + z
+        return [
+            [J.exp(2 * z), 0, 0, 0],
+            [0, J.exp(-2 * z), 0, 0],
+            [0, 0, J.exp(2 * w), 0],
+            [0, 0, 0, J.exp(-2 * w)],
+        ]
+
+    return MetricField.from_entries(4, entries, provenance=provenance, depends_on=(0, 1))
+
+
+def _torus_grid(n):
+    """n x n periodic nodes on (x1, x2) and one on each axis the metrics do not read."""
+    return Grid((Axis(0.0, TWO_PI, n, periodic=True),) * 2
+                + (Axis(0.0, TWO_PI, 1, periodic=True),) * 2)
+
+
 def taubes_torus(u="cos(x2) + cos(x1)"):
     """Flat-in-two-directions warped 4-torus.
 
@@ -294,27 +318,8 @@ def taubes_torus(u="cos(x2) + cos(x1)"):
     and contradicts it.
     """
     u_fn = _as_scalar_field(u)
-
-    def entries(v):
-        w = u_fn(v[0], v[1])
-        e2u = J.exp(2 * w)
-        em2u = J.exp(-2 * w)
-        return [
-            [1, 0, 0, 0],
-            [0, 1, 0, 0],
-            [0, 0, e2u, 0],
-            [0, 0, 0, em2u],
-        ]
-
-    metric = MetricField.from_entries(4, entries, provenance="warped 4-torus", depends_on=(0, 1))
-    grid = Grid(
-        (
-            Axis(0.0, TWO_PI, 33, periodic=True),
-            Axis(0.0, TWO_PI, 33, periodic=True),
-            Axis(0.0, TWO_PI, 1, periodic=True),
-            Axis(0.0, TWO_PI, 1, periodic=True),
-        )
-    )
+    metric = _warped_metric(u_fn, lambda a, b: 0, "warped 4-torus")
+    grid = _torus_grid(33)
 
     def _u_jets(points):
         v = J.variables(np.asarray(points, dtype=float)[:, :2])
@@ -366,34 +371,11 @@ def extended_torus(u="cos(x2) + cos(x1)", v="0"):
     """Doubly warped 4-torus: exp(2v) dx1^2 + exp(-2v) dx2^2 + exp(2u) dx3^2
     + exp(-2u) dx4^2 with both warps functions of (x1, x2).
 
-    With v = 0 this reduces (bitwise, entry for entry) to the metric of
-    :func:`taubes_torus`.
+    With v = 0 this is the metric of :func:`taubes_torus`, entry for entry:
+    both are built by :func:`_warped_metric`.
     """
-    u_fn = _as_scalar_field(u)
-    v_fn = _as_scalar_field(v)
-
-    def entries(vars_):
-        w = u_fn(vars_[0], vars_[1])
-        z = v_fn(vars_[0], vars_[1])
-        if not isinstance(z, J.Jet2):
-            z = vars_[0] * 0 + z
-        return [
-            [J.exp(2 * z), 0, 0, 0],
-            [0, J.exp(-2 * z), 0, 0],
-            [0, 0, J.exp(2 * w), 0],
-            [0, 0, 0, J.exp(-2 * w)],
-        ]
-
-    metric = MetricField.from_entries(4, entries, provenance="doubly warped 4-torus",
-                                      depends_on=(0, 1))
-    grid = Grid(
-        (
-            Axis(0.0, TWO_PI, 17, periodic=True),
-            Axis(0.0, TWO_PI, 17, periodic=True),
-            Axis(0.0, TWO_PI, 1, periodic=True),
-            Axis(0.0, TWO_PI, 1, periodic=True),
-        )
-    )
+    metric = _warped_metric(_as_scalar_field(u), _as_scalar_field(v), "doubly warped 4-torus")
+    grid = _torus_grid(17)
     return ManifoldSpec(
         name="extended",
         dim=4,

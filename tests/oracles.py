@@ -3,16 +3,17 @@
 Each oracle computes a quantity the package also computes, by a separate
 route: central finite differences instead of hyper-dual jets, the literal
 permutation and double-permutation sums instead of their matching
-reductions, a five-operand einsum per frame plane instead of the Monte
-Carlo estimator's matmul, LAPACK's QR with the sign fix instead of the Haar
-sampler's batched Gram-Schmidt, a direct Gram-matrix check of a frame, an
-embedding's curvature from the derivatives of its induced metric through
-the general Riemann formula instead of from the Gauss equation, a
-product's curvature from its padded full-dimensional jets instead of from
-its factors, a product's coordinate-frame density from its assembled
-full-dimensional chunk instead of from its factors' densities, and a Lie
-group's curvature in a rotated frame from its rotated structure constants
-instead of from the frame contraction.
+reductions, a five-operand einsum per frame plane instead of the matmul
+over u (x) v of ``plane_curvatures``, four one-slot einsums instead of the
+congruence of ``riemann_in_frame``, LAPACK's QR with the sign fix instead
+of the Haar sampler's batched Gram-Schmidt, a direct Gram-matrix check
+of a frame, an embedding's curvature from the derivatives of its induced
+metric through the general Riemann formula instead of from the Gauss
+equation, a product's curvature from its padded full-dimensional jets
+instead of from its factors, a product's coordinate-frame density from its
+assembled full-dimensional chunk instead of from its factors' densities,
+and a Lie group's curvature in a rotated frame from its rotated structure
+constants instead of from the frame contraction.
 """
 
 import itertools
@@ -126,6 +127,24 @@ def einsum_pair_products(riem, frames):
         v = frames[:, :, 2 * k + 1, :]
         prods *= np.einsum("psa,psb,psc,psd,pabcd->ps", u, v, u, v, riem, optimize=True)
     return prods
+
+
+def einsum_sectional(riem, frames):
+    """R(t_i, t_j, t_i, t_j) for every ordered pair (i, j), diagonal included.
+
+    One five-operand einsum, apart from the package's matmul over u (x) v.
+    """
+    return np.einsum("pia,pjb,pic,pjd,pabcd->pij", frames, frames, frames, frames, riem,
+                     optimize=True)
+
+
+def einsum_riemann_in_frame(riem, frames):
+    """The Riemann tensor in a frame, one slot at a time, apart from the
+    package's congruence E R E^T with E = F (x) F."""
+    r = np.einsum("pabcd,pia->pibcd", riem, frames)
+    r = np.einsum("pibcd,pjb->pijcd", r, frames)
+    r = np.einsum("pijcd,pkc->pijkd", r, frames)
+    return np.einsum("pijkd,pld->pijkl", r, frames)
 
 
 def _word_sign(word):

@@ -109,6 +109,8 @@ def _spec_file(tmp_path, n, dim):
       "99999999999999999999"], "--samples", MAX_SAMPLES),
     (["spec", 100000, 1], '"n"', MAX_AXIS_NODES),
     (["spec", MAX_AXIS_NODES, 3], '"n"', MAX_NODES),
+    (["frame-sweep", "--manifold", "s4", "--plane", "1,2", "--angles", "1000000000"], "--angles",
+     MAX_AXIS_NODES),
 ])
 def test_oversized_requests_exit_2_naming_the_flag(tmp_path, argv, flag, ceiling):
     if argv[0] == "spec":

@@ -14,11 +14,19 @@ from curvfun.geometry import (
     curvature_batch,
     curvature_chunk,
     riemann_arrays,
+    riemann_in_frame,
+    sectional_from_riemann,
 )
 from curvfun.jets import cos, sin, variables
 from curvfun.quadrature import Axis, Grid, functional_density, integrate_functional
 from curvfun.zoo import manifold_by_name
-from oracles import christoffel_fd, general_jets, padded_curvature
+from oracles import (
+    christoffel_fd,
+    einsum_riemann_in_frame,
+    einsum_sectional,
+    general_jets,
+    padded_curvature,
+)
 
 
 def christoffel(metric, x):
@@ -337,3 +345,51 @@ def test_singular_factor_names_the_product_node(singular_product):
     # the first node in C order, x1 = -1, fails; the flat factor's axes are collapsed
     assert err.value.point.tolist() == grid.collapse((0, 1)).points_weights()[0][0].tolist()
     assert len(err.value.point) == 4
+
+
+def _fractions(rng, shape):
+    return np.vectorize(Fraction, otypes=[object])(rng.integers(-5, 6, size=shape))
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_sectional_matches_the_five_operand_einsum(n):
+    """On raw tensors and frames, with no symmetry to lean on, every ordered
+    pair i != j agrees with the einsum and the diagonal is exactly zero."""
+    rng = np.random.default_rng(60 + n)
+    riem, frames = rng.normal(size=(5,) + (n,) * 4), rng.normal(size=(5, n, n))
+    k = sectional_from_riemann(riem, frames)
+    ref = einsum_sectional(riem, frames)
+    off = ~np.eye(n, dtype=bool)
+    assert _max_rel(k[:, off], ref[:, off]) < 1e-13
+    assert np.all(k[:, ~off] == 0)
+
+
+def test_frame_contractions_are_exact_on_fractions():
+    rng = np.random.default_rng(71)
+    riem, frames = _fractions(rng, (3,) + (4,) * 4), _fractions(rng, (3, 4, 4))
+    k = sectional_from_riemann(riem, frames)
+    off = ~np.eye(4, dtype=bool)
+    assert np.all(k[:, off] == einsum_sectional(riem, frames)[:, off])
+    assert all(isinstance(x, Fraction) for x in k[:, off].ravel())
+    assert np.all(k[:, ~off] == 0)
+    framed = riemann_in_frame(riem, frames)
+    assert framed.dtype == object
+    assert np.all(framed == einsum_riemann_in_frame(riem, frames))
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_riemann_in_frame_matches_the_one_slot_einsums(n):
+    rng = np.random.default_rng(80 + n)
+    riem, frames = rng.normal(size=(5,) + (n,) * 4), rng.normal(size=(5, n, n))
+    assert _max_rel(riemann_in_frame(riem, frames), einsum_riemann_in_frame(riem, frames)) < 1e-13
+
+
+@pytest.mark.parametrize("contract", [sectional_from_riemann, riemann_in_frame])
+def test_frame_contractions_do_not_depend_on_the_batch(contract):
+    """Each of 64 rows is bit-equal alone and in batches of 2, 7 and 64."""
+    rng = np.random.default_rng(91)
+    riem, frames = rng.normal(size=(64, 4, 4, 4, 4)), rng.normal(size=(64, 4, 4))
+    whole = contract(riem, frames)
+    for size in (1, 2, 7):
+        parts = [contract(riem[s : s + size], frames[s : s + size]) for s in range(0, 64, size)]
+        assert np.array_equal(np.concatenate(parts), whole)
