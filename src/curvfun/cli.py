@@ -40,6 +40,7 @@ from .quadrature import (
     FUNCTIONALS,
     MAX_AXIS_NODES,
     MAX_SAMPLES,
+    MAX_WORKERS,
     Axis,
     Grid,
     integrate,
@@ -63,8 +64,10 @@ def _parse_params(items):
     for item in items or []:
         if "=" not in item:
             raise ConfigError("--param expects key=value, got %r" % item)
-        k, v = item.split("=", 1)
-        out[k.strip()] = v.strip()
+        k, v = (part.strip() for part in item.split("=", 1))
+        if k in out:
+            raise ConfigError("--param %s is given more than once" % k)
+        out[k] = v
     return out
 
 
@@ -103,10 +106,12 @@ def _grid(args, spec):
 
 
 def _check_counts(args):
-    """Reject ``--workers`` below 1, a negative ``--seed`` and ``--samples`` over
-    ``MAX_SAMPLES``, naming the flag."""
+    """Reject ``--workers`` outside 1..``MAX_WORKERS``, a negative ``--seed`` and
+    ``--samples`` over ``MAX_SAMPLES``, naming the flag."""
     if args.workers < 1:
         raise ConfigError("--workers must be at least 1, got %d" % args.workers)
+    if args.workers > MAX_WORKERS:
+        raise ConfigError("--workers must be at most %d, got %d" % (MAX_WORKERS, args.workers))
     if getattr(args, "seed", 0) < 0:
         raise ConfigError("--seed must be non-negative, got %d" % args.seed)
     if (getattr(args, "samples", None) or 0) > MAX_SAMPLES:

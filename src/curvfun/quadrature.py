@@ -12,11 +12,11 @@ bytes, not by count: one (rows, n, n, n, n) Riemann array stays within
 (16,384 rows at n = 2, 1,024 at n = 4, 202 at n = 6, 64 at n = 8).  The
 row count depends on the grid's dimension alone, not on the worker count.
 
-Determinism: every node's contribution is written into a preallocated
-slot indexed by the node's global index, and the final reduction is
-``math.fsum`` over that array in index order.  fsum is exactly rounded,
-so the result is byte-identical no matter how the nodes were chunked or
-how many worker threads ran the chunks.
+Determinism: each chunk returns its nodes' weighted contributions and one
+``math.fsum`` reduces them as a stream, keeping no array or list of every
+node.  fsum is exactly rounded whatever the order of its inputs, so the
+result is byte-identical however the nodes were chunked and however many
+worker threads ran the chunks.
 
 Frames: only ``gamma_d`` reads one.  ``gbc`` and ``hilbert`` are O(n)
 invariants summed from ``g`` and the chart-basis Riemann tensor, so, like
@@ -106,10 +106,12 @@ HAAR_BLOCK_BYTES = 2**20
 # Ceilings on what a run may ask for, so that an oversized request is a
 # configuration error before anything is allocated: Gauss-Legendre nodes per
 # axis (leggauss's n x n companion matrix stays within 8 MiB), Monte Carlo
-# samples per node, and the nodes of an evaluated grid (after the collapse).
+# samples per node, the nodes of an evaluated grid (after the collapse), and
+# worker threads (the pool starts one per queued chunk, up to this many).
 MAX_AXIS_NODES = 1024
 MAX_SAMPLES = 65536
 MAX_NODES = 2**22
+MAX_WORKERS = 256
 
 # A density raising one of these fails at a node, which the integrator locates.
 _NODE_FAILURES = (NonFiniteError, SingularMetricError, RankDeficientError, np.linalg.LinAlgError)
@@ -253,21 +255,19 @@ def integrate(density, grid, workers=1):
     their global node indices, for per-point RNG streams) to a pair
     ``(values, stderrs_or_None)``.  The nodes are evaluated in chunks of
     :func:`_chunk_rows` rows, a byte budget over the grid's dimension that
-    does not depend on ``workers``; every node's value is its own, so
-    neither the chunking nor the worker count changes a bit of the result.
-    A non-finite value or a node failure (singular or asymmetric metric,
-    rank-deficient frame) raises ``ChartSingularityError`` naming the node.
-    Each chunk's points and weights are built when it runs (:func:`_grid_block`),
-    so no array of every node's coordinates is made.
+    does not depend on ``workers``.  Each chunk returns its weighted values
+    and squared weighted stderrs, which ``math.fsum`` reduces as a stream;
+    fsum is exactly rounded, so neither chunking nor worker count changes a
+    bit.  A non-finite value or a node failure (singular or asymmetric
+    metric, rank-deficient frame) raises ``ChartSingularityError`` naming the
+    node.  Points, weights and values are built per chunk (:func:`_grid_block`),
+    so no (nodes,) array is made.
     """
     per_axis = [a.nodes_weights() for a in grid.checked().axes]
     npts = grid.n_points
-    contrib = np.zeros(npts)
-    erracc = np.zeros(npts)
-    has_stderr = False
+    squares = []  # each chunk's squared weighted stderrs, when the density has them
 
     def work(rng_):
-        nonlocal has_stderr
         s, e = rng_
         pts, w = _grid_block(per_axis, s, e)
         idx = np.arange(s, e)
@@ -275,22 +275,23 @@ def integrate(density, grid, workers=1):
             vals, stderrs = _evaluate(density, pts, idx)
         except _NODE_FAILURES as exc:
             _locate_failure(density, pts, idx, exc)
-        contrib[s:e] = np.asarray(vals, dtype=float) * w
-        if stderrs is not None:
-            has_stderr = True
-            erracc[s:e] = (np.asarray(stderrs, dtype=float) * w) ** 2
+        sq = None if stderrs is None else (np.asarray(stderrs, dtype=float) * w) ** 2
+        return np.asarray(vals, dtype=float) * w, sq
+
+    def contributions(results):
+        for vals, sq in results:
+            if sq is not None:
+                squares.append(sq)
+            yield from vals.tolist()
 
     chunk = _chunk_rows(grid.dim)
     ranges = [(s, min(s + chunk, npts)) for s in range(0, npts, chunk)]
     if workers <= 1:
-        for r in ranges:
-            work(r)
+        value = math.fsum(contributions(map(work, ranges)))
     else:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            for _ in ex.map(work, ranges):
-                pass
-    value = math.fsum(contrib.tolist())
-    stderr = math.sqrt(math.fsum(erracc.tolist())) if has_stderr else None
+            value = math.fsum(contributions(ex.map(work, ranges)))
+    stderr = math.sqrt(math.fsum(x for sq in squares for x in sq.tolist())) if squares else None
     return value, stderr
 
 

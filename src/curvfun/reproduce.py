@@ -35,7 +35,7 @@ from .errors import ConfigError
 from .frames import haar_orthogonal
 from .functionals import gbc_raw_sum, k_discrete, matching_sum, perm_sum
 from .geometry import curvature_batch, curvature_chunk
-from .quadrature import integrate_functional
+from .quadrature import integrate, integrate_functional
 
 __all__ = ["CheckResult", "run_case", "CASE_NAMES"]
 
@@ -157,8 +157,6 @@ def _case_taubes(workers):
     out.append(_check("taubes", "gamma_d ratio", -2.0, g1 / g2, 1e-6, "derived",
                       note="robust to the overall factor-2 ambiguity"))
     # independent-route agreement: tensor pipeline vs closed-form density
-    from .quadrature import integrate
-
     def oracle_density(p, idx):
         return spec.oracles["k_d"](p) * spec.oracles["dV"](p), None
 

@@ -537,6 +537,19 @@ def test_workers_below_one_exits_2(capsys, argv, workers):
 
 @pytest.mark.parametrize("argv", [
     ["compute", "--manifold", "s2", "--grid", "5", "--no-timing"],
+    ["frame-sweep", "--manifold", "s2", "--grid", "5", "--plane", "1,2", "--no-timing"],
+    ["reproduce", "discrete"],
+])
+def test_workers_above_the_ceiling_exits_2(capsys, argv):
+    # the pool starts a thread per queued chunk up to the count, so it is capped
+    code, out, err = run(capsys, argv + ["--workers", "257"])
+    assert code == 2
+    assert out == ""
+    assert "--workers must be at most 256, got 257" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--manifold", "s2", "--grid", "5", "--no-timing"],
     ["compute", "--manifold", "s2", "--grid", "5", "--frame", "haar", "--no-timing"],
     ["frame-sweep", "--manifold", "s2", "--grid", "5", "--plane", "1,2", "--no-timing"],
 ])
@@ -546,6 +559,16 @@ def test_negative_seed_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "--seed must be non-negative, got -1" in err
+
+
+@pytest.mark.parametrize("second", ["a=2", " a =2"])
+def test_repeated_param_key_exits_2(capsys, second):
+    # the last value used to win silently, also when the key differed only in spaces
+    code, out, err = run(capsys, ["compute", "--manifold", "e2", "--grid", "5", "--no-timing",
+                                  "--param", "a=1", "--param", second])
+    assert code == 2
+    assert out == ""
+    assert "--param a is given more than once" in err
 
 
 def test_record_names_the_params_that_built_the_chart(capsys):

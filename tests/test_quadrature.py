@@ -462,9 +462,10 @@ def test_dimension_8_integral_memory_is_bounded():
 
 
 def test_large_grid_memory_is_bounded():
-    """A constant density on 32^4 = 2^20 nodes peaks near 48 MB, the per-node
-    contributions and their fsum; with every node's point and weight made
-    up front it took 112 MB."""
+    """A constant density on 32^4 = 2^20 nodes peaks near 0.2 MB, one chunk's
+    points and contributions; with a per-node contribution array and its fsum
+    list it took 48 MB, and with every node's point and weight made up front
+    112 MB."""
     import tracemalloc
 
     grid = Grid((Axis(0.0, 1.0, 32, periodic=True),) * 4)
@@ -476,6 +477,73 @@ def test_large_grid_memory_is_bounded():
         tracemalloc.stop()
     assert value == 1.0
     assert peak < 64 * 2**20
+
+
+def _integrate_peak(grid, workers=1, stderr=False):
+    """``integrate``'s value, stderr and ``tracemalloc`` peak for a constant
+    density, with a constant stderr when ``stderr``."""
+    import tracemalloc
+
+    def density(p, idx):
+        return np.ones(len(p)), (np.full(len(p), 0.5) if stderr else None)
+
+    tracemalloc.start()
+    try:
+        value, err = integrate(density, grid, workers=workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return value, err, peak
+
+
+def _cube(n):
+    return Grid((Axis(0.0, 1.0, n, periodic=True),) * 4)
+
+
+def test_integral_memory_does_not_grow_with_the_grid():
+    """2^16 and 2^20 nodes peak within 1 MB of each other: chunks hand their
+    contributions to a streamed fsum, and no per-node array is kept (one took
+    the peak from 3 MB to 48 MB)."""
+    small, _, small_peak = _integrate_peak(_cube(16))
+    large, _, large_peak = _integrate_peak(_cube(32))
+    assert small == large == 1.0
+    assert abs(large_peak - small_peak) < 2**20
+
+
+def test_threaded_integral_memory_is_bounded():
+    """Two workers on 2^20 nodes hold at most the chunks done but not yet
+    summed, about 2 MB; a per-node contribution array took 48 MB."""
+    value, _, peak = _integrate_peak(_cube(32), workers=2)
+    assert value == 1.0
+    assert peak < 8 * 2**20
+
+
+def test_stderr_integral_memory_is_bounded():
+    """With a stderr only its squares are kept, one array per chunk, about 8 MB
+    at 2^20 nodes; per-node value and stderr arrays took 48 MB."""
+    value, stderr, peak = _integrate_peak(_cube(32), stderr=True)
+    assert value == 1.0
+    assert stderr == pytest.approx(0.5 * 32.0**-2)  # 0.5 * sqrt(2^20 * (32^-4)^2)
+    assert peak < 16 * 2**20
+
+
+def test_threaded_failure_in_a_later_chunk_names_the_node(monkeypatch):
+    """A node failing in the fourth of seven chunks, on two worker threads,
+    raises through the streamed fsum naming that node."""
+    monkeypatch.setattr(quadrature, "CHUNK_BYTES", 64 * 8 * 2**4)
+    grid = Grid((Axis(0, math.pi, 21), Axis(0, 2 * math.pi, 20, periodic=True)))
+    bad = 200  # rows 192..255 are the fourth chunk
+
+    def density(p, idx):
+        from curvfun.errors import NonFiniteError
+
+        if bad in idx:
+            raise NonFiniteError("synthetic failure")
+        return np.ones(len(p)), None
+
+    with pytest.raises(ChartSingularityError, match="synthetic failure") as info:
+        integrate(density, grid, workers=2)
+    assert np.array_equal(info.value.point, grid.points_weights()[0][bad])
 
 
 @pytest.mark.parametrize("name, functional, seed", [
