@@ -24,7 +24,7 @@ class SingularMetricError(CurvfunError):
 
 
 class RankDeficientError(CurvfunError):
-    """Gram-Schmidt input vectors are (numerically) linearly dependent."""
+    """Gram-Schmidt inputs are (numerically) dependent, or g is not positive definite."""
 
 
 class BadDimensionError(CurvfunError):

@@ -2,7 +2,8 @@
 
 Frames are stored row-wise: ``frame[i, :]`` holds the chart components of
 the i-th frame vector, so orthonormality reads ``frame @ g @ frame.T = I``.
-``gram_schmidt_frames`` works on a batch of points, one frame per point.
+``gram_schmidt_frames`` builds one frame per point of a batch from one
+batched Cholesky factorization, which also checks positive definiteness.
 
 ``haar_orthogonal`` is the package's one Haar sampler: the ``haar`` frame
 strategy and the ``gamma_mc`` estimator draw a block of nodes' rotations
@@ -31,26 +32,25 @@ def gram_schmidt_frames(g, vectors):
     """Orthonormalize each point's ``vectors`` (rows) against its metric.
 
     ``g`` and ``vectors`` are batches (p, n, n); a single point is a batch of
-    one.  Ascending order: vector 0 is normalized first, each later vector
-    has the projections onto the earlier ones removed before its own
-    normalization.  Raises :class:`RankDeficientError` if a residual norm
-    falls below 1e-10.
+    one.  Ascending Gram-Schmidt is L^-1 V for the Cholesky factor of the
+    Gram matrix V g V^T = L L^T (both are g-orthonormal and triangular in V
+    with a positive diagonal), and diag L holds its residual norms.  Raises
+    :class:`RankDeficientError` when the factorization fails (g is not
+    positive definite) or a residual norm falls below 1e-10.
     """
     g = np.asarray(g, dtype=float)
-    out = np.array(vectors, dtype=float, copy=True)
-    npts, n = g.shape[0], g.shape[1]
-    for i in range(n):
-        for j in range(i):
-            # <v_i, e_j>_g e_j with e_j already unit
-            coef = np.einsum("pa,pab,pb->p", out[:, i, :], g, out[:, j, :])
-            out[:, i, :] -= coef[:, None] * out[:, j, :]
-        sq = np.einsum("pa,pab,pb->p", out[:, i, :], g, out[:, i, :])
-        if np.any(sq < RANK_TOL**2) or not np.all(np.isfinite(sq)):
-            raise RankDeficientError(
-                "Gram-Schmidt residual below tolerance at vector %d" % i
-            )
-        out[:, i, :] /= np.sqrt(sq)[:, None]
-    return out
+    v = np.asarray(vectors, dtype=float)
+    try:
+        chol = np.linalg.cholesky(v @ g @ np.swapaxes(v, 1, 2))
+    except np.linalg.LinAlgError:
+        raise RankDeficientError("Gram-Schmidt: Gram matrix is not positive definite") from None
+    norms = np.diagonal(chol, axis1=1, axis2=2)
+    ok = np.all((norms >= RANK_TOL) & np.isfinite(norms), axis=0)
+    if not np.all(ok):
+        raise RankDeficientError("Gram-Schmidt residual below tolerance at vector %d"
+                                 % np.argmin(ok))
+    # inv goes through pivoted LU, which leaves rounding above the diagonal
+    return np.tril(np.linalg.inv(chol)) @ v
 
 
 def rotate_frame(frame, i, j, angle):

@@ -20,13 +20,14 @@ the others to one node.
 The pipeline is batched over chart points.  :func:`curvature_chunk` is the
 one path from a metric to curvature data (checked g and R, Gram-Schmidt
 base frames); the quadrature densities and :func:`curvature_batch` both
-call it.  There is no single-point API: a point is a batch of one.  A
-product has no jets of its own: its chunk is assembled from its factors'
-chunks, block by block (a product has no mixed-block curvature), and where
-the frame is aligned with the factors the integrator multiplies the
-factors' integrals instead.  Any other metric is evaluated once per
-distinct row of its ``depends_on`` columns and the results are copied to
-the rows that repeat it.
+call it; its frame's Cholesky factorization is where a metric that is not
+positive definite fails, whatever the functional.  There is no
+single-point API: a point is a batch of one.  A product has no jets of its
+own: its chunk is assembled from its factors' chunks, block by block (a
+product has no mixed-block curvature), and where the frame is aligned with
+the factors the integrator multiplies the factors' integrals instead.  Any
+other metric is evaluated once per distinct row of its ``depends_on``
+columns and the results are copied to the rows that repeat it.
 
 Everything is evaluated in chart coordinates, never in normal coordinates:
 sectional curvatures come from contracting against an explicitly
@@ -150,11 +151,12 @@ class MetricField:
 
         ``g`` is the metric and ``riem`` its lowered Riemann tensor, each
         source's by its own route (see the module docstring).  On float
-        input, raises :class:`NonFiniteError` when either is not finite,
+        input, raises :class:`NonFiniteError` when either is not finite and
         :class:`SingularMetricError` when ``g`` is asymmetric beyond
-        ``SYMMETRY_TOL`` at some point, and ``LinAlgError`` when it is not
-        positive definite; the integrator then names the node.  Object
-        (Fraction) input is passed through unchecked and stays exact.
+        ``SYMMETRY_TOL`` at some point; the integrator then names the node.
+        Positive definiteness is checked by the frame's Cholesky factor in
+        :func:`curvature_chunk`.  Object (Fraction) input is passed through
+        unchecked and stays exact.
         A product raises ``TypeError``: call ``jets`` on its factors.
         """
         if self.factors is not None:
@@ -166,7 +168,6 @@ class MetricField:
                 raise NonFiniteError("metric or curvature is not finite")
             if np.max(np.abs(g - np.swapaxes(g, 1, 2))) > SYMMETRY_TOL:
                 raise SingularMetricError("metric is not symmetric")
-            np.linalg.cholesky(g)  # raises LinAlgError when not positive definite
         return g, riem
 
 
@@ -328,7 +329,8 @@ def curvature_chunk(metric, points):
 
     The one curvature path: the metric's checked ``(g, riem)`` and the
     metric Gram-Schmidt frame of the chart basis (rows are frame
-    vectors in chart components).  Returns ``(g, riem, base)``; ``riem`` is
+    vectors in chart components), whose Cholesky factorization fails where
+    g is not positive definite.  Returns ``(g, riem, base)``; ``riem`` is
     exact on object input, ``base`` is always float.
 
     A product is assembled block by block from its factors' chunks: its

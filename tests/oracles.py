@@ -6,8 +6,9 @@ permutation and double-permutation sums instead of their matching
 reductions, a five-operand einsum per frame plane instead of the matmul
 over u (x) v of ``plane_curvatures``, four one-slot einsums instead of the
 congruence of ``riemann_in_frame``, LAPACK's QR with the sign fix instead
-of the Haar sampler's batched Gram-Schmidt, a direct Gram-matrix check
-of a frame, an embedding's curvature from the derivatives of its induced
+of the Haar sampler's batched Gram-Schmidt, the metric Gram-Schmidt loop
+instead of the inverse Cholesky factor, a direct Gram-matrix check of a
+frame, an embedding's curvature from the derivatives of its induced
 metric through the general Riemann formula instead of from the Gauss
 equation, a product's curvature from its padded full-dimensional jets
 instead of from its factors, a product's coordinate-frame density from its
@@ -20,8 +21,8 @@ import itertools
 
 import numpy as np
 
-from curvfun.errors import NonOrthonormalFrameError
-from curvfun.frames import gram_schmidt_frames
+from curvfun.errors import NonOrthonormalFrameError, RankDeficientError
+from curvfun.frames import RANK_TOL
 from curvfun.functionals import k_discrete, k_gbc, scalar_curvature
 from curvfun.geometry import (
     _assemble_matrix_jets,
@@ -176,6 +177,29 @@ def brute_force_gbc_raw_sum(riem_frame):
     return total[0] if single else total
 
 
+def gram_schmidt_loop(g, vectors):
+    """Ascending metric Gram-Schmidt of ``vectors`` (rows), one vector at a time.
+
+    One einsum pass per projection and per norm over the batch, against
+    ``gram_schmidt_frames``' one Cholesky factorization.
+    """
+    g = np.asarray(g, dtype=float)
+    out = np.array(vectors, dtype=float, copy=True)
+    npts, n = g.shape[0], g.shape[1]
+    for i in range(n):
+        for j in range(i):
+            # <v_i, e_j>_g e_j with e_j already unit
+            coef = np.einsum("pa,pab,pb->p", out[:, i, :], g, out[:, j, :])
+            out[:, i, :] -= coef[:, None] * out[:, j, :]
+        sq = np.einsum("pa,pab,pb->p", out[:, i, :], g, out[:, i, :])
+        if np.any(sq < RANK_TOL**2) or not np.all(np.isfinite(sq)):
+            raise RankDeficientError(
+                "Gram-Schmidt residual below tolerance at vector %d" % i
+            )
+        out[:, i, :] /= np.sqrt(sq)[:, None]
+    return out
+
+
 def check_orthonormal(g, frame, tol=1e-8):
     """Validate frame @ g @ frame.T = I; raises NonOrthonormalFrameError."""
     gram = frame @ g @ frame.T
@@ -249,11 +273,11 @@ def padded_jets(metric, points):
 def padded_curvature(metric, points):
     """``(g, riem, base)`` from the metric's padded jets at every point.
 
-    Runs the full-dimensional Riemann formula and Gram-Schmidt on every
-    row: no factor split and no distinct-row evaluation.
+    Runs the full-dimensional Riemann formula and the Gram-Schmidt loop on
+    every row: no factor split, no distinct-row evaluation and no Cholesky.
     """
     g, dg, d2g = padded_jets(metric, points)
-    base = gram_schmidt_frames(g, np.broadcast_to(np.eye(metric.dim), g.shape))
+    base = gram_schmidt_loop(g, np.broadcast_to(np.eye(metric.dim), g.shape))
     return g, riemann_arrays(g, dg, d2g), base
 
 
