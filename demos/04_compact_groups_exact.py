@@ -3,8 +3,10 @@
 For a bi-invariant metric, sectional curvatures of orthonormal-basis planes
 are K_ij = (1/4) sum_k alpha_ijk^2 in terms of the structure constants, so
 every pairing sum is a finite rational computation.  The same groups are
-catalog charts: one node weighted by the group volume, integrated by the
-pipeline every other manifold goes through.
+catalog charts: one node, integrated by the pipeline every other manifold
+goes through.  SO(4)'s node is weighted by its volume 128 pi^4, SU(3)'s by
+the paper's pi^5, not by the volume 256 sqrt(3) pi^5 of the metric su3()
+builds.
 """
 
 import math
@@ -29,7 +31,7 @@ print("\nmatching sum    =", msum, " (over the 105 perfect matchings of 8 indice
 print("permutation sum =", psum, "   (free sum over all 8! index orderings)")
 assert psum == msum * 2**4 * math.factorial(4)
 
-spec = manifold_by_name("su3")  # one node on [0, pi^5] x [0, 1]^7
+spec = manifold_by_name("su3")  # one node on [0, pi^5] x [0, 1]^7: the paper's weight
 
 
 def gamma(functional="gamma_d", **kwargs):
@@ -37,14 +39,17 @@ def gamma(functional="gamma_d", **kwargs):
 
 
 g = gamma().value
-print("\ngamma(SU(3)) = volume * C_4 * permutation sum")
+print("\nsu(3)'s node is weighted by the paper's pi^5; under -2 Re tr the metric")
+print("su3() builds gives SU(3) the volume 256 sqrt(3) pi^5 ~ %.2f (Macdonald)"
+      % (256 * math.sqrt(3) * math.pi**5))
+print("gamma(SU(3)) = pi^5 * C_4 * permutation sum")
 print("             = pi^5 * %s * %s = 117 pi / 2^17 ~ %.16f"
       % (normalization_constant(4), psum, g))
 assert abs(g - 117 * math.pi / 2**17) < 1e-15
 
 mc = gamma("gamma_mc", nsamples=4096)
 print("frame average over 4,096 Haar frames: %.7f +- %.7f" % (mc.value, mc.stderr))
-print("gbc (chi(SU(3)) = 0): %.3g   scalar curvature * volume: %.6f = 6 pi^5"
+print("gbc (chi(SU(3)) = 0): %.3g   scalar curvature * pi^5: %.6f = 6 pi^5"
       % (gamma("gbc").value, gamma("hilbert").value))
 
 msum4 = matching_sum(so4().k_exact[None])[0]

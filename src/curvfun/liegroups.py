@@ -9,8 +9,8 @@ K_ij = |[e_i, e_j]|^2 / 4 = sum_k alpha[i, j, k]^2 / 4.
 
 :func:`biinvariant_metric` hands g = I and that tensor to the chart
 pipeline as a metric that reads no chart axis, and the catalog
-(:mod:`curvfun.zoo`) integrates it over a one-node chart weighted by the
-group volume in ``VOLUMES``.
+(:mod:`curvfun.zoo`) integrates it over a one-node chart weighted by
+``VOLUMES``: so4's Haar volume, and su3's paper convention pi^5.
 
 Built-ins:
 
@@ -53,10 +53,14 @@ __all__ = [
 
 TOL = 1e-10
 
-# Haar volumes of the built-in groups in their normalizations.  SO(4): under
-# -tr(XY)/2 it is vol(S^3) vol SO(3) = 16 pi^4, and -tr(XY) scales the
-# 6-volume by 8; also Spin(4) = S^3(2) x S^3(2) has volume (16 pi^2)^2 = 2x.
+# Weights of the built-in groups' one-node charts.  SO(4): its Haar volume,
+# 16 pi^4 under -tr(XY)/2 (vol S^3 vol SO(3)), times 2^3 under -tr(XY); also
+# Spin(4) = S^3(2) x S^3(2) has volume (16 pi^2)^2 = 2x.  SU(3): the paper's
+# pi^5, not its volume under -2 Re tr, which is 2^4 times Macdonald's
+# 16 sqrt(3) pi^5 under -tr(XY).  WEIGHTS says so in each record's notes.
 VOLUMES = {"su3": math.pi**5, "so4": 128 * math.pi**4}
+WEIGHTS = {"su3": "the paper's pi^5 (axis 1's length), not by the metric's volume "
+           "256 sqrt(3) pi^5 ~ 135,690.66", "so4": "the group volume (axis 1's length)"}
 
 
 @dataclass

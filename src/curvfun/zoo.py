@@ -419,7 +419,7 @@ def compact_group(algebra):
         default_grid=grid,
         oracles={"k_d": lambda p: np.full(len(p), density), "dV": lambda p: np.ones(len(p))},
         notes="bi-invariant metric, %s; curvature constant over the group, so one node "
-        "weighted by the group volume (axis 1's length)" % algebra.metric_note,
+        "weighted by %s" % (algebra.metric_note, LG.WEIGHTS[algebra.name]),
     )
 
 

@@ -79,9 +79,34 @@ def test_su3_pairing_sums_exact():
     ms, ps = matching_sum(k)[0], perm_sum(k)[0]
     assert ms == Fraction(117, 8192)
     assert ps == Fraction(351, 64)
-    # gamma for the standard volume pi^5
+    # gamma for the paper's volume weight pi^5
     gamma = group_value("su3").value
     assert gamma == pytest.approx(117 * math.pi / 2**17, rel=1e-14)
+
+
+def macdonald_volume(n):
+    """vol SU(n) under -tr(XY): sqrt(n) (2 pi)^((n^2 + n - 2) / 2) / prod_{k<n} k!
+    (I. G. Macdonald, Invent. Math. 56 (1980))."""
+    return (math.sqrt(n) * (2 * math.pi) ** ((n * n + n - 2) // 2)
+            / math.prod(math.factorial(k) for k in range(1, n)))
+
+
+def test_group_weights_against_the_volumes_of_their_metrics():
+    # SU(2) under -tr(XY) is the 3-sphere of radius sqrt(2), by hand
+    assert macdonald_volume(2) == pytest.approx(4 * math.sqrt(2) * math.pi**2, rel=1e-15)
+    assert macdonald_volume(3) == pytest.approx(16 * math.sqrt(3) * math.pi**5, rel=1e-15)
+    # su3() is orthonormal under -2 Re tr: lengths times sqrt(2), the 8-volume times 2^4.
+    # Its node keeps the paper's pi^5, and the record's notes give the metric's volume.
+    metric_volume = 2**4 * macdonald_volume(3)
+    assert metric_volume == pytest.approx(256 * math.sqrt(3) * math.pi**5, rel=1e-15)
+    assert VOLUMES["su3"] == math.pi**5
+    notes = manifold_by_name("su3").notes
+    assert "paper's pi^5" in notes and "256 sqrt(3) pi^5 ~ %s" % f"{metric_volume:,.2f}" in notes
+    # SO(4) -> S^3 with fibre SO(3) -> S^2 with fibre SO(2) = S^1, unit spheres under
+    # -tr(XY)/2; so4() is orthonormal under -tr(XY), which scales the 6-volume by 2^3
+    unit_spheres = (2 * math.pi) * (4 * math.pi) * (2 * math.pi**2)
+    assert VOLUMES["so4"] == pytest.approx(2**3 * unit_spheres, rel=1e-15)
+    assert "the group volume" in manifold_by_name("so4").notes
 
 
 def test_so4_density_vanishes_identically():
