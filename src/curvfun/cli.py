@@ -118,15 +118,6 @@ def _check_counts(args):
         raise ConfigError("--samples must be at most %d, got %d" % (MAX_SAMPLES, args.samples))
 
 
-def _samples(args):
-    """``--samples`` for ``gamma_mc`` (64 when not given); other functionals reject the flag."""
-    if args.functional == "gamma_mc":
-        return 64 if args.samples is None else args.samples
-    if args.samples is not None:
-        raise ConfigError("--samples applies to --functional gamma_mc only")
-    return None
-
-
 def _plane(text, dim, flag):
     """Parse a 1-based frame plane "a,b" given to ``flag``."""
     try:
@@ -173,7 +164,11 @@ def _record(args, name, frame, grid):
 
 
 def cmd_compute(args):
-    samples = _samples(args)
+    samples = args.samples
+    if args.functional == "gamma_mc":
+        samples = 64 if samples is None else samples
+    elif samples is not None:
+        raise ConfigError("--samples applies to --functional gamma_mc only")
     spec = _resolve_manifold(args)
     grid = _grid(args, spec)
     frame, frame_record = _frame(args, spec.dim)
@@ -215,7 +210,6 @@ def cmd_frame_sweep(args):
         raise ConfigError("--angles must be in 2..%d, got %d" % (MAX_AXIS_NODES, args.angles))
     spec = _resolve_manifold(args)
     a, b = _plane(args.plane, spec.dim, "--plane")
-    _samples(args)
     grid = _grid(args, spec)
     rows = []
     for angle in np.linspace(0.0, math.pi / 2, args.angles):
@@ -328,15 +322,13 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, functionals):
         sp.add_argument("--manifold", choices=sorted(MANIFOLD_NAMES))
         sp.add_argument("--spec-file", help="declarative JSON chart definition")
         sp.add_argument("--param", action="append", metavar="KEY=VALUE",
                         help="manifold parameter (repeatable), e.g. u=cos(x1)+cos(x2)")
-        sp.add_argument("--functional", default="gamma_d", choices=sorted(FUNCTIONALS))
+        sp.add_argument("--functional", default="gamma_d", choices=sorted(functionals))
         sp.add_argument("--grid", help="per-axis node counts, e.g. 17,17,17,16 (or one size)")
-        sp.add_argument("--samples", type=int,
-                        help="Monte Carlo frame samples per node (gamma_mc only; default 64)")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
         sp.add_argument("--format", default="json", choices=("json", "csv", "text"))
@@ -345,14 +337,16 @@ def build_parser():
                         help="omit wall_time for byte-reproducible output")
 
     pc = sub.add_parser("compute", help="evaluate one functional on one manifold")
-    common(pc)
+    common(pc, FUNCTIONALS)
+    pc.add_argument("--samples", type=int,
+                    help="Monte Carlo frame samples per node (gamma_mc only; default 64)")
     pc.add_argument("--frame", default="coordinate", choices=("coordinate", "rotated", "haar"))
     pc.add_argument("--rotate-plane", metavar="A,B", help="1-based frame indices")
     pc.add_argument("--rotate-angle", type=float, help="radians, --frame rotated only (default 0)")
     pc.set_defaults(fn=cmd_compute)
 
     ps = sub.add_parser("frame-sweep", help="sweep a rotation angle in one frame plane")
-    common(ps)
+    common(ps, set(FUNCTIONALS) - {"gamma_mc"})  # gamma_mc draws its own Haar frames
     ps.add_argument("--plane", required=True, metavar="A,B", help="1-based frame indices")
     ps.add_argument("--angles", type=int, default=9, help="number of angles in [0, pi/2]")
     ps.set_defaults(fn=cmd_frame_sweep)

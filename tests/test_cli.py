@@ -143,6 +143,15 @@ def test_samples_without_gamma_mc_exits_2(capsys, argv):
     assert "--samples" in err
 
 
+def test_frame_sweep_of_gamma_mc_exits_2_naming_the_choices(capsys):
+    # gamma_mc draws its own Haar frames, so no frame-sweep of it could run
+    code, out, err = run(capsys, ["frame-sweep", "--manifold", "s2", "--plane", "1,2",
+                                  "--functional", "gamma_mc", "--no-timing"])
+    assert code == 2
+    assert out == ""
+    assert "--functional" in err and "'gamma_d', 'gbc', 'hilbert', 'volume'" in err
+
+
 def test_gamma_mc_record_reports_default_samples(capsys):
     code, out, _ = run(capsys, ["compute", "--manifold", "s2", "--grid", "3,4",
                                 "--functional", "gamma_mc", "--no-timing"])
