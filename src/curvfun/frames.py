@@ -43,7 +43,7 @@ def gram_schmidt_frames(g, vectors):
     try:
         chol = np.linalg.cholesky(v @ g @ np.swapaxes(v, 1, 2))
     except np.linalg.LinAlgError:
-        raise RankDeficientError("Gram-Schmidt: Gram matrix is not positive definite") from None
+        raise RankDeficientError("Gram-Schmidt: metric not positive definite") from None
     norms = np.diagonal(chol, axis1=1, axis2=2)
     ok = np.all((norms >= RANK_TOL) & np.isfinite(norms), axis=0)
     if not np.all(ok):

@@ -405,9 +405,9 @@ def compact_group(algebra):
 
     The metric (:func:`curvfun.liegroups.biinvariant_metric`) has the same
     curvature at every point, so one node integrates it exactly: axis 1
-    spans [0, V], V the group volume in ``liegroups.VOLUMES``, the others
-    [0, 1], and the node's weights multiply to V.  The k_d oracle comes
-    from the exact rational sectional table ``algebra.k_exact``.
+    spans [0, V], V the weight in ``liegroups.VOLUMES`` (for su3 the
+    paper's pi^5), the others [0, 1], and the node's weights multiply to V.
+    The k_d oracle comes from the exact sectional table ``algebra.k_exact``.
     """
     volume = LG.VOLUMES[algebra.name]
     grid = Grid((Axis(0.0, volume, 1),) + (Axis(0.0, 1.0, 1),) * (algebra.dim - 1))

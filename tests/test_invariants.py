@@ -23,11 +23,12 @@ GAMMA_D = 19.739208802178716
 GAMMA_D_TURNED = 8.897475174192813
 
 
-def _taubes_spec(path, block, u, scale="1"):
-    """A Taubes-torus spec file at the catalog's default 33 x 33 x 1 x 1 grid.
+def _taubes_values(path, block, u, scale="1"):
+    """Each functional's integral on a Taubes-torus spec file written to ``path``.
 
-    ``block`` is the metric's (x1, x2) block; the warped axes carry
-    exp(+-2u).  Every entry is multiplied by ``scale``.
+    The file has the catalog's default 33 x 33 x 1 x 1 grid; ``block`` is the
+    metric's (x1, x2) block, the warped axes carry exp(+-2u), and every
+    entry is multiplied by ``scale``.
     """
     axis = {"lo": 0, "hi": "2*pi", "periodic": True}
     (a, b), (_, d) = block
@@ -47,18 +48,18 @@ def charts(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("invariants")
     flat = (("1", "0"), ("0", "1"))
     return {
-        "taubes": _taubes_spec(tmp / "taubes.json", flat, "cos(x1) + cos(x2)"),
+        "taubes": _taubes_values(tmp / "taubes.json", flat, "cos(x1) + cos(x2)"),
         # phi(y) = (y1 + sin(y2)/2, y2): d/dy1 = d/dx1, so the frame does not turn
-        "shear_along": _taubes_spec(
+        "shear_along": _taubes_values(
             tmp / "shear_along.json",
             (("1", "cos(x2)/2"), ("cos(x2)/2", "1 + cos(x2)^2/4")),
             "cos(x1 + sin(x2)/2) + cos(x2)"),
         # phi(y) = (y1, y2 + sin(y1)/2): the first frame vector turns
-        "shear_across": _taubes_spec(
+        "shear_across": _taubes_values(
             tmp / "shear_across.json",
             (("1 + cos(x1)^2/4", "cos(x1)/2"), ("cos(x1)/2", "1")),
             "cos(x1) + cos(x2 + sin(x1)/2)"),
-        "scaled": _taubes_spec(tmp / "scaled.json", flat, "cos(x1) + cos(x2)", scale="9"),
+        "scaled": _taubes_values(tmp / "scaled.json", flat, "cos(x1) + cos(x2)", scale="9"),
     }
 
 
