@@ -1,9 +1,12 @@
 """A small arithmetic-expression language for user-supplied metrics.
 
-Supports ``+ - * / ^`` (with ``^`` right-associative), unary minus,
+Supports ``+ - * / ^`` (``^`` or ``**``, right-associative), unary signs,
 parenthesized grouping, numeric literals, the constant ``pi``, the
-functions ``sin cos exp sqrt log``, and free variables (typically
-``x1 .. xn`` for chart coordinates).
+functions ``sin cos exp sqrt log`` of one argument, and free variables
+(typically ``x1 .. xn`` for chart coordinates).  Python's own parser reads
+the text, with ``^`` read as ``**``, so precedence is Python's; the node
+types of this grammar are translated into a tuple tree and any other node,
+a Python keyword included, is rejected at parse.
 
 Expressions evaluate over anything with arithmetic dunders -- floats,
 numpy arrays, or jets -- so a parsed metric entry can be differentiated
@@ -11,17 +14,21 @@ by the same hyper-dual machinery as the built-in ones.  Text that does not
 parse, an unknown function and, at evaluation, an unbound variable are
 ``ConfigError`` naming the expression (a long one by its two ends, see
 ``QUOTE_CHARS``).  Variable-free parts are evaluated once, at parse time;
-one that divides by zero, overflows or is not a finite real number is a
-``ConfigError`` too.  So is an expression nested deeper than ``MAX_NESTING``
-or ``MAX_DEPTH``: a parsed expression never runs out of Python's recursion
-limit later.
+a literal or a constant part that divides by zero, overflows or is not a
+finite real number is a ``ConfigError`` too.  So is an expression whose
+brackets, function calls included, nest more than ``MAX_NESTING`` deep, or
+whose operator tree, signs included, is more than ``MAX_DEPTH`` levels
+deep: a parsed expression never runs out of Python's recursion limit later.
 """
 
 from __future__ import annotations
 
+import ast
+import itertools
 import math
 import operator
 import re
+import warnings
 
 import numpy as np
 
@@ -30,32 +37,28 @@ from .errors import ConfigError
 
 __all__ = ["parse_expression", "Expression"]
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[-+*/^(),]))"
-)
+# The grammar's characters.  There is no comma, as every function takes one
+# argument; comments, strings, other brackets and comparisons never reach
+# Python's parser.
+_CHARACTERS = re.compile(r"[0-9A-Za-z_.\s+\-*/^()]*")
+# Leading zeros of an integer literal, which Python rejects: 007 reads as 7.
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=\d)")
+# The numeric literals of the grammar (Python's 0x1, 1_000 and 1j are not).
+_DECIMAL = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 
-_FUNCTIONS = {
-    "sin": J.sin,
-    "cos": J.cos,
-    "exp": J.exp,
-    "sqrt": J.sqrt,
-    "log": J.log,
-}
+_FUNCTIONS = {"sin": J.sin, "cos": J.cos, "exp": J.exp, "sqrt": J.sqrt, "log": J.log}
 
 _CONSTANTS = {"pi": math.pi}
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
-# Binding power of each binary operator; ``^`` groups to the right.  A sign
-# binds below ``^`` and above ``*`` and ``/``: -x^2 == -(x^2).
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-_SIGN = 3
+_OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
 
-# Nesting bounds: the parser takes two frames per level of ``_Parser.depth``,
-# folding and evaluation one per level of the tree, so an accepted expression
-# stays far inside Python's limit of 1000 frames wherever it is evaluated.
+# Nesting bounds: brackets at most ``MAX_NESTING`` deep, below the 200 of
+# Python's parser, and an operator tree at most ``MAX_DEPTH`` levels high.
+# Translation, folding and evaluation take one frame per tree level, so an
+# accepted expression stays far inside Python's limit of 1000 frames
+# wherever it is evaluated.
 MAX_NESTING = 150
 MAX_DEPTH = 400
 
@@ -64,106 +67,55 @@ MAX_DEPTH = 400
 QUOTE_CHARS = 60
 
 
-def _tokenize(text):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ConfigError("expression %s: cannot tokenize at %r" % (_quote(text), rest[:20]))
-        pos = m.end()
-        if m.lastgroup == "num":
-            tokens.append(("num", float(m.group("num"))))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name")))
-        else:
-            op = m.group("op")
-            tokens.append(("op", "^" if op == "**" else op))
-    tokens.append(("end", None))
-    return tokens
+def _parse(text):
+    """The tuple tree of ``text``, read by ``ast.parse`` with ``^`` as ``**``."""
+    allowed = _CHARACTERS.match(text).end()
+    if allowed < len(text):
+        raise ConfigError("expression %s: unsupported character %r" % (_quote(text), text[allowed]))
+    if max(itertools.accumulate((c == "(") - (c == ")") for c in text), default=0) > MAX_NESTING:
+        raise ConfigError("expression %s is nested more than %d levels deep"
+                          % (_quote(text), MAX_NESTING))
+    # one line, so that a newline inside a JSON string still parses
+    source = _LEADING_ZEROS.sub("", " ".join(text.split()).replace("^", "**"))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "1if x": a SyntaxError, not a line on stderr
+            body = ast.parse(source, mode="eval").body
+    except SyntaxError as exc:
+        raise ConfigError("expression %s: %s" % (_quote(text), exc.msg)) from None
+    except (RecursionError, MemoryError):  # Python's parser gives up near 10^4 levels
+        height = MAX_DEPTH + 1
+    else:
+        height, level = 0, [body]
+        while level:  # level by level, without recursion
+            height += 1
+            level = [c for n in level for c in ast.iter_child_nodes(n) if isinstance(c, ast.expr)]
+    if height > MAX_DEPTH:
+        raise ConfigError("expression %s is more than %d operations deep"
+                          % (_quote(text), MAX_DEPTH))
+    return _translate(body, source, text)
 
 
-class _Parser:
-    """Precedence climbing over the tokens of ``text``.
-
-    ``depth`` counts the ``expr`` calls in progress: one for the whole text
-    and one more for each bracket, function argument, signed operand or
-    right-hand operand inside another.
-    """
-
-    def __init__(self, text):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.depth = 0
-
-    def error(self, problem):
-        return ConfigError("expression %s: %s" % (_quote(self.text), problem))
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, op):
-        kind, val = self.next()
-        if kind != "op" or val != op:
-            raise self.error("expected %r, found %r" % (op, val))
-
-    def parse(self):
-        node = self.expr(0)
-        kind, val = self.peek()
-        if kind != "end":
-            raise self.error("unexpected trailing input near %r" % (val,))
-        return node
-
-    def expr(self, min_prec):
-        """Operands joined by the operators that bind at least as tightly as ``min_prec``."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise ConfigError("expression %s is nested more than %d levels deep"
-                              % (_quote(self.text), MAX_NESTING))
-        node = self.operand()
-        while True:
-            kind, val = self.peek()
-            prec = _PRECEDENCE.get(val, -1) if kind == "op" else -1
-            if prec < min_prec:
-                break
-            self.next()
-            node = (val, node, self.expr(prec if val == "^" else prec + 1))
-        self.depth -= 1
-        return node
-
-    def operand(self):
-        kind, val = self.next()
-        if kind == "op" and val in ("-", "+"):
-            node = self.expr(_SIGN)
-            return ("neg", node) if val == "-" else node
-        if kind == "num":
-            return ("const", val)
-        if kind == "name":
-            k2, v2 = self.peek()
-            if k2 == "op" and v2 == "(":
-                if val not in _FUNCTIONS:
-                    raise self.error("unknown function %r" % val)
-                self.next()
-                arg = self.expr(0)
-                self.expect(")")  # every function takes one argument
-                return ("call", val, arg)
-            if val in _CONSTANTS:
-                return ("const", _CONSTANTS[val])
-            return ("var", val)
-        if kind == "op" and val == "(":
-            node = self.expr(0)
-            self.expect(")")
-            return node
-        raise self.error("unexpected end" if kind == "end" else "unexpected token %r" % (val,))
+def _translate(node, source, text):
+    """The tuple tree of the ``ast`` node ``node`` of ``source``, parsed from ``text``."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+        return (_OPERATORS[type(node.op)], _translate(node.left, source, text),
+                _translate(node.right, source, text))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        operand = _translate(node.operand, source, text)
+        return ("neg", operand) if isinstance(node.op, ast.USub) else operand
+    segment = source[node.col_offset:node.end_col_offset]
+    if isinstance(node, ast.Constant) and _DECIMAL.fullmatch(segment):
+        return ("const", float(segment))  # folded, so 1e400 is refused as inf
+    if isinstance(node, ast.Name):
+        return ("const", _CONSTANTS[node.id]) if node.id in _CONSTANTS else ("var", node.id)
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and len(node.args) == 1 and not node.keywords
+            and source.startswith(("(", " ("), node.func.end_col_offset)):  # not (sin)(x)
+        if node.func.id not in _FUNCTIONS:
+            raise ConfigError("expression %s: unknown function %r" % (_quote(text), node.func.id))
+        return ("call", node.func.id, _translate(node.args[0], source, text))
+    raise ConfigError("expression %s: unsupported syntax %r" % (_quote(text), segment[:20]))
 
 
 def _eval(node, env):
@@ -196,10 +148,11 @@ def _quote(text):
 def _fold(node, text):
     """``node`` with every variable-free subtree replaced by its value.
 
-    A constant part that divides by zero, overflows, or is not a finite real
-    number raises ``ConfigError`` naming the expression ``text``.
+    A constant part, a literal included, that divides by zero, overflows, or
+    is not a finite real number raises ``ConfigError`` naming the expression
+    ``text``.
     """
-    if node[0] in ("const", "var"):
+    if node[0] == "var":
         return node
     parts = []  # a loop, not a generator, so each tree level costs one frame
     for c in node:
@@ -223,15 +176,11 @@ class Expression:
 
     def __init__(self, text):
         self.text = text
-        tree = _Parser(text).parse()
-        height, level, names = 0, [tree], set()
-        while level:  # level by level, without recursion
-            height += 1
+        tree = _parse(text)
+        level, names = [tree], set()
+        while level:
             names.update(n[1] for n in level if n[0] == "var")
             level = [c for n in level for c in n[1:] if isinstance(c, tuple)]
-        if height > MAX_DEPTH:
-            raise ConfigError("expression %s is more than %d operations deep"
-                              % (_quote(text), MAX_DEPTH))
         self._ast = _fold(tree, text)  # folding keeps every variable
         self.variables = frozenset(names)
 

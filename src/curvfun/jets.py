@@ -113,6 +113,9 @@ class Jet2:
             return result
         return exp(log(self) * p)
 
+    def __rpow__(self, base):
+        return exp(self * log(base))
+
     # -- composition with scalar functions ---------------------------------
 
     def _compose(self, d0, d1, d2):

@@ -709,3 +709,36 @@ def test_deep_expression_within_bounds_runs(tmp_path, capsys, expression):
         code, out, _ = run(capsys, ["compute", "--no-timing"] + argv)
         assert code == 0
         assert math.isfinite(json.loads(out)["value"])
+
+
+@pytest.mark.parametrize("expression", ["1e400", "x1^1e400"])
+def test_literal_that_is_not_finite_exits_2_naming_it(tmp_path, capsys, expression):
+    # "1e400" used to exit 3, and "x1^1e400" to end in an OverflowError traceback
+    for argv in _deep_runs(tmp_path, expression):
+        code, out, err = run(capsys, ["compute", "--no-timing"] + argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("configuration error") and repr(expression) in err, err
+
+
+def test_constant_base_with_a_variable_exponent_runs(tmp_path, capsys):
+    # "2^x1" used to end in a TypeError traceback
+    values = []
+    for entry in ("2^x1", "exp(x1*log(2))"):
+        spec_file = _box_spec(tmp_path, [["1", "0"], ["0", entry]])
+        code, out, _ = run(capsys, ["compute", "--spec-file", spec_file, "--no-timing"])
+        assert code == 0
+        values.append(json.loads(out)["value"])
+    assert values[0] == values[1] != 0.0
+    for u in ("2^sin(x1)", "pi^cos(x2)"):
+        code, out, _ = run(capsys, ["compute", "--manifold", "taubes", "--grid", "3",
+                                    "--param", "u=" + u, "--no-timing"])
+        assert code == 0
+        assert math.isfinite(json.loads(out)["value"])
+
+
+def test_negative_base_with_a_variable_exponent_exits_3_naming_the_node(tmp_path, capsys):
+    spec_file = _box_spec(tmp_path, [["1", "0"], ["0", "(-2)^x1"]])
+    report = _failing_point(*run(capsys, ["compute", "--spec-file", spec_file, "--no-timing"]))
+    assert "non-finite value" in report["error"]

@@ -103,3 +103,15 @@ def test_pow_integer_exponent():
     assert out.value[0] == pytest.approx(1.7**5)
     assert out.grad[0, 0] == pytest.approx(5 * 1.7**4)
     assert out.hess[0, 0, 0] == pytest.approx(20 * 1.7**3)
+
+
+def test_constant_base_with_a_jet_exponent():
+    # 2 ** x used to raise TypeError: float has no power of a Jet2
+    pts = np.array([[0.3, -1.2], [1.7, 0.4]])
+    x, y = variables(pts)
+    out = 2.0 ** (x * y)
+    ref = exp(x * y * math.log(2.0))
+    assert np.allclose(out.value, ref.value, rtol=1e-15, atol=0)
+    assert np.allclose(out.grad, ref.grad, rtol=1e-15, atol=0)
+    assert np.allclose(out.hess, ref.hess, rtol=1e-15, atol=0)
+    assert out.grad[0] == pytest.approx(math.log(2.0) * 2.0 ** (0.3 * -1.2) * np.array([-1.2, 0.3]))
