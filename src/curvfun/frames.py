@@ -2,8 +2,9 @@
 
 Frames are stored row-wise: ``frame[i, :]`` holds the chart components of
 the i-th frame vector, so orthonormality reads ``frame @ g @ frame.T = I``.
-``gram_schmidt_frames`` builds one frame per point of a batch from one
-batched Cholesky factorization, which also checks positive definiteness.
+``gram_schmidt_frames`` builds the chart basis's frame at each point of a
+batch as the inverse of its metric's Cholesky factor; that one batched
+factorization also checks positive definiteness.
 
 ``haar_orthogonal`` is the package's one Haar sampler: the ``haar`` frame
 strategy and the ``gamma_mc`` estimator draw a block of nodes' rotations
@@ -28,20 +29,18 @@ __all__ = [
 RANK_TOL = 1e-10
 
 
-def gram_schmidt_frames(g, vectors):
-    """Orthonormalize each point's ``vectors`` (rows) against its metric.
+def gram_schmidt_frames(g):
+    """Orthonormalize each point's chart basis against its metric.
 
-    ``g`` and ``vectors`` are batches (p, n, n); a single point is a batch of
-    one.  Ascending Gram-Schmidt is L^-1 V for the Cholesky factor of the
-    Gram matrix V g V^T = L L^T (both are g-orthonormal and triangular in V
-    with a positive diagonal), and diag L holds its residual norms.  Raises
-    :class:`RankDeficientError` when the factorization fails (g is not
-    positive definite) or a residual norm falls below 1e-10.
+    ``g`` is a batch (p, n, n); a single point is a batch of one.  Ascending
+    Gram-Schmidt of the chart basis is L^-1 for the Cholesky factor g = L L^T
+    (both are g-orthonormal and lower triangular with a positive diagonal),
+    and diag L holds its residual norms.  Raises :class:`RankDeficientError`
+    when the factorization fails (g is not positive definite) or a residual
+    norm falls below 1e-10.
     """
-    g = np.asarray(g, dtype=float)
-    v = np.asarray(vectors, dtype=float)
     try:
-        chol = np.linalg.cholesky(v @ g @ np.swapaxes(v, 1, 2))
+        chol = np.linalg.cholesky(np.asarray(g, dtype=float))
     except np.linalg.LinAlgError:
         raise RankDeficientError("Gram-Schmidt: metric not positive definite") from None
     norms = np.diagonal(chol, axis1=1, axis2=2)
@@ -50,7 +49,7 @@ def gram_schmidt_frames(g, vectors):
         raise RankDeficientError("Gram-Schmidt residual below tolerance at vector %d"
                                  % np.argmin(ok))
     # inv goes through pivoted LU, which leaves rounding above the diagonal
-    return np.tril(np.linalg.inv(chol)) @ v
+    return np.tril(np.linalg.inv(chol))
 
 
 def rotate_frame(frame, i, j, angle):

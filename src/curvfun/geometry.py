@@ -349,7 +349,7 @@ def curvature_chunk(metric, points):
         return tuple(_block_diagonal(a, b) for a, b in parts)
     rows = _distinct_rows(points, metric.depends_on)
     g, riem = metric.jets(points if rows is None else points[rows[0]])
-    out = g, riem, gram_schmidt_frames(g, np.broadcast_to(np.eye(metric.dim), g.shape))
+    out = g, riem, gram_schmidt_frames(g)
     return out if rows is None else tuple(a[rows[1]] for a in out)
 
 
