@@ -6,13 +6,26 @@ with the warp composed with phi) leaves them as they are.  ``gamma_d``
 contracts the Gram-Schmidt frame of the chart basis, so it moves exactly
 when that frame turns.  Scaling g by lambda^2 in dimension 4 scales
 ``volume`` by lambda^4 and ``hilbert`` by lambda^2 and leaves ``gamma_d``
-and ``gbc`` as they are.
+and ``gbc`` as they are.  The round S^2 pulled back by theta = y + 0.3 sin 2y
+keeps its integrals too.
+
+The paper's sign claims: a curvature tensor 1/2 h (.) h (Kulkarni-Nomizu)
+with h positive semi-definite has K(u, v) = h(u,u) h(v,v) - h(u,v)^2 >= 0, and
+so has a sum of them.  Then k_d is >= 0 in every frame, so is every Monte
+Carlo sample of ``gamma_mc``, and in dimension 4 so is the GBC density
+(Milnor's observation, in S.-S. Chern, Abh. Math. Sem. Hamburg 20, 1955);
+in dimension 6 the last claim fails (Geroch; Klembeck, Proc. AMS 54, 1976).
 """
 
 import json
+import math
 
+import numpy as np
 import pytest
 
+from curvfun.frames import haar_orthogonal
+from curvfun.functionals import haar_pair_average, k_discrete, k_gbc
+from curvfun.geometry import plane_curvatures, sectional_from_riemann
 from curvfun.quadrature import integrate_functional
 from curvfun.zoo import load_manifold_file
 
@@ -86,3 +99,46 @@ def test_scaling_by_lambda_squared(charts):
     assert scaled["hilbert"] == pytest.approx(9 * base["hilbert"], rel=1e-12)
     assert scaled["gamma_d"] == pytest.approx(base["gamma_d"], rel=1e-12)
     assert abs(scaled["gbc"]) < 1e-14
+
+
+def test_sphere_pulled_back_by_a_stretch_of_the_polar_angle(tmp_path):
+    """theta = y + 0.3 sin 2y maps (0, pi) onto itself, so the integrals stay
+    those of the round S^2: volume 4 pi, chi = 2, hilbert 8 pi."""
+    spec = {"name": "s2-pullback",
+            "axes": [{"lo": 0, "hi": "pi", "n": 33},
+                     {"lo": 0, "hi": "2*pi", "n": 32, "periodic": True}],
+            "metric": [["(1 + 0.6*cos(2*x1))^2", "0"], ["0", "sin(x1 + 0.3*sin(2*x1))^2"]]}
+    path = tmp_path / "s2_pullback.json"
+    path.write_text(json.dumps(spec))
+    spec = load_manifold_file(str(path))
+    expected = {"volume": 4 * math.pi, "gbc": 2.0, "hilbert": 8 * math.pi, "gamma_d": 2.0}
+    for functional, value in expected.items():
+        measured = integrate_functional(spec.metric, spec.default_grid, functional).value
+        assert measured == pytest.approx(value, rel=1e-12), functional
+
+
+def _kulkarni_nomizu_sums(n, rng, points=20, terms=3):
+    """R(a, b, c, d) = sum of h(a,c) h(b,d) - h(a,d) h(b,c) over ``terms`` random
+    positive semi-definite h, for each of ``points`` points."""
+    a = rng.normal(size=(points, terms, n, n))
+    h = a @ np.swapaxes(a, -1, -2)
+    return np.einsum("ptac,ptbd->pabcd", h, h) - np.einsum("ptad,ptbc->pabcd", h, h)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_sign_claims_for_nonnegative_sectional_curvature(n):
+    rng = np.random.default_rng(40 + n)
+    riem = _kulkarni_nomizu_sums(n, rng)
+    npts = len(riem)
+    # the chart basis is orthonormal for g = I, and so is every Haar frame
+    k = sectional_from_riemann(riem, np.broadcast_to(np.eye(n), riem.shape[:3]))
+    assert np.all(k[:, ~np.eye(n, dtype=bool)] >= 0)
+    frames = haar_orthogonal(n, rng, npts * 200).reshape(npts, 200, n, n)
+    assert np.all(k_discrete(sectional_from_riemann(riem, frames[:, 0])) >= 0)
+    products = np.ones((npts, 200))
+    for j in range(0, n, 2):
+        products *= plane_curvatures(riem, frames[:, :, j], frames[:, :, j + 1])
+    assert np.all(products >= 0)  # every Monte Carlo sample of gamma_mc
+    assert np.all(haar_pair_average(riem, frames)[0] >= 0)
+    if n == 4:  # Milnor: the GBC density too, in dimension 4 only
+        assert np.all(k_gbc(riem) >= 0)
