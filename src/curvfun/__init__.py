@@ -50,7 +50,6 @@ from .functionals import (
     scalar_curvature,
 )
 from .geometry import (
-    EmbeddingMap,
     MetricField,
     curvature_batch,
     riemann_arrays,
@@ -85,7 +84,6 @@ __all__ = [
     "ChartSingularityError",
     # geometry
     "MetricField",
-    "EmbeddingMap",
     "riemann_arrays",
     "sectional_from_riemann",
     "curvature_batch",

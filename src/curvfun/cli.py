@@ -36,6 +36,7 @@ from .errors import (
 )
 from .frames import rotate_frame
 from .quadrature import (
+    DEFAULT_SAMPLES,
     FRAME_FREE,
     FUNCTIONALS,
     MAX_AXIS_NODES,
@@ -166,7 +167,7 @@ def _record(args, name, frame, grid):
 def cmd_compute(args):
     samples = args.samples
     if args.functional == "gamma_mc":
-        samples = 64 if samples is None else samples
+        samples = DEFAULT_SAMPLES if samples is None else samples
     elif samples is not None:
         raise ConfigError("--samples applies to --functional gamma_mc only")
     spec = _resolve_manifold(args)
@@ -339,7 +340,8 @@ def build_parser():
     pc = sub.add_parser("compute", help="evaluate one functional on one manifold")
     common(pc, FUNCTIONALS)
     pc.add_argument("--samples", type=int,
-                    help="Monte Carlo frame samples per node (gamma_mc only; default 64)")
+                    help="Monte Carlo frame samples per node (gamma_mc only; default %d)"
+                    % DEFAULT_SAMPLES)
     pc.add_argument("--frame", default="coordinate", choices=("coordinate", "rotated", "haar"))
     pc.add_argument("--rotate-plane", metavar="A,B", help="1-based frame indices")
     pc.add_argument("--rotate-angle", type=float, help="radians, --frame rotated only (default 0)")

@@ -9,9 +9,9 @@ has one route to it:
   (the general formula; exact on Fraction input);
 * an embedding: the Gauss equation, from the first and second
   derivatives of the embedding (:func:`_gauss_jets`);
-* a constant metric: R = 0;
-* a compact group's bi-invariant metric (:mod:`curvfun.liegroups`):
-  R = alpha.alpha / 4.
+* a constant (g, R), the same at every point: R = 0 for flat tori, and
+  R = alpha.alpha / 4 for a compact group's bi-invariant metric
+  (:mod:`curvfun.liegroups`).
 
 ``block_diagonal`` combines two metrics into a product.  Each metric
 declares ``depends_on``, the chart axes it reads; the integrator collapses
@@ -47,7 +47,6 @@ Index conventions, used consistently below:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -60,7 +59,6 @@ from .rationals import exact_inv
 
 __all__ = [
     "MetricField",
-    "EmbeddingMap",
     "christoffel_arrays",
     "riemann_arrays",
     "curvature_chunk",
@@ -75,9 +73,10 @@ SYMMETRY_TOL = 1e-12
 class MetricField:
     """A metric tensor field on a chart.
 
-    Use one of the constructors :meth:`from_entries`, :meth:`from_embedding`,
-    or :meth:`constant`.  ``dim`` is the chart dimension (even for all the
-    manifolds of interest, but the pipeline itself does not care).
+    Build one with :meth:`from_entries`, :meth:`from_embedding`,
+    :meth:`constant` or :meth:`block_diagonal`, never by calling the class.
+    ``dim`` is the chart dimension (even for all the manifolds of interest,
+    but the pipeline itself does not care).
 
     ``depends_on`` is the sorted tuple of chart axes (0-based) the metric
     reads; every axis unless a constructor is told otherwise.  The metric,
@@ -111,25 +110,27 @@ class MetricField:
         return cls(dim, partial(_entries_jets, entries, dim), provenance, depends_on)
 
     @classmethod
-    def constant(cls, matrix):
-        matrix = np.asarray(matrix, dtype=float)
-        dim = matrix.shape[0]
+    def constant(cls, matrix, riem=None):
+        """Metric ``matrix`` and Riemann tensor ``riem`` (zero if omitted) at every point."""
+        g = np.asarray(matrix, dtype=float)
+        riem = np.zeros(g.shape * 2) if riem is None else np.asarray(riem, dtype=float)
 
         def jets_fn(points):
-            npts = len(points)
-            return np.broadcast_to(matrix, (npts, dim, dim)).copy(), np.zeros((npts,) + (dim,) * 4)
+            return tuple(np.broadcast_to(a, (len(points),) + a.shape).copy() for a in (g, riem))
 
-        return cls(dim, jets_fn, "constant", depends_on=())
+        return cls(len(g), jets_fn, "constant", depends_on=())
 
     @classmethod
-    def from_embedding(cls, embedding, depends_on=None):
-        """First fundamental form of an :class:`EmbeddingMap`.
+    def from_embedding(cls, dim, components, depends_on=None):
+        """First fundamental form of a chart into Euclidean space.
 
+        ``components`` maps the list of ``dim`` jet variables to the list of
+        the embedding's components (jets or constants), one per ambient axis.
         ``depends_on`` lists the chart axes the induced metric reads; the
         embedding itself may still move along the others (a rotation axis).
         """
 
-        return cls(embedding.chart_dim, partial(_gauss_jets, embedding), "embedding", depends_on)
+        return cls(dim, partial(_gauss_jets, components), "embedding", depends_on)
 
     @classmethod
     def block_diagonal(cls, first, second):
@@ -195,20 +196,7 @@ def _assemble_matrix_jets(rows, points, dim):
     return g, dg, d2g
 
 
-@dataclass
-class EmbeddingMap:
-    """Chart into Euclidean space; the metric it induces is J^T J.
-
-    ``components`` maps the list of jet variables to a list of
-    ``ambient_dim`` jets (or constants).
-    """
-
-    chart_dim: int
-    ambient_dim: int
-    components: callable
-
-
-def _gauss_jets(embedding, points):
+def _gauss_jets(components, points):
     """``(g, riem)`` of an embedding by the Gauss equation, on float points.
 
     With Jacobian G and component Hessians H, g = G^T G; the normal part
@@ -219,13 +207,14 @@ def _gauss_jets(embedding, points):
     derivative of g.
     """
     npts, n = points.shape
-    m = embedding.ambient_dim
-    G = np.zeros((npts, m, n))
-    H = np.zeros((npts, m, n * n))
-    for a, c in enumerate(embedding.components(J.variables(points))):
+    comps = components(J.variables(points))
+    G = np.zeros((npts, len(comps), n))
+    H = np.zeros((npts, len(comps), n * n))
+    for a, c in enumerate(comps):
         if isinstance(c, J.Jet2):
             G[:, a, :] = c.grad
             H[:, a, :] = c.hess.reshape(npts, n * n)
+    del comps  # the jets' Hessians would otherwise stay alive through the solve
     Gt = np.swapaxes(G, 1, 2)
     g = Gt @ G
     hn = H - (G @ np.linalg.solve(g, Gt)) @ H

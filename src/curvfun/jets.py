@@ -136,7 +136,7 @@ class Jet2:
 def _invert_scalar(c):
     if isinstance(c, (int, Fraction)):
         return Fraction(1, 1) / c
-    return 1.0 / c
+    return np.float64(1.0) / c  # 1 / 0 is inf, as on an array, not ZeroDivisionError
 
 
 def _invert_array(v):

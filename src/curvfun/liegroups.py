@@ -8,9 +8,10 @@ of the group; the sectional curvature of the (e_i, e_j) plane is
 K_ij = |[e_i, e_j]|^2 / 4 = sum_k alpha[i, j, k]^2 / 4.
 
 :func:`biinvariant_metric` hands g = I and that tensor to the chart
-pipeline as a metric that reads no chart axis, and the catalog
-(:mod:`curvfun.zoo`) integrates it over a one-node chart weighted by
-``VOLUMES``: so4's Haar volume, and su3's paper convention pi^5.
+pipeline through ``MetricField.constant``, the constructor of flat tori
+too, so it reads no chart axis; the catalog (:mod:`curvfun.zoo`)
+integrates it over a one-node chart weighted by ``VOLUMES``: so4's Haar
+volume, and su3's paper convention pi^5.
 
 Built-ins:
 
@@ -108,26 +109,19 @@ def _brackets(basis):
 
 
 def biinvariant_metric(algebra):
-    """The bi-invariant metric of ``algebra`` as a :class:`MetricField`.
+    """The bi-invariant metric of ``algebra`` as a constant :class:`MetricField`.
 
-    It reads no chart axis (``depends_on`` is empty), and its ``jets`` are
-    g = I and R_ijkl = sum_m alpha_ijm alpha_klm / 4 at every point.
-    Raises :class:`NotBiInvariantError` unless alpha is totally
-    antisymmetric.
+    Its ``jets`` are g = I and R_ijkl = sum_m alpha_ijm alpha_klm / 4 at
+    every point, and it reads no chart axis.  Raises
+    :class:`NotBiInvariantError` unless alpha is totally antisymmetric.
     """
     alpha = algebra.alpha
     if np.max(np.abs(alpha + np.swapaxes(alpha, 1, 2))) > TOL:
         raise NotBiInvariantError(
             "structure constants are not totally antisymmetric; metric is not bi-invariant"
         )
-    n = algebra.dim
     riem = np.einsum("ijm,klm->ijkl", alpha, alpha) / 4.0
-    jets = np.eye(n), riem
-
-    def jets_fn(points):
-        return tuple(np.broadcast_to(a, (len(points),) + a.shape).copy() for a in jets)
-
-    return MetricField(n, jets_fn, "bi-invariant %s" % algebra.name, depends_on=())
+    return MetricField.constant(np.eye(algebra.dim), riem)
 
 
 # -- built-ins ----------------------------------------------------------------

@@ -99,6 +99,9 @@ FRAME_FREE = ("gbc", "hilbert", "volume")
 # Byte budget of one chunk's (rows, n, n, n, n) Riemann array (see _chunk_rows).
 CHUNK_BYTES = 2**21
 
+# Haar frame samples per node of ``gamma_mc`` unless the caller gives a count.
+DEFAULT_SAMPLES = 64
+
 # Byte budget of one block of ``gamma_mc`` Haar frames, (rows, samples, n, n)
 # floats: a chunk is drawn and contracted a block at a time.
 HAAR_BLOCK_BYTES = 2**20
@@ -352,7 +355,7 @@ def _factored_integral(metric, functional, grid, workers):
     return part(0, functional) * part(1, functional)
 
 
-def functional_density(metric, functional, frame="coordinate", seed=0, nsamples=64):
+def functional_density(metric, functional, frame="coordinate", seed=0, nsamples=DEFAULT_SAMPLES):
     """Build the pointwise density (including the volume element) to integrate.
 
     Only ``gamma_d`` reads ``frame``: "coordinate" (metric Gram-Schmidt of
@@ -405,7 +408,7 @@ def integrate_functional(
     functional="gamma_d",
     frame="coordinate",
     seed=0,
-    nsamples=64,
+    nsamples=DEFAULT_SAMPLES,
     workers=1,
     with_error_estimate=True,
 ):

@@ -1,11 +1,12 @@
 """Catalog of concrete manifolds: charts, metrics and oracles.
 
 Each entry is a :class:`ManifoldSpec` bundling a chart domain (a default
-quadrature grid), a metric source (closed-form entries, an embedding, or
+quadrature grid), a metric from ``MetricField``'s constructors (closed-form
+entries, an embedding's components, or a constant (g, R): a flat torus, or
 a compact group's bi-invariant metric on one node weighted by the group
 volume), and optional closed-form pointwise oracles (independent of the
-tensor pipeline, used to cross-check it).  The reference values these
-manifolds are checked against live in :mod:`curvfun.reproduce`.
+tensor pipeline).  CP^2 has no chart: its sectional tables contract its
+Fubini-Study tensor.  The reference values live in :mod:`curvfun.reproduce`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import liegroups as LG
 from .errors import BadDimensionError, ConfigError, NonOrthonormalFrameError
 from .expressions import parse_expression
 from .functionals import k_discrete
-from .geometry import SYMMETRY_TOL, EmbeddingMap, MetricField
+from .geometry import SYMMETRY_TOL, MetricField, sectional_from_riemann
 from .quadrature import MAX_AXIS_NODES, Axis, Grid, _grid_block
 
 __all__ = [
@@ -116,9 +117,8 @@ def ellipsoid_of_revolution(a, dim=4):
         raise BadDimensionError("ellipsoid_of_revolution supports dimensions 2, 4, 6")
     a = _semi_axis("a", a)
     scales = [a] + [1.0] * dim
-    emb = EmbeddingMap(chart_dim=dim, ambient_dim=dim + 1, components=_sphere_components(scales))
     # a surface of revolution about the first axis: the last angle is free
-    metric = MetricField.from_embedding(emb, depends_on=range(dim - 1))
+    metric = MetricField.from_embedding(dim, _sphere_components(scales), depends_on=range(dim - 1))
     d = dim // 2
     ns = {2: (33, 32), 4: (17, 17, 17, 16), 6: (7, 7, 7, 7, 7, 6)}[dim]
     grid = _polar_grid(list(ns))
@@ -181,20 +181,11 @@ def general_4_ellipsoid(axes):
     if len(axes) != 5:
         raise ConfigError("need five semi-axes, got %d" % len(axes))
     axes = [_semi_axis("a%d" % (k + 1), v) for k, v in enumerate(axes)]
-    emb = EmbeddingMap(chart_dim=4, ambient_dim=5, components=_sphere_components(axes))
-    grid = Grid(
-        (
-            Axis(0.0, math.pi, 5),
-            Axis(0.0, math.pi, 5),
-            Axis(0.0, math.pi, 5),
-            Axis(0.0, TWO_PI, 5, periodic=True),
-        )
-    )
     return ManifoldSpec(
         name="e4gen",
         dim=4,
-        metric=MetricField.from_embedding(emb),
-        default_grid=grid,
+        metric=MetricField.from_embedding(4, _sphere_components(axes)),
+        default_grid=_polar_grid([5] * 4),
         notes="smoke-scale default grid; full-resolution runs are out of desk scope",
     )
 
@@ -210,8 +201,6 @@ def two_ellipsoid(a=1.0, b=2.0, c=3.0):
             c * J.cos(v[0]),
         ]
 
-    emb = EmbeddingMap(chart_dim=2, ambient_dim=3, components=components)
-
     def k_d_density(points):
         phi, th = points[:, 0], points[:, 1]
         x = a * np.sin(phi) * np.cos(th)
@@ -225,7 +214,7 @@ def two_ellipsoid(a=1.0, b=2.0, c=3.0):
     return ManifoldSpec(
         name="e2",
         dim=2,
-        metric=MetricField.from_embedding(emb),
+        metric=MetricField.from_embedding(2, components),
         default_grid=grid,
         oracles={"k_d": k_d_density},
     )
@@ -251,7 +240,6 @@ def rp2():
         z = J.cos(s)
         return [x * x, y * y, z * z, r2 * x * y, r2 * x * z, r2 * y * z]
 
-    emb = EmbeddingMap(chart_dim=2, ambient_dim=6, components=components)
     grid = Grid((Axis(0.0, math.pi, 32, periodic=True), Axis(0.0, math.pi, 33)))
 
     def k_d_density(points):
@@ -260,7 +248,7 @@ def rp2():
     return ManifoldSpec(
         name="rp2",
         dim=2,
-        metric=MetricField.from_embedding(emb, depends_on=(1,)),
+        metric=MetricField.from_embedding(2, components, depends_on=(1,)),
         default_grid=grid,
         oracles={"k_d": k_d_density},
         notes="metric is t-independent, so the t-axis may be treated as periodic "
@@ -426,7 +414,7 @@ def compact_group(algebra):
 # -- local patches ---------------------------------------------------------------
 
 
-def klembeck_patch(half_width=0.2, n_per_axis=3):
+def klembeck_patch():
     """Six-dimensional polynomial metric patch, identity at the origin.
 
     The metric entries are quadratic polynomials, so hyper-dual second
@@ -449,12 +437,11 @@ def klembeck_patch(half_width=0.2, n_per_axis=3):
         ]
 
     metric = MetricField.from_entries(6, entries, provenance="polynomial patch")
-    grid = Grid(tuple(Axis(-half_width, half_width, n_per_axis) for _ in range(6)))
     return ManifoldSpec(
         name="klembeck",
         dim=6,
         metric=metric,
-        default_grid=grid,
+        default_grid=Grid((Axis(-0.2, 0.2, 3),) * 6),
         notes="local patch only; gamma over the box is not a topological quantity",
     )
 
@@ -468,11 +455,9 @@ def _sphere_spec_any_dim(dim, n_nodes):
         metric = MetricField.constant(np.eye(1))
         grid = Grid((Axis(0.0, TWO_PI, n_nodes, periodic=True),))
         return ManifoldSpec(name="s1", dim=1, metric=metric, default_grid=grid)
-    scales = [1.0] * (dim + 1)
-    emb = EmbeddingMap(chart_dim=dim, ambient_dim=dim + 1, components=_sphere_components(scales))
-    ns = [n_nodes] * (dim - 1) + [n_nodes]
-    grid = _polar_grid(ns)
-    metric = MetricField.from_embedding(emb, depends_on=range(dim - 1))
+    grid = _polar_grid([n_nodes] * dim)
+    components = _sphere_components([1.0] * (dim + 1))
+    metric = MetricField.from_embedding(dim, components, depends_on=range(dim - 1))
     return ManifoldSpec(name="s%d" % dim, dim=dim, metric=metric, default_grid=grid)
 
 
@@ -520,7 +505,7 @@ def e2xe2():
     return product(a, b, name="e2xe2")
 
 
-# -- CP^2 (direct sectional source) ----------------------------------------------
+# -- CP^2 (the Fubini-Study tensor at a point) -----------------------------------
 
 # complex structure on R^4 = C^2, coordinates (re z1, im z1, re z2, im z2)
 CP2_J = np.array(
@@ -533,32 +518,38 @@ CP2_J = np.array(
 )
 
 
+def _cp2_riemann():
+    """The Fubini-Study Riemann tensor of CP^2 at a point, as int64 in an orthonormal basis.
+
+    Holomorphic sectional curvature 4 (Kobayashi and Nomizu, *Foundations of
+    Differential Geometry* II, ch. IX): R_abcd = d_ac d_bd - d_ad d_bc
+    + J_ac J_bd - J_ad J_bc + 2 J_ab J_cd, so R(u, v, u, v) is
+    |u ^ v|^2 + 3 <Ju, v>^2.
+    """
+    j = CP2_J.astype(np.int64)
+    delta = np.eye(4, dtype=np.int64)
+    pairs = np.einsum("ac,bd->abcd", delta, delta) + np.einsum("ac,bd->abcd", j, j)
+    return pairs - pairs.swapaxes(2, 3) + 2 * np.einsum("ab,cd->abcd", j, j)
+
+
 def cp2_sectional_exact(rows):
     """Exact rational CP^2 sectional matrix from integer frame rows.
 
     ``rows`` are four pairwise-orthogonal integer (or rational) vectors;
     normalization is handled by dividing by the squared lengths, so inputs
     like (1, 0, 1, 0) stand for the unit vector along that direction.
+    K_ij = R(f_i, f_j, f_i, f_j) / (|f_i|^2 |f_j|^2) from :func:`_cp2_riemann`.
     """
-    f = [[Fraction(v) for v in row] for row in rows]
-    jmat = [[Fraction(v) for v in row] for row in CP2_J]
-    norms = [sum(x * x for x in row) for row in f]
+    f = np.array([[v if type(v) is int else Fraction(v) for v in r] for r in rows], dtype=object)
+    gram = f @ f.T
+    norms = gram.diagonal()
     if any(n == 0 for n in norms):
         raise NonOrthonormalFrameError("zero frame vector")
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if sum(f[i][a] * f[j][a] for a in range(4)) != 0:
-                raise NonOrthonormalFrameError("frame rows %d, %d not orthogonal" % (i, j))
-    k = np.zeros((4, 4), dtype=object)
-    k[...] = Fraction(0)
-    for i in range(4):
-        ji = [sum(jmat[a][b] * f[i][b] for b in range(4)) for a in range(4)]
-        for j in range(4):
-            if i == j:
-                continue
-            pair = sum(ji[a] * f[j][a] for a in range(4))
-            k[i, j] = 1 + 3 * pair * pair / (norms[i] * norms[j])
-    return k
+    for i, j in zip(*np.triu_indices(4, 1)):
+        if gram[i, j] != 0:
+            raise NonOrthonormalFrameError("frame rows %d, %d not orthogonal" % (i, j))
+    k = sectional_from_riemann(_cp2_riemann()[None], f[None])[0]
+    return np.frompyfunc(Fraction, 2, 1)(k, np.outer(norms, norms))
 
 
 # -- registry and user spec files -------------------------------------------------

@@ -13,11 +13,14 @@ metric through the general Riemann formula instead of from the Gauss
 equation, a product's curvature from its padded full-dimensional jets
 instead of from its factors, a product's coordinate-frame density from its
 assembled full-dimensional chunk instead of from its factors' densities,
-and a Lie group's curvature in a rotated frame from its rotated structure
-constants instead of from the frame contraction.
+a Lie group's curvature in a rotated frame from its rotated structure
+constants instead of from the frame contraction, and CP^2's sectional
+matrix from K = 1 + 3 <Ju, v>^2 / (|u|^2 |v|^2), written out in loops,
+instead of from its Fubini-Study tensor.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -35,6 +38,7 @@ from curvfun.geometry import (
     sectional_from_riemann,
 )
 from curvfun.jets import Jet2, variables
+from curvfun.zoo import CP2_J
 
 
 def finite_difference_jet(f, x, h=1e-5):
@@ -211,8 +215,8 @@ def check_orthonormal(g, frame, tol=1e-8):
     return float(err)
 
 
-def induced_metric_jets(embedding, points):
-    """``(g, dg, d2g)`` of the metric G^T G an embedding induces.
+def induced_metric_jets(components, points):
+    """``(g, dg, d2g)`` of the metric G^T G an embedding's ``components`` induce.
 
     G and H are the Jacobian and the Hessians of the components.  ``d2g``
     is ``<H_ik, H_jl> + <H_il, H_jk>``: it leaves out the terms with third
@@ -221,10 +225,10 @@ def induced_metric_jets(embedding, points):
     the true Riemann tensor.
     """
     npts, n = points.shape
-    m = embedding.ambient_dim
-    G = np.zeros((npts, m, n))
-    H = np.zeros((npts, m, n, n))
-    for a, c in enumerate(embedding.components(variables(points))):
+    comps = components(variables(points))
+    G = np.zeros((npts, len(comps), n))
+    H = np.zeros((npts, len(comps), n, n))
+    for a, c in enumerate(comps):
         if isinstance(c, Jet2):
             G[:, a, :] = c.grad
             H[:, a, :, :] = c.hess
@@ -296,6 +300,33 @@ def block_density(metric, functional, points):
         return k_gbc(riemann_in_frame(riem, base)) * vol
     k = sectional_from_riemann(riem, base)
     return (k_discrete(k) if functional == "gamma_d" else scalar_curvature(k)) * vol
+
+
+def cp2_sectional_loop(rows):
+    """CP^2's exact sectional matrix of the frame ``rows``, by K = 1 + 3 <Ju, v>^2.
+
+    ``rows`` are four pairwise-orthogonal integer (or rational) vectors,
+    each standing for its unit vector; every entry is a ``Fraction``.
+    """
+    f = [[Fraction(v) for v in row] for row in rows]
+    jmat = [[Fraction(v) for v in row] for row in CP2_J]
+    norms = [sum(x * x for x in row) for row in f]
+    if any(n == 0 for n in norms):
+        raise NonOrthonormalFrameError("zero frame vector")
+    for i in range(4):
+        for j in range(i + 1, 4):
+            if sum(f[i][a] * f[j][a] for a in range(4)) != 0:
+                raise NonOrthonormalFrameError("frame rows %d, %d not orthogonal" % (i, j))
+    k = np.zeros((4, 4), dtype=object)
+    k[...] = Fraction(0)
+    for i in range(4):
+        ji = [sum(jmat[a][b] * f[i][b] for b in range(4)) for a in range(4)]
+        for j in range(4):
+            if i == j:
+                continue
+            pair = sum(ji[a] * f[j][a] for a in range(4))
+            k[i, j] = 1 + 3 * pair * pair / (norms[i] * norms[j])
+    return k
 
 
 def rotated_structure_constants(alpha, q):

@@ -641,6 +641,23 @@ def test_node_dependent_expression_failure_still_exits_3_naming_the_node(capsys)
     assert len(json.loads(err)["failing_point"]) == 4
 
 
+@pytest.mark.parametrize("u", ["x1/0", "x1/(1-1)"])
+def test_jet_divided_by_a_constant_zero_exits_3_naming_the_node(capsys, u):
+    code, out, err = run(capsys, ["compute", "--manifold", "taubes", "--grid", "5",
+                                  "--param", "u=" + u, "--no-timing"])
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert len(json.loads(err)["failing_point"]) == 4
+
+
+def test_spec_entry_divided_by_zero_exits_3_naming_the_node(tmp_path, capsys):
+    p = _box_spec(tmp_path, [["1+x1/0", "0"], ["0", "1"]])
+    code, out, err = run(capsys, ["compute", "--spec-file", p, "--no-timing"])
+    assert len(err.splitlines()) == 1
+    _failing_point(code, out, err)
+
+
 @pytest.mark.parametrize("name", MANIFOLD_NAMES)
 def test_every_catalog_name_computes(capsys, name):
     code, out, _ = run(capsys, ["compute", "--manifold", name, "--no-timing", "--grid", "2"])

@@ -8,7 +8,6 @@ import pytest
 
 from curvfun.errors import ChartSingularityError
 from curvfun.geometry import (
-    EmbeddingMap,
     MetricField,
     christoffel_arrays,
     curvature_batch,
@@ -131,12 +130,21 @@ def test_constant_metric_is_flat():
     assert np.max(np.abs(riem[0])) == 0.0
 
 
+def test_constant_metric_returns_its_riemann_tensor_bit_for_bit():
+    rng = np.random.default_rng(4)
+    g0, riem = np.diag([2.0, 0.5, 3.0]), rng.standard_normal((3, 3, 3, 3))
+    m = MetricField.constant(g0, riem)
+    assert m.depends_on == ()
+    g, r = m.jets(rng.uniform(size=(5, 3)))
+    assert all(np.array_equal(a, g0) for a in g)
+    assert all(np.array_equal(a, riem) for a in r)
+
+
 def test_induced_metric_matches_polar_sphere():
     def components(v):
         return [sin(v[0]) * cos(v[1]), sin(v[0]) * sin(v[1]), cos(v[0])]
 
-    emb = EmbeddingMap(chart_dim=2, ambient_dim=3, components=components)
-    m = MetricField.from_embedding(emb)
+    m = MetricField.from_embedding(2, components)
     ref = sphere_metric()
     pts = np.array([[0.7, 0.3], [1.4, 2.0], [2.4, 4.4]])
     ga, _ = m.jets(pts)
@@ -196,11 +204,11 @@ def test_degenerate_embedding_rejected():
     def components(v):
         return [v[0], v[0], 0 * v[0]]
 
-    emb = EmbeddingMap(chart_dim=2, ambient_dim=3, components=components)
     # the grid's first node is (0.3, 0.4); every node is degenerate
     grid = Grid((Axis(0.2, 0.6, 2, periodic=True), Axis(0.3, 0.5, 1, periodic=True)))
     with pytest.raises(ChartSingularityError) as err:
-        integrate_functional(MetricField.from_embedding(emb), grid, with_error_estimate=False)
+        integrate_functional(MetricField.from_embedding(2, components), grid,
+                             with_error_estimate=False)
     assert err.value.point == pytest.approx([0.3, 0.4])
 
 

@@ -83,6 +83,17 @@ def test_every_exported_name_resolves():
     assert stale == []
 
 
+def test_metric_fields_come_from_geometry_constructors():
+    """No module builds a ``MetricField(...)`` itself: each metric source reaches
+    (g, R) through one of geometry's constructors."""
+    calls = ["%s:%d" % (path.name, node.lineno)
+             for path in sorted((ROOT / "src" / "curvfun").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Call)
+             and "MetricField" in (getattr(node.func, a, None) for a in ("id", "attr"))]
+    assert calls == []
+
+
 def _names_read(path):
     """Every name ``path`` reads, as a bare ``Name`` or as an ``Attribute``."""
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):

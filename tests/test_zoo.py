@@ -2,16 +2,20 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from curvfun.errors import ConfigError
 from curvfun.functionals import k_discrete, k_gbc
-from curvfun.geometry import curvature_batch, riemann_in_frame
+from curvfun.geometry import curvature_batch, plane_curvatures, riemann_in_frame
 from curvfun.quadrature import integrate_functional
 from curvfun.zoo import (
+    CP2_J,
     MANIFOLD_NAMES,
+    _cp2_riemann,
+    cp2_sectional_exact,
     e2xe2,
     load_manifold_file,
     manifold_by_name,
@@ -19,7 +23,7 @@ from curvfun.zoo import (
     two_ellipsoid,
 )
 
-from oracles import padded_jets
+from oracles import cp2_sectional_loop, padded_jets
 
 ORACLE_SPECS = [
     "s2",
@@ -251,10 +255,84 @@ def test_expression_errors_are_config_errors(tmp_path, build):
 
 def test_cp2_exact_sectional_requires_orthogonal_rows():
     from curvfun.errors import NonOrthonormalFrameError
-    from curvfun.zoo import cp2_sectional_exact
 
     with pytest.raises(NonOrthonormalFrameError):
         cp2_sectional_exact([[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+
+
+PAPER_CP2_FRAMES = [
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    [[1, 0, 1, 0], [0, 1, 0, 0], [1, 0, -1, 0], [0, 0, 0, 1]],
+]
+
+
+def _quaternion_left(a, b, c, d):
+    return np.array([[a, -b, -c, -d], [b, a, -d, c], [c, d, a, -b], [d, -c, b, a]])
+
+
+def _quaternion_right(a, b, c, d):
+    return np.array([[a, -b, -c, -d], [b, a, d, -c], [c, -d, a, b], [d, c, -b, a]])
+
+
+def _integer_orthogonal_frames(count, seed):
+    """``count`` integer frames with pairwise orthogonal rows of equal length.
+
+    Each is L(p) R(q) for random integer quaternions p and q (left and right
+    multiplication; every rational rotation of R^4 has this form), its rows
+    permuted and their signs flipped at random.
+    """
+    rng = np.random.default_rng(seed)
+    frames = []
+    while len(frames) < count:
+        p, q = rng.integers(-3, 4, size=(2, 4))
+        if not (p.any() and q.any()):
+            continue
+        m = _quaternion_left(*p) @ _quaternion_right(*q)
+        frames.append((m[rng.permutation(4)] * rng.choice([-1, 1], size=(4, 1))).tolist())
+    return frames
+
+
+def _assert_same_table(rows):
+    k = cp2_sectional_exact(rows)
+    assert all(type(x) is Fraction for x in k.ravel())
+    assert k.tolist() == cp2_sectional_loop(rows).tolist()
+
+
+@pytest.mark.parametrize("rows", PAPER_CP2_FRAMES, ids=["standard", "rotated"])
+def test_cp2_table_matches_the_loop_on_the_paper_frames(rows):
+    _assert_same_table(rows)
+
+
+def test_cp2_table_matches_the_loop_on_random_integer_frames():
+    frames = _integer_orthogonal_frames(320, seed=33)
+    assert len({str(cp2_sectional_loop(rows).tolist()) for rows in frames}) > 10
+    for rows in frames:
+        _assert_same_table(rows)
+
+
+def test_cp2_table_matches_the_loop_on_fraction_and_float_rows():
+    for rows in PAPER_CP2_FRAMES + _integer_orthogonal_frames(20, seed=3):
+        _assert_same_table([[Fraction(v, k + 2) for v in row] for k, row in enumerate(rows)])
+        _assert_same_table([[0.5 * v for v in row] for row in rows])
+        _assert_same_table([rows[0], [0.25 * v for v in rows[1]]] + rows[2:])
+
+
+def test_cp2_riemann_has_the_curvature_symmetries():
+    r = _cp2_riemann()
+    assert r.dtype == np.int64
+    assert np.array_equal(r, -r.transpose(1, 0, 2, 3))
+    assert np.array_equal(r, -r.transpose(0, 1, 3, 2))
+    assert np.array_equal(r, r.transpose(2, 3, 0, 1))
+    bianchi = r + np.einsum("acdb->abcd", r) + np.einsum("adbc->abcd", r)
+    assert not bianchi.any()
+
+
+def test_cp2_holomorphic_sectional_curvature_is_4():
+    u = np.random.default_rng(8).integers(-5, 6, size=(200, 4))
+    u = u[u.any(axis=1)]
+    ju = u @ CP2_J.T.astype(np.int64)
+    k = plane_curvatures(_cp2_riemann()[None], u[None], ju[None])[0]
+    assert np.array_equal(k, 4 * np.sum(u * u, axis=1) ** 2)  # K(u, Ju) |u|^2 |Ju|^2
 
 
 def test_product_k_d_is_the_product_of_factor_k_d():
