@@ -1,9 +1,9 @@
 """Command-line interface: compute functionals, sweep frames, reproduce cases.
 
 Exit codes: 0 success; 2 configuration error (bad flags, unknown names,
-malformed spec files); 3 numerical failure during evaluation, with the
-failing chart point in the report; 4 reproduction run with at least one
-non-documented failing reference.
+malformed spec files); 3 any other domain failure, reported as one JSON
+line on stderr with the failing chart point when a node failed; 4
+reproduction run with at least one non-documented failing reference.
 
 Each command returns its record and exit code; one writer stamps the
 record and emits it as JSON (sorted keys), CSV (fixed column order), or
@@ -27,13 +27,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import (
-    ChartSingularityError,
-    ConfigError,
-    CurvfunError,
-    NonFiniteError,
-    SingularMetricError,
-)
+from .errors import ConfigError, CurvfunError, NonFiniteError
 from .frames import rotate_frame
 from .quadrature import (
     DEFAULT_SAMPLES,
@@ -378,15 +372,11 @@ def main(argv=None):
     except (ConfigError, ValueError) as e:
         print("configuration error: %s" % e, file=sys.stderr)
         return 2
-    except ChartSingularityError as e:
-        report = {"error": str(e), "failing_point": list(map(float, e.point))}
-        print(json.dumps(report, sort_keys=True), file=sys.stderr)
-        return 3
-    except (NonFiniteError, SingularMetricError) as e:
-        print(json.dumps({"error": str(e)}, sort_keys=True), file=sys.stderr)
-        return 3
     except CurvfunError as e:
-        print("error: %s" % e, file=sys.stderr)
+        report = {"error": str(e)}
+        if getattr(e, "point", None) is not None:
+            report["failing_point"] = list(map(float, e.point))
+        print(json.dumps(report, sort_keys=True), file=sys.stderr)
         return 3
 
 

@@ -43,6 +43,7 @@ __all__ = [
     "determinant_and_green_sum",
     "transported_index",
     "random_graph",
+    "random_whitney",
     "random_corpus",
 ]
 
@@ -86,12 +87,6 @@ class SimplicialComplex:
 
     def __contains__(self, s):
         return tuple(sorted(s)) in self._index
-
-    def __eq__(self, other):
-        return isinstance(other, SimplicialComplex) and self.simplices == other.simplices
-
-    def __hash__(self):
-        return hash(self.simplices)
 
     def induced(self, vertex_subset):
         """Subcomplex of simplices entirely inside the vertex subset."""
@@ -238,19 +233,21 @@ def random_graph(n, p, rng):
     return vertices, edges
 
 
-def random_corpus(count, seed, n_range=(4, 8), ps=(0.3, 0.5, 0.7)):
-    """Whitney complexes of random graphs; deterministic for a given seed."""
+def random_whitney(rng):
+    """Whitney complex of G(n, p), n drawn from 4..8 and then p from 0.3, 0.5, 0.7."""
+    n = int(rng.integers(4, 9))
+    p = (0.3, 0.5, 0.7)[int(rng.integers(0, 3))]
+    return whitney_complex(*random_graph(n, p, rng))
+
+
+def random_corpus(count, seed):
+    """``count`` draws of :func:`random_whitney`; deterministic for a given seed."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    out = []
-    while len(out) < count:
-        n = int(rng.integers(n_range[0], n_range[1] + 1))
-        p = ps[int(rng.integers(0, len(ps)))]
-        out.append(whitney_complex(*random_graph(n, p, rng)))
-    return out
+    return [random_whitney(rng) for _ in range(count)]
 
 
-def random_energy(complex_, rng, lo=-3, hi=3, signs_only=False):
-    """Random nonzero integer energy per simplex (or +-1 when signs_only)."""
+def random_energy(complex_, rng, signs_only=False):
+    """Random nonzero integer energy in -3..3 per simplex (or +-1 when signs_only)."""
     h = {}
     for s in complex_.simplices:
         if signs_only:
@@ -258,6 +255,6 @@ def random_energy(complex_, rng, lo=-3, hi=3, signs_only=False):
         else:
             v = 0
             while v == 0:
-                v = int(rng.integers(lo, hi + 1))
+                v = int(rng.integers(-3, 4))
             h[s] = v
     return h

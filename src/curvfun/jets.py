@@ -55,10 +55,6 @@ class Jet2:
         self.grad = grad
         self.hess = hess
 
-    @property
-    def nvars(self):
-        return self.grad.shape[1]
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
@@ -130,7 +126,7 @@ class Jet2:
         return self._compose(inv, -inv2, 2 * inv2 * inv)
 
     def __repr__(self):
-        return "%s(npoints=%d, nvars=%d)" % (type(self).__name__, len(self.value), self.nvars)
+        return "%s(npoints=%d, nvars=%d)" % (type(self).__name__, *self.grad.shape)
 
 
 def _invert_scalar(c):

@@ -109,12 +109,15 @@ HAAR_BLOCK_BYTES = 2**20
 # Ceilings on what a run may ask for, so that an oversized request is a
 # configuration error before anything is allocated: Gauss-Legendre nodes per
 # axis (leggauss's n x n companion matrix stays within 8 MiB), Monte Carlo
-# samples per node, the nodes of an evaluated grid (after the collapse), and
-# worker threads (the pool starts one per queued chunk, up to this many).
+# samples per node, the nodes of an evaluated grid (after the collapse),
+# worker threads (the pool starts one per queued chunk, up to this many), and
+# a spec file's axes (k_d's matching index has (n-1)!! rows: 10,395 at n = 12,
+# 2,027,025 at n = 16).
 MAX_AXIS_NODES = 1024
 MAX_SAMPLES = 65536
 MAX_NODES = 2**22
 MAX_WORKERS = 256
+MAX_DIM = 12
 
 # A density raising one of these fails at a node, which the integrator locates.
 _NODE_FAILURES = (NonFiniteError, SingularMetricError, RankDeficientError, np.linalg.LinAlgError)
@@ -298,15 +301,15 @@ def integrate(density, grid, workers=1):
     return value, stderr
 
 
-def _haar_node_frames(base, node_idx, seed, count=None):
-    """Haar rotations of each node's base frame, (P, count, n, n) or (P, n, n).
+def _haar_node_frames(base, node_idx, seed, count):
+    """Haar rotations of each node's base frame, (P, count, n, n).
 
     Node ``node_idx[row]`` draws from its own ``point_rng(seed, node)``
     stream, so the frames do not depend on chunking or worker count; one
     batched Gram-Schmidt and one matmul serve the whole batch.
     """
     rngs = (point_rng(seed, int(ni)) for ni in node_idx)
-    return haar_orthogonal(base.shape[1], rngs, count) @ (base if count is None else base[:, None])
+    return haar_orthogonal(base.shape[1], rngs, count) @ base[:, None]
 
 
 def _haar_pair_density(riem, base, node_idx, seed, nsamples):
@@ -394,7 +397,7 @@ def functional_density(metric, functional, frame="coordinate", seed=0, nsamples=
             return vals * vol, stderrs * vol
         if isinstance(frame, str):
             frames = (base if frame == "coordinate"
-                      else _haar_node_frames(base, node_idx, seed))
+                      else _haar_node_frames(base, node_idx, seed, 1)[:, 0])
         else:
             frames = np.einsum("ia,pab->pib", np.asarray(frame, dtype=float), base)
         return k_discrete(sectional_from_riemann(riem, frames)) * vol, None

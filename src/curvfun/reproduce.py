@@ -54,16 +54,7 @@ class CheckResult:
     note: str = ""
 
     def to_record(self):
-        return {
-            "case": self.case,
-            "quantity": self.quantity,
-            "expected": _jsonable(self.expected),
-            "measured": _jsonable(self.measured),
-            "tolerance": _jsonable(self.tolerance),
-            "source": self.source,
-            "verdict": self.verdict,
-            "note": self.note,
-        }
+        return {k: _jsonable(v) for k, v in vars(self).items()}
 
 
 def _jsonable(v):
@@ -337,9 +328,7 @@ def _case_discrete(workers):
     rng = np.random.Generator(np.random.PCG64(17))
     bad_ph = 0
     for _ in range(200):
-        n = int(rng.integers(4, 9))
-        p = (0.3, 0.5, 0.7)[int(rng.integers(0, 3))]
-        K = D.whitney_complex(*D.random_graph(n, p, rng))
+        K = D.random_whitney(rng)
         if not K.vertices:
             continue
         f = {v: float(x) for v, x in zip(K.vertices, rng.permutation(len(K.vertices)))}

@@ -12,6 +12,7 @@ Fubini-Study tensor.  The reference values live in :mod:`curvfun.reproduce`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from .errors import BadDimensionError, ConfigError, NonOrthonormalFrameError
 from .expressions import parse_expression
 from .functionals import k_discrete
 from .geometry import SYMMETRY_TOL, MetricField, sectional_from_riemann
-from .quadrature import MAX_AXIS_NODES, Axis, Grid, _grid_block
+from .quadrature import MAX_AXIS_NODES, MAX_DIM, Axis, Grid, _grid_block
 
 __all__ = [
     "ManifoldSpec",
@@ -53,11 +54,14 @@ class ManifoldSpec:
     """A chart-based manifold ready for the curvature pipeline."""
 
     name: str
-    dim: int
     metric: MetricField
     default_grid: Grid
     oracles: dict = field(default_factory=dict)
     notes: str = ""
+
+    @property
+    def dim(self):
+        return self.metric.dim
 
     def interior_points(self, count, seed):
         """Uniform random points strictly inside the chart box (for tests)."""
@@ -145,7 +149,6 @@ def ellipsoid_of_revolution(a, dim=4):
     name = "s%d" % dim if a == 1.0 else "e%d(a=%g)" % (dim, a)
     return ManifoldSpec(
         name=name,
-        dim=dim,
         metric=metric,
         default_grid=grid,
         oracles={"k_d": k_d_density, "dV": dv_density},
@@ -183,7 +186,6 @@ def general_4_ellipsoid(axes):
     axes = [_semi_axis("a%d" % (k + 1), v) for k, v in enumerate(axes)]
     return ManifoldSpec(
         name="e4gen",
-        dim=4,
         metric=MetricField.from_embedding(4, _sphere_components(axes)),
         default_grid=_polar_grid([5] * 4),
         notes="smoke-scale default grid; full-resolution runs are out of desk scope",
@@ -213,7 +215,6 @@ def two_ellipsoid(a=1.0, b=2.0, c=3.0):
     grid = _polar_grid([48, 48])
     return ManifoldSpec(
         name="e2",
-        dim=2,
         metric=MetricField.from_embedding(2, components),
         default_grid=grid,
         oracles={"k_d": k_d_density},
@@ -247,7 +248,6 @@ def rp2():
 
     return ManifoldSpec(
         name="rp2",
-        dim=2,
         metric=MetricField.from_embedding(2, components, depends_on=(1,)),
         default_grid=grid,
         oracles={"k_d": k_d_density},
@@ -341,7 +341,6 @@ def taubes_torus(u="cos(x2) + cos(x1)"):
 
     return ManifoldSpec(
         name="taubes",
-        dim=4,
         metric=metric,
         default_grid=grid,
         oracles={
@@ -366,7 +365,6 @@ def extended_torus(u="cos(x2) + cos(x1)", v="0"):
     grid = _torus_grid(17)
     return ManifoldSpec(
         name="extended",
-        dim=4,
         metric=metric,
         default_grid=grid,
         notes="numerical-evaluation example; no closed-form density is published",
@@ -379,7 +377,6 @@ def flat_torus(dim=4):
     grid = Grid(tuple(Axis(0.0, TWO_PI, 5, periodic=True) for _ in range(dim)))
     return ManifoldSpec(
         name="flat%d" % dim,
-        dim=dim,
         metric=metric,
         default_grid=grid,
     )
@@ -402,7 +399,6 @@ def compact_group(algebra):
     density = float(k_discrete(algebra.k_exact[None])[0])
     return ManifoldSpec(
         name=algebra.name,
-        dim=algebra.dim,
         metric=LG.biinvariant_metric(algebra),
         default_grid=grid,
         oracles={"k_d": lambda p: np.full(len(p), density), "dV": lambda p: np.ones(len(p))},
@@ -439,7 +435,6 @@ def klembeck_patch():
     metric = MetricField.from_entries(6, entries, provenance="polynomial patch")
     return ManifoldSpec(
         name="klembeck",
-        dim=6,
         metric=metric,
         default_grid=Grid((Axis(-0.2, 0.2, 3),) * 6),
         notes="local patch only; gamma over the box is not a topological quantity",
@@ -454,11 +449,11 @@ def _sphere_spec_any_dim(dim, n_nodes):
     if dim == 1:
         metric = MetricField.constant(np.eye(1))
         grid = Grid((Axis(0.0, TWO_PI, n_nodes, periodic=True),))
-        return ManifoldSpec(name="s1", dim=1, metric=metric, default_grid=grid)
+        return ManifoldSpec(name="s1", metric=metric, default_grid=grid)
     grid = _polar_grid([n_nodes] * dim)
     components = _sphere_components([1.0] * (dim + 1))
     metric = MetricField.from_embedding(dim, components, depends_on=range(dim - 1))
-    return ManifoldSpec(name="s%d" % dim, dim=dim, metric=metric, default_grid=grid)
+    return ManifoldSpec(name="s%d" % dim, metric=metric, default_grid=grid)
 
 
 def product(m1, m2, name=None):
@@ -476,7 +471,6 @@ def product(m1, m2, name=None):
         oracles["k_d"] = k_d_density
     return ManifoldSpec(
         name=name or "%sx%s" % (m1.name, m2.name),
-        dim=m1.dim + m2.dim,
         metric=metric,
         default_grid=grid,
         oracles=oracles,
@@ -540,7 +534,9 @@ def cp2_sectional_exact(rows):
     like (1, 0, 1, 0) stand for the unit vector along that direction.
     K_ij = R(f_i, f_j, f_i, f_j) / (|f_i|^2 |f_j|^2) from :func:`_cp2_riemann`.
     """
-    f = np.array([[v if type(v) is int else Fraction(v) for v in r] for r in rows], dtype=object)
+    # Python ints, not numpy's fixed-width ones, which overflow silently in the sums
+    f = np.array([[int(v) if isinstance(v, numbers.Integral) else Fraction(v) for v in r]
+                  for r in rows], dtype=object)
     gram = f @ f.T
     norms = gram.diagonal()
     if any(n == 0 for n in norms):
@@ -668,9 +664,10 @@ def load_manifold_file(path):
     Axis bounds and metric entries are expression strings (or numbers) in
     the grammar of :mod:`curvfun.expressions`; metric entries may use the
     chart variables x1..xn, and the metric's ``depends_on`` is the set of
-    variables they use.  A missing or ill-typed key, or a metric whose
-    transposed entries differ at a node of the default grid by more than
-    ``SYMMETRY_TOL``, raises ``ConfigError`` naming the problem.
+    variables they use.  More than ``MAX_DIM`` axes, a missing or ill-typed
+    key, or a metric whose transposed entries differ at a node of the
+    default grid by more than ``SYMMETRY_TOL``, raises ``ConfigError``
+    naming the problem.
     """
     import json
 
@@ -685,6 +682,8 @@ def load_manifold_file(path):
     if not isinstance(axes_spec, list) or not axes_spec:
         raise ConfigError('spec file needs "axes": a non-empty list of axis objects')
     dim = len(axes_spec)
+    if dim > MAX_DIM:
+        raise ConfigError('spec file: %d axes, more than the ceiling of %d' % (dim, MAX_DIM))
     grid = Grid(tuple(_spec_axis(k + 1, a) for k, a in enumerate(axes_spec)))
     rows = data.get("metric")
     if not isinstance(rows, list) or len(rows) != dim or any(
@@ -715,7 +714,6 @@ def load_manifold_file(path):
                                       depends_on=depends_on)
     return ManifoldSpec(
         name=str(data.get("name", "user-manifold")),
-        dim=dim,
         metric=metric,
         default_grid=grid,
         notes="user-defined chart",

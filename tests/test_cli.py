@@ -503,13 +503,42 @@ def test_singular_product_factor_exits_3_naming_the_product_node(monkeypatch, ca
     from curvfun import zoo
 
     metric, grid = singular_product
-    spec = zoo.ManifoldSpec(name="s2xs2", dim=4, metric=metric, default_grid=grid)
+    spec = zoo.ManifoldSpec(name="s2xs2", metric=metric, default_grid=grid)
     monkeypatch.setitem(zoo._BUILDERS, "s2xs2", lambda params: spec)
     code, out, err = run(capsys, ["compute", "--manifold", "s2xs2", "--no-timing"])
     assert code == 3
     assert out == ""
     failing = grid.collapse((0, 1)).points_weights()[0][0].tolist()
     assert json.loads(err)["failing_point"] == failing
+
+
+def test_failure_outside_the_integrator_exits_3_with_one_json_line(monkeypatch, capsys):
+    from curvfun import zoo
+    from curvfun.errors import NotClosedError
+
+    def build(params):
+        raise NotClosedError("x")
+
+    monkeypatch.setitem(zoo._BUILDERS, "s2", build)
+    code, out, err = run(capsys, ["compute", "--manifold", "s2", "--no-timing"])
+    assert (code, out, err.count("\n")) == (3, "", 1)
+    assert json.loads(err) == {"error": "x"}
+
+
+def test_spec_file_over_the_dimension_ceiling_exits_2(tmp_path, capsys, monkeypatch):
+    from curvfun import zoo
+    from curvfun.quadrature import MAX_DIM
+
+    def never(*args, **kwargs):
+        raise AssertionError("a rejected spec file reached the metric")
+
+    monkeypatch.setattr(zoo.MetricField, "from_entries", never)
+    n = MAX_DIM + 1
+    metric = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+    p = _box_spec(tmp_path, metric, [{"lo": 0, "hi": 1, "n": 1}] * n)
+    code, out, err = run(capsys, ["compute", "--spec-file", p, "--no-timing"])
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert "%d axes" % n in err and "ceiling of %d" % MAX_DIM in err
 
 
 def test_out_into_missing_directory_exits_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The declared runtime dependencies match what the package imports."""
 
 import ast
+import math
 import re
 import sys
 from pathlib import Path
@@ -120,3 +121,59 @@ def test_every_exported_name_is_read_or_documented():
     unread = sorted("%s.%s" % (path.stem, name) for path in sources for name in _exports(path)
                     if name not in read and not re.search(r"\b%s\b" % re.escape(name), readme))
     assert unread == []
+
+
+# Defaulted parameters no call in src/ or demos/ reaches, kept on purpose: the
+# console entry point's argv.
+_ENTRY_POINT_PARAMS = {"cli.main(argv)"}
+
+
+def _defaulted_params(path):
+    """``(function, parameter, position)`` for each defaulted parameter of each
+    def in ``path`` but dunders; ``position`` counts the arguments a call
+    passes (a method's ``self`` is not one), ``None`` for keyword-only ones."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body
+               if isinstance(f, ast.FunctionDef)
+               and not any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)}
+    for f in ast.walk(tree):
+        if not isinstance(f, ast.FunctionDef) or f.name.startswith("__"):
+            continue
+        positional = f.args.posonlyargs + f.args.args
+        skip = 1 if id(f) in methods else 0
+        first = len(positional) - len(f.args.defaults)
+        for k in range(first, len(positional)):
+            yield f.name, positional[k].arg, k - skip
+        for arg, default in zip(f.args.kwonlyargs, f.args.kw_defaults):
+            if default is not None:
+                yield f.name, arg.arg, None
+
+
+def _passed_params(paths):
+    """For each called name, the most positional arguments one call passes and
+    every keyword some call passes (``**`` and ``*`` count as every one)."""
+    positional, keywords = {}, {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            count = math.inf if starred else len(node.args)
+            positional[name] = max(positional.get(name, 0), count)
+            names = {kw.arg for kw in node.keywords}
+            keywords.setdefault(name, set()).update({"**"} if None in names else names)
+    return positional, keywords
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    """A default that no call overrides is a constant behind a knob nobody turns."""
+    sources = sorted((ROOT / "src" / "curvfun").glob("*.py"))
+    positional, keywords = _passed_params(sources + sorted((ROOT / "demos").glob("*.py")))
+    unpassed = sorted(
+        "%s.%s(%s)" % (path.stem, func, param)
+        for path in sources for func, param, k in _defaulted_params(path)
+        if not ((k is not None and positional.get(func, 0) > k)
+                or keywords.get(func, set()) & {param, "**"})
+    )
+    assert [p for p in unpassed if p not in _ENTRY_POINT_PARAMS] == []

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -315,6 +316,16 @@ def test_cp2_table_matches_the_loop_on_fraction_and_float_rows():
         _assert_same_table([[Fraction(v, k + 2) for v in row] for k, row in enumerate(rows)])
         _assert_same_table([[0.5 * v for v in row] for row in rows])
         _assert_same_table([rows[0], [0.25 * v for v in rows[1]]] + rows[2:])
+
+
+def test_cp2_table_reads_numpy_integer_rows_as_python_ints():
+    """int64 rows whose Gram sums overflow 64 bits give the Python-int table."""
+    rows = [[3 * 10**9 * v for v in row] for row in PAPER_CP2_FRAMES[1]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = cp2_sectional_exact(np.array(rows, dtype=np.int64))
+    assert k.tolist() == cp2_sectional_exact(rows).tolist()
+    assert k[0, 1] == Fraction(5, 2)
 
 
 def test_cp2_riemann_has_the_curvature_symmetries():
