@@ -45,7 +45,6 @@ from .functionals import (
     k_gbc,
     matching_sum,
     normalization_constant,
-    perfect_matchings,
     perm_sum,
     scalar_curvature,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "point_rng",
     # functionals
     "normalization_constant",
-    "perfect_matchings",
     "matching_sum",
     "perm_sum",
     "k_discrete",

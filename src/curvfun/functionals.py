@@ -6,10 +6,11 @@ point:
 
 * ``k_discrete`` -- the symmetric-sum density: a constant times the sum over
   all permutations of the frame indices of the product of d sectional
-  curvatures of consecutive frame planes.  Computed via the reduction of the
-  permutation sum to a sum over perfect matchings (each matching is counted
-  ``2^d d!`` times by the permutations), which drops the cost from (2d)! to
-  (2d-1)!! terms.
+  curvatures of consecutive frame planes.  The permutation sum is 2^d d!
+  times the sum over perfect matchings, the hafnian of the sectional matrix
+  (each matching is counted ``2^d d!`` times by the permutations), and the
+  hafnian is expanded along its first index, memoised on the index subsets
+  left: the same expansion as the Pfaffian below, without its signs.
 
 * ``k_gbc`` -- the Gauss-Bonnet-Chern density: the sign-weighted
   double-permutation sum of the full Riemann tensor in an orthonormal frame.
@@ -49,7 +50,6 @@ from .geometry import plane_curvatures
 
 __all__ = [
     "normalization_constant",
-    "perfect_matchings",
     "matching_sum",
     "perm_sum",
     "k_discrete",
@@ -71,64 +71,51 @@ def _check_even(n):
     return n // 2
 
 
-@lru_cache(maxsize=None)
-def perfect_matchings(m):
-    """All perfect matchings of {0, ..., m-1} in canonical form.
+def _expand(n, base, term):
+    """A pairing sum over range(n), expanded along the first index.
 
-    Each matching is a tuple of (a, b) pairs with a < b, sorted by a; there
-    are (m-1)!! of them.  Built recursively: pair the smallest free index
-    with each other free index in turn.
+    The value on the empty subset is ``base``; on an index subset s it is
+    the sum over t = 1, ..., len(s) - 1 of ``term(s, t, rest)``, where rest
+    is the value on s without s[0] and s[t].  Memoised on the subset within
+    the call, so it visits the subsets that drop leading pairs, not the
+    (n-1)!! perfect matchings.
     """
-    if m % 2 != 0:
-        raise BadDimensionError("perfect matchings need an even ground set")
-    if m == 0:
-        return ((),)
-    idx = tuple(range(m))
+    memo = {(): base}
 
-    def rec(free):
-        if not free:
-            return [()]
-        a = free[0]
-        out = []
-        for i in range(1, len(free)):
-            b = free[i]
-            rest = free[1:i] + free[i + 1 :]
-            for tail in rec(rest):
-                out.append(((a, b),) + tail)
-        return out
+    def value(s):
+        if s not in memo:
+            total = 0
+            for t in range(1, len(s)):
+                total = total + term(s, t, value(s[1:t] + s[t + 1 :]))
+            memo[s] = total
+        return memo[s]
 
-    return tuple(rec(idx))
-
-
-@lru_cache(maxsize=None)
-def _matching_indices(m):
-    """Index arrays (A, B) of shape (n_matchings, m/2) for fast products."""
-    ms = perfect_matchings(m)
-    a = np.array([[p[0] for p in match] for match in ms], dtype=np.intp)
-    b = np.array([[p[1] for p in match] for match in ms], dtype=np.intp)
-    return a, b
+    return value(tuple(range(n)))
 
 
 def matching_sum(k):
-    """Sum over perfect matchings of products of matrix entries.
+    """Sum over perfect matchings of products of matrix entries: the hafnian.
 
     ``k`` is a batch (npoints, 2d, 2d) of symmetric sectional-curvature
     matrices; returns (npoints,) sums of prod_pairs K[a, b] over all
-    perfect matchings of the index set.  Exact for object-dtype (Fraction)
-    input.
+    perfect matchings of the index set, haf(K) (E. R. Caianiello, Nuovo
+    Cimento 10 (1953)).  Expanded along the first index,
+    haf(S) = sum_t K[s0, st] haf(S without s0, st), memoised on the index
+    subset within the call.  Exact for object-dtype (Fraction) input.
     """
     k = np.asarray(k)
-    _check_even(k.shape[1])
-    a, b = _matching_indices(k.shape[1])
-    return np.prod(k[:, a, b], axis=2).sum(axis=1)  # product per (point, matching)
+    n = k.shape[1]
+    _check_even(n)
+    return _expand(n, np.ones(len(k), dtype=k.dtype), lambda s, t, rest: k[:, s[0], s[t]] * rest)
 
 
 def perm_sum(k):
-    """Full permutation sum via the matching reduction (exact-capable).
+    """Full permutation sum via the hafnian (exact-capable).
 
-    Equals ``2^d d! * matching_sum(k)``: every matching arises from exactly
-    d! orderings of its pairs times 2^d orientations within pairs, and the
-    product is invariant under both for symmetric ``k``.
+    Equals ``2^d d! * matching_sum(k)``, 2^d d! haf(K): every matching
+    arises from exactly d! orderings of its pairs times 2^d orientations
+    within pairs, and the product is invariant under both for symmetric
+    ``k``.
     """
     k = np.asarray(k)
     n = k.shape[-2]
@@ -201,21 +188,13 @@ def gbc_raw_sum(riem_frame):
     w = np.take(rop, ab, axis=1) - np.take(rop, ba, axis=1)
     w = np.take(w, ab, axis=2) - np.take(w, ba, axis=2)  # (npoints, pair (ab), component (kl))
     pair = {(i, j): t for t, (i, j) in enumerate(zip(a.tolist(), b.tolist()))}
-    memo = {(): np.ones((len(r), 1), dtype=w.dtype)}
 
-    def pfaffian(s):
-        if s not in memo:
-            form, two, sign, starts = _wedge_table(n, len(s) - 2)
-            total = 0
-            for t in range(1, len(s)):
-                rest = pfaffian(s[1:t] + s[t + 1 :])
-                wedge = np.add.reduceat(rest[:, form] * w[:, pair[s[0], s[t]], two] * sign,
-                                        starts, axis=1)
-                total = total + wedge if t % 2 else total - wedge
-            memo[s] = total
-        return memo[s]
+    def term(s, t, rest):
+        form, two, sign, starts = _wedge_table(n, len(s) - 2)
+        wedge = np.add.reduceat(rest[:, form] * w[:, pair[s[0], s[t]], two] * sign, starts, axis=1)
+        return wedge if t % 2 else -wedge
 
-    return math.factorial(d) * pfaffian(tuple(range(n)))[:, 0]
+    return math.factorial(d) * _expand(n, np.ones((len(r), 1), dtype=w.dtype), term)[:, 0]
 
 
 def k_gbc(riem_frame):

@@ -2,11 +2,13 @@
 
 Each oracle computes a quantity the package also computes, by a separate
 route: central finite differences instead of hyper-dual jets, the literal
-permutation and double-permutation sums instead of their matching
-reductions, a five-operand einsum per frame plane instead of the matmul
-over u (x) v of ``plane_curvatures``, four one-slot einsums instead of the
-congruence of ``riemann_in_frame``, LAPACK's QR with the sign fix instead
-of the Haar sampler's batched Gram-Schmidt, the metric Gram-Schmidt loop
+permutation and double-permutation sums and the sum over an enumerated
+list of perfect matchings instead of the memoised first-index expansions
+of the hafnian and the Pfaffian, a five-operand einsum per frame plane
+instead of the matmul over u (x) v of ``plane_curvatures``, four one-slot
+einsums instead of the congruence of ``riemann_in_frame``, LAPACK's QR with
+the sign fix instead of the Haar sampler's batched Gram-Schmidt, the
+metric Gram-Schmidt loop
 instead of the inverse Cholesky factor, a direct Gram-matrix check of a
 frame, an embedding's curvature from the derivatives of its induced
 metric through the general Riemann formula instead of from the Gauss
@@ -105,6 +107,40 @@ def brute_force_perm_sum(k):
         term = k[:, sigma[0], sigma[1]]
         for kk in range(1, d):
             term = term * k[:, sigma[2 * kk], sigma[2 * kk + 1]]
+        total = total + term
+    return total
+
+
+def perfect_matchings(m):
+    """All perfect matchings of {0, ..., m-1} in canonical form.
+
+    Each matching is a tuple of (a, b) pairs with a < b, sorted by a; there
+    are (m-1)!! of them.  Built recursively: pair the smallest free index
+    with each other free index in turn.
+    """
+
+    def rec(free):
+        if not free:
+            return [()]
+        return [((free[0], free[i]),) + tail
+                for i in range(1, len(free))
+                for tail in rec(free[1:i] + free[i + 1 :])]
+
+    return rec(tuple(range(m)))
+
+
+def enumeration_matching_sum(k):
+    """Sum over the listed perfect matchings of a batch, one product each.
+
+    Each product is taken pair by pair in the matching's canonical order and
+    the matchings are added in enumeration order; slow reference path.
+    """
+    k = np.asarray(k)
+    total = 0
+    for match in perfect_matchings(k.shape[1]):
+        term = 1
+        for a, b in match:
+            term = term * k[:, a, b]
         total = total + term
     return total
 

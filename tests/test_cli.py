@@ -330,7 +330,7 @@ def test_group_manifold_record(capsys):
     code, out, _ = run(capsys, ["compute", "--manifold", "su3", "--no-timing"])
     assert code == 0
     rec = json.loads(out)
-    assert rec["value"] == 0.0028043086278534374
+    assert rec["value"] == 117 * math.pi / 2**17
     assert rec["oracle_value"] == pytest.approx(117 * math.pi / 2**17, rel=1e-12)
     assert [(a["lo"], a["hi"], a["n"]) for a in rec["grid"]] == (
         [(0.0, math.pi**5, 1)] + [(0.0, 1.0, 1)] * 7)

@@ -1,6 +1,7 @@
-"""Pairing functionals: matching reductions vs brute-force permutation sums."""
+"""Pairing functionals: the hafnian and Pfaffian expansions vs brute-force sums."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,14 +18,19 @@ from curvfun.functionals import (
     k_gbc,
     matching_sum,
     normalization_constant,
-    perfect_matchings,
     perm_sum,
     scalar_curvature,
 )
 from curvfun.frames import gram_schmidt_frames, haar_orthogonal, point_rng
 from curvfun.quadrature import functional_density
 from curvfun.zoo import taubes_torus
-from oracles import brute_force_gbc_raw_sum, brute_force_perm_sum, einsum_pair_products
+from oracles import (
+    brute_force_gbc_raw_sum,
+    brute_force_perm_sum,
+    einsum_pair_products,
+    enumeration_matching_sum,
+    perfect_matchings,
+)
 
 
 def symmetric_zero_diag(values, n):
@@ -45,6 +51,43 @@ def test_perfect_matching_counts():
     for m in perfect_matchings(6):
         seen = sorted(i for pair in m for i in pair)
         assert seen == list(range(6))
+
+
+def random_fraction_batch(rng, rows, n):
+    """Symmetric zero-diagonal (rows, n, n) object arrays of small Fractions."""
+    k = np.empty((rows, n, n), dtype=object)
+    k[...] = Fraction(0)
+    for p in range(rows):
+        for i in range(n):
+            for j in range(i + 1, n):
+                k[p, i, j] = k[p, j, i] = Fraction(int(rng.integers(-9, 10)),
+                                                   int(rng.integers(1, 8)))
+    return k
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+def test_pairing_sums_equal_the_oracles_exactly(n):
+    rng = np.random.default_rng(n)
+    k = random_fraction_batch(rng, 3, n)
+    assert list(matching_sum(k)) == list(enumeration_matching_sum(k))
+    if n <= 8:
+        assert list(perm_sum(k[:1])) == list(brute_force_perm_sum(k[:1]))
+    if n == 4:
+        # same products added in the same order, so the dimension-4 floats keep their bits
+        x = np.stack([symmetric_zero_diag(v, 4) for v in rng.normal(size=(256, 6))])
+        assert np.array_equal(matching_sum(x), enumeration_matching_sum(x))
+
+
+def test_matching_sum_memory_stays_small_at_dimension_14():
+    rng = np.random.default_rng(14)
+    k = np.stack([symmetric_zero_diag(v, 14) for v in rng.uniform(-1, 1, size=(64, 91))])
+    tracemalloc.start()
+    try:
+        matching_sum(k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_normalization_constant_values():
