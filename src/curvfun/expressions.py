@@ -9,8 +9,10 @@ types of this grammar are translated into a tuple tree and any other node,
 a Python keyword included, is rejected at parse.
 
 Expressions evaluate over anything with arithmetic dunders -- floats,
-numpy arrays, or jets -- so a parsed metric entry can be differentiated
-by the same hyper-dual machinery as the built-in ones.  Text that does not
+numpy arrays, or jets -- so a parsed metric entry can be differentiated by
+the same hyper-dual machinery as the built-in ones; on jets an integral
+exponent (``x^3`` or ``x^3.0``) is an exact product by repeated squaring,
+whatever its size, and any other is ``exp(p*log(x))``.  Text that does not
 parse, an unknown function and, at evaluation, an unbound variable are
 ``ConfigError`` naming the expression (a long one by its two ends, see
 ``QUOTE_CHARS``).  Variable-free parts are evaluated once, at parse time;
@@ -50,7 +52,8 @@ _FUNCTIONS = {"sin": J.sin, "cos": J.cos, "exp": J.exp, "sqrt": J.sqrt, "log": J
 
 _CONSTANTS = {"pi": math.pi}
 
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+           "^": operator.pow}
 
 _OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
 
@@ -128,13 +131,7 @@ def _eval(node, env):
         return -_eval(node[1], env)
     if tag == "call":
         return _FUNCTIONS[node[1]](_eval(node[2], env))
-    a = _eval(node[1], env)
-    b = _eval(node[2], env)
-    if tag != "^":
-        return _BINARY[tag](a, b)
-    if isinstance(b, float) and b == int(b):
-        return a ** int(b)
-    return a**b
+    return _BINARY[tag](_eval(node[1], env), _eval(node[2], env))
 
 
 def _quote(text):

@@ -345,10 +345,10 @@ def curvature_chunk(metric, points):
 def _distinct_rows(points, depends_on):
     """``(reps, inverse)`` with ``points[reps][inverse]`` agreeing on ``depends_on``.
 
-    ``reps`` indexes the first row of each distinct value of the
-    ``depends_on`` columns, in order of first occurrence; a metric that
-    reads no axis has one.  Returns ``None`` when every row is distinct
-    and for object (Fraction) input, which is evaluated as it is.
+    ``reps`` indexes one row of each distinct value of the ``depends_on``
+    columns; a metric that reads no axis has one.  Returns ``None`` when
+    every row is distinct and for object (Fraction) input, which is
+    evaluated as it is.
     """
     if points.dtype == object or len(points) < 2:
         return None
@@ -356,13 +356,10 @@ def _distinct_rows(points, depends_on):
         return np.zeros(1, dtype=np.intp), np.zeros(len(points), dtype=np.intp)
     cols = np.ascontiguousarray(points[:, list(depends_on)])
     keys = cols.view(np.dtype((np.void, cols.itemsize * cols.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    if len(first) == len(points):
+    _, reps, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    if len(reps) == len(points):
         return None
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return first[order], rank[inverse]
+    return reps, inverse
 
 
 def _block_diagonal(a, b):

@@ -11,7 +11,8 @@ are differentiated with numpy arithmetic instead of per-point Python loops.
 The arithmetic is dtype-generic.  With ``float64`` arrays it is the fast
 path; with ``object`` arrays of :class:`fractions.Fraction` the same code
 produces exact rational derivatives (used for the polynomial metrics where
-reference values are exact).
+reference values are exact).  An integral power, ``x ** 3`` or ``x ** 3.0``,
+is a product by repeated squaring; any other is ``exp(p * log(x))``.
 """
 
 from __future__ import annotations
@@ -98,16 +99,22 @@ class Jet2:
         return self._reciprocal() * other
 
     def __pow__(self, p):
-        if isinstance(p, int) and not isinstance(p, bool):
-            if p == 0:
-                return 1 + (self * 0)  # jet of the constant 1
-            if p < 0:
-                return (self ** (-p))._reciprocal()
-            result = self
-            for _ in range(p - 1):
-                result = result * self
-            return result
-        return exp(log(self) * p)
+        """Repeated squaring (Knuth, *TAOCP* 2, 4.6.3) for integral ``p``, else exp(p log self)."""
+        if not (isinstance(p, int) or isinstance(p, float) and p.is_integer()):
+            return exp(log(self) * p)
+        p = int(p)
+        if p == 0:
+            return 1 + (self * 0)  # jet of the constant 1
+        if p < 0:
+            return (self ** (-p))._reciprocal()
+        square, result = self, None
+        while True:
+            if p & 1:  # square * result: p <= 3 keeps the bits of x * x * x
+                result = square if result is None else square * result
+            p >>= 1
+            if not p:
+                return result
+            square = square * square
 
     def __rpow__(self, base):
         return exp(self * log(base))

@@ -277,8 +277,6 @@ def _warped_metric(u_fn, v_fn, provenance):
     def entries(vars_):
         w = u_fn(vars_[0], vars_[1])
         z = v_fn(vars_[0], vars_[1])
-        if not isinstance(z, J.Jet2):
-            z = vars_[0] * 0 + z
         return [
             [J.exp(2 * z), 0, 0, 0],
             [0, J.exp(-2 * z), 0, 0],

@@ -5,6 +5,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -324,6 +328,25 @@ def test_spec_file_compute(tmp_path, capsys):
     rec = json.loads(out)
     assert rec["manifold"] == "flat-band"
     assert rec["value"] == 0.0
+
+
+@pytest.mark.parametrize("source", ["param", "spec"])
+def test_a_huge_integral_exponent_finishes(tmp_path, source):
+    # x^1000000 used to take a million jet products and never finish
+    if source == "param":
+        args = ["--manifold", "taubes", "--grid", "3", "--param", "u=cos(x1)^1000000"]
+    else:
+        spec = {"name": "steep", "axes": [{"lo": 0.1, "hi": 0.9, "n": 3}] * 2,
+                "metric": [["1 + x1^1000000", "0"], ["0", "1"]]}
+        (tmp_path / "steep.json").write_text(json.dumps(spec))
+        args = ["--spec-file", str(tmp_path / "steep.json")]
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "curvfun.cli", "compute", *args, "--no-timing"],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert math.isfinite(json.loads(proc.stdout)["value"])
 
 
 def test_group_manifold_record(capsys):

@@ -105,6 +105,55 @@ def test_pow_integer_exponent():
     assert out.hess[0, 0, 0] == pytest.approx(20 * 1.7**3)
 
 
+def test_large_integral_power_takes_logarithmically_many_products(monkeypatch):
+    p = 1_000_003
+    bound = 2 * math.ceil(math.log2(p))
+    products = []
+    multiply = Jet2.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        if len(products) > bound:  # fail at once rather than run p - 1 products
+            raise AssertionError("more than %d jet products for x ** %d" % (bound, p))
+        return multiply(a, b)
+
+    (x,) = variables(np.array([[0.9999999]]))
+    monkeypatch.setattr(Jet2, "__mul__", counted)
+    out = x**p
+    assert len(products) <= bound
+    assert out.value[0] == pytest.approx(0.9999999**p, rel=1e-9)
+
+
+def _left_to_right(x, p):
+    result = x
+    for _ in range(p - 1):
+        result = result * x
+    return result
+
+
+def _bits(jet):
+    return jet.value.tobytes() + jet.grad.tobytes() + jet.hess.tobytes()
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 64, 2.0, 7.0, -3])
+def test_integral_power_matches_its_derivatives(p):
+    pts = np.array([[0.7, 1.2], [1.3, -0.4]])
+    x, y = variables(pts)
+    base = x + 0.5 * y * y
+    b = base.value
+    out = base**p
+    assert np.allclose(out.value, b**p, rtol=1e-13, atol=0)
+    assert np.allclose(out.grad, (p * b ** (p - 1))[:, None] * base.grad, rtol=1e-13, atol=0)
+    hess = ((p * (p - 1) * b ** (p - 2))[:, None, None]
+            * base.grad[:, :, None] * base.grad[:, None, :]
+            + (p * b ** (p - 1))[:, None, None] * base.hess)
+    assert np.allclose(out.hess, hess, rtol=1e-12, atol=1e-12)
+    if p == -3:
+        assert _bits(out) == _bits(_left_to_right(base, 3)._reciprocal())
+    elif p <= 3:
+        assert _bits(out) == _bits(_left_to_right(base, int(p)))
+
+
 def test_constant_base_with_a_jet_exponent():
     # 2 ** x used to raise TypeError: float has no power of a Jet2
     pts = np.array([[0.3, -1.2], [1.7, 0.4]])
