@@ -26,6 +26,7 @@ The module reads and writes no files.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -96,8 +97,17 @@ class SimplicialComplex:
     def edges(self):
         return [s for s in self.simplices if len(s) == 2]
 
+    @cached_property
+    def _adjacency(self):
+        """Sorted neighbours of each vertex, built once: a complex is never mutated."""
+        adj = {v: set() for v in self.vertices}
+        for a, b in self.edges():
+            adj[a].add(b)
+            adj[b].add(a)
+        return {v: sorted(ws) for v, ws in adj.items()}
+
     def neighbors(self, v):
-        return sorted({w for e in self.edges() if v in e for w in e if w != v})
+        return list(self._adjacency.get(v, ()))
 
 
 def whitney_complex(vertices, edges):

@@ -106,7 +106,7 @@ class Jet2:
         if p == 0:
             return 1 + (self * 0)  # jet of the constant 1
         if p < 0:
-            return (self ** (-p))._reciprocal()
+            return self._reciprocal() ** (-p)  # 1/x first: x**-p may underflow where x**p overflows
         square, result = self, None
         while True:
             if p & 1:  # square * result: p <= 3 keeps the bits of x * x * x

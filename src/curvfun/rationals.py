@@ -10,7 +10,10 @@ integer-preserving Gaussian elimination", Math. Comp. 22 (1968)).  Each
 row of ``[A | B]`` is scaled to integers by the lcm of its denominators;
 every entry the forward pass produces is then a minor of the scaled
 matrix, so each division is exact and no Fraction is formed until the
-results are.
+results are.  The forward pass stays exact and runs on an ``np.int64``
+array while every entry of its active block is below 2**31 in size; the
+first step that could overflow promotes the array to Python ints
+(``dtype=object``), and the pass carries on there.
 """
 
 from __future__ import annotations
@@ -18,7 +21,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 __all__ = ["exact_det", "exact_inv"]
+
+# Entries below this in size keep x * pivot - f * y below 2**63.
+_INT64_BOUND = 2**31
 
 
 def _eliminate(A, B):
@@ -31,26 +39,43 @@ def _eliminate(A, B):
     in integers, one exact division per entry.
     """
     n = len(A)
-    m, scale = [], 1
+    rows, scale = [], 1
     for a, b in zip(A, B):
-        row = [x if type(x) is int else Fraction(x) for x in list(a) + list(b)]
-        dens = [int(x.denominator) for x in row]  # int(): numpy integers would overflow
-        s = math.lcm(*dens)
-        scale *= s
-        m.append([int(x.numerator) * (s // d) for x, d in zip(row, dens)])
+        row = list(a) + list(b)
+        if not all(type(x) is int for x in row):
+            row = [x if type(x) is int else Fraction(x) for x in row]
+            dens = [int(x.denominator) for x in row]  # int(): numpy integers would overflow
+            s = math.lcm(*dens)
+            scale *= s
+            row = [int(x.numerator) * (s // d) for x, d in zip(row, dens)]
+        rows.append(row)
+    try:
+        m = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        m = np.array(rows, dtype=object)
     sign, prev = 1, 1
     for k in range(n):
-        p = next((r for r in range(k, n) if m[r][k]), None)
-        if p is None:
+        active = m[k:, k:]
+        if m.dtype != object and (active.max() >= _INT64_BOUND
+                                  or active.min() <= -_INT64_BOUND):
+            m = m.astype(object)
+        nonzero = np.flatnonzero(m[k:, k])
+        if not nonzero.size:
             return Fraction(0), None
+        p = k + int(nonzero[0])
         if p != k:
-            m[k], m[p] = m[p], m[k]
+            m[[k, p]] = m[[p, k]]
             sign = -sign
-        pivot, tail = m[k][k], m[k][k + 1:]
-        for row in m[k + 1:]:
-            f = row[k]
-            row[k + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+        pivot = int(m[k, k])
+        sub = m[k + 1:, k + 1:]
+        sub *= pivot
+        sub -= np.multiply.outer(m[k + 1:, k], m[k, k + 1:])
+        if prev == -1:
+            np.negative(sub, out=sub)
+        elif prev != 1:
+            sub //= prev
         prev = pivot
+    m = m.tolist()
     y = [None] * n
     for k in reversed(range(n)):
         row = m[k]

@@ -16,12 +16,15 @@ equation, a product's curvature from its padded full-dimensional jets
 instead of from its factors, a product's coordinate-frame density from its
 assembled full-dimensional chunk instead of from its factors' densities,
 a Lie group's curvature in a rotated frame from its rotated structure
-constants instead of from the frame contraction, and CP^2's sectional
+constants instead of from the frame contraction, CP^2's sectional
 matrix from K = 1 + 3 <Ju, v>^2 / (|u|^2 |v|^2), written out in loops,
-instead of from its Fubini-Study tensor.
+instead of from its Fubini-Study tensor, and the fraction-free elimination
+on nested lists of Python ints instead of on an int64 array promoted to
+Python ints only when an entry grows large.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -377,3 +380,40 @@ def rotated_structure_constants(alpha, q):
     if np.max(np.abs(q @ q.T - np.eye(len(q)))) > 1e-8:
         raise NonOrthonormalFrameError("basis change must be orthogonal")
     return np.einsum("ai,bj,ck,ijk->abc", q, q, q, alpha, optimize=True)
+
+
+def bareiss_lists(A, B):
+    """``(det A, X)`` with ``A X = B`` (``X`` is ``None`` if ``A`` is singular), by
+    Bareiss elimination on nested lists of Python ints.
+
+    The same pivot rule as ``curvfun.rationals._eliminate``: the first
+    nonzero entry at or below the diagonal.  Every row is scaled to
+    integers by the lcm of its denominators.
+    """
+    n = len(A)
+    m, scale = [], 1
+    for a, b in zip(A, B):
+        row = [x if type(x) is int else Fraction(x) for x in list(a) + list(b)]
+        dens = [int(x.denominator) for x in row]
+        s = math.lcm(*dens)
+        scale *= s
+        m.append([int(x.numerator) * (s // d) for x, d in zip(row, dens)])
+    sign, prev = 1, 1
+    for k in range(n):
+        p = next((r for r in range(k, n) if m[r][k]), None)
+        if p is None:
+            return Fraction(0), None
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            sign = -sign
+        pivot, tail = m[k][k], m[k][k + 1:]
+        for row in m[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = pivot
+    y = [None] * n
+    for k in reversed(range(n)):
+        row = m[k]
+        y[k] = [(prev * row[c] - sum(row[j] * y[j][c - n] for j in range(k + 1, n))) // row[k]
+                for c in range(n, len(row))]
+    return Fraction(sign * prev, scale), [[Fraction(v, prev) for v in r] for r in y]

@@ -349,6 +349,19 @@ def test_a_huge_integral_exponent_finishes(tmp_path, source):
     assert math.isfinite(json.loads(proc.stdout)["value"])
 
 
+@pytest.mark.parametrize("functional, value", [("volume", 0.25), ("gamma_d", 0.0)])
+def test_a_huge_negative_exponent_underflows_to_zero(tmp_path, capsys, functional, value):
+    # 1.5^1000000 overflows; its reciprocal used to turn that inf into NaN
+    spec = {"name": "flat-tail", "axes": [{"lo": 1.5, "hi": 2.0, "n": 3}] * 2,
+            "metric": [["1 + x1^-1000000", "0"], ["0", "1"]]}
+    p = tmp_path / "tail.json"
+    p.write_text(json.dumps(spec))
+    code, out, err = run(capsys, ["compute", "--spec-file", str(p), "--functional", functional,
+                                  "--no-timing"])
+    assert code == 0, err
+    assert json.loads(out)["value"] == value
+
+
 def test_group_manifold_record(capsys):
     code, out, _ = run(capsys, ["compute", "--manifold", "su3", "--no-timing"])
     assert code == 0

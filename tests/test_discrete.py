@@ -72,6 +72,22 @@ def test_ph_index_rejects_ties_in_neighborhoods():
         ph_index(t, {1: 0.5, 2: 0.5, 3: 0.9}, 1)
 
 
+def test_ph_index_rejects_a_tie_away_from_its_vertex():
+    # vertex 1's closed neighborhood {1, 2} is injective; 3 and 4 tie next to each other
+    p4 = whitney_complex([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4)])
+    with pytest.raises(NotLocallyInjectiveError, match="neighborhood of 3"):
+        ph_index(p4, {1: 0.0, 2: 1.0, 3: 5.0, 4: 5.0}, 1)
+
+
+def test_neighbors_are_sorted_and_private_to_the_caller():
+    c = whitney_complex([1, 2, 3, 4], [(3, 1), (1, 2), (4, 1)])
+    assert c.neighbors(1) == [2, 3, 4]
+    assert c.neighbors(2) == [1]
+    assert c.neighbors(9) == []
+    c.neighbors(1).append(7)
+    assert c.neighbors(1) == [2, 3, 4]
+
+
 def test_transported_index_sums_to_chi_and_localizes():
     c = whitney_complex([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)])
     f = {1: 4, 2: 1, 3: 2, 4: 3}

@@ -6,8 +6,11 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from oracles import bareiss_lists
 
+from curvfun import discrete, rationals
 from curvfun.rationals import _eliminate, exact_det, exact_inv
+from curvfun.reproduce import run_case
 
 
 def leibniz_det(A):
@@ -114,3 +117,88 @@ def test_results_are_fractions():
     inv = exact_inv(A)
     assert inv == [[Fraction(3, 5), Fraction(-1, 5)], [Fraction(-1, 5), Fraction(2, 5)]]
     assert all(type(v) is Fraction for row in inv for v in row)
+
+
+def assert_exact_types(det, x):
+    assert type(det) is Fraction and type(det.numerator) is int
+    assert type(det.denominator) is int
+    for row in x or ():
+        for v in row:
+            assert type(v) is Fraction
+            assert type(v.numerator) is int and type(v.denominator) is int
+
+
+def assert_matches_the_list_oracle(A, B):
+    det, x = _eliminate(A, B)
+    assert (det, x) == bareiss_lists(A, B)
+    assert_exact_types(det, x)
+    return det, x
+
+
+def test_every_elimination_of_the_discrete_case_matches_the_list_oracle(monkeypatch):
+    calls = []
+
+    def recording(A, B):
+        calls.append((A, B, _eliminate(A, B)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(rationals, "_eliminate", recording)  # behind exact_det
+    monkeypatch.setattr(discrete, "_eliminate", recording)
+    assert all(c.verdict == "PASS" for c in run_case("discrete"))
+    assert len(calls) == 300
+    for A, B, (det, x) in calls:
+        assert (det, x) == bareiss_lists(A, B)
+        assert_exact_types(det, x)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_int_and_fraction_matrices_match_the_list_oracle(seed):
+    rng = random.Random(200 + seed)
+    for n in range(1, 9):
+        A = random_matrix(rng, n)
+        m = rng.randrange(3)
+        B = [[random_entry(rng) for _ in range(m)] for _ in range(n)]
+        assert_matches_the_list_oracle(A, B)
+        ints = [[rng.randrange(-10**rng.randrange(1, 25), 10**rng.randrange(1, 25))
+                 for _ in range(n)] for _ in range(n)]
+        assert_matches_the_list_oracle(ints, [[1]] * n)
+
+
+@pytest.mark.parametrize("big", [2**31 - 1, 2**31])
+def test_entries_at_the_int64_bound(big):
+    # at big = 2**31 the first step of [[big, big], [-big, big]] is 2**62 + 2**62
+    for A in ([[big, 1], [1, -big]], [[big, big], [-big, big]],
+              [[big, -big, 1], [-big, 1, big], [1, big, big]],
+              [[-big, 0, big], [big, big, 0], [0, -big, big]]):
+        det, x = assert_matches_the_list_oracle(A, [[1]] * len(A))
+        assert det == leibniz_det(A)
+
+
+def test_a_matrix_promoted_part_way_through():
+    # entries fit in 2**31, but the 2 x 2 minors its first step leaves do not
+    rng = random.Random(7)
+    A = [[rng.randrange(-10**5, 10**5 + 1) for _ in range(12)] for _ in range(12)]
+    det, x = assert_matches_the_list_oracle(A, [[1]] * 12)
+    assert abs(det) > 2**63
+    assert x is not None and matmul(A, x) == [[Fraction(1)]] * 12
+
+
+def test_numpy_int64_entries_beyond_the_bound():
+    big = np.int64(3 * 10**9)
+    A = [[big, np.int64(1), np.int64(0)],
+         [np.int64(1), big, np.int64(1)],
+         [np.int64(0), np.int64(1), big]]
+    det, _ = assert_matches_the_list_oracle(A, [[np.int64(1)]] * 3)
+    b = 3 * 10**9
+    assert det == b**3 - 2 * b
+
+
+def test_a_zero_column_right_hand_side():
+    A = [[2, 1], [1, 3]]
+    assert assert_matches_the_list_oracle(A, [[]] * 2) == (5, [[], []])
+
+
+def test_a_singular_matrix_needing_a_row_swap():
+    A = [[0, 1, 2], [1, 2, 3], [2, 4, 6]]
+    assert assert_matches_the_list_oracle(A, [[1]] * 3) == (0, None)
+    assert exact_det(A) == leibniz_det(A) == 0
