@@ -11,7 +11,8 @@ plain text.  Records are always finite: a NaN or infinite density, a
 rank-deficient frame, or an asymmetric metric at any evaluated node (the
 ``--grid`` nodes and the halved error-estimate grid included) exits 3 and
 names the node.  With identical configuration, seed, and ``--no-timing``,
-output bytes are identical regardless of worker count.
+output bytes are identical regardless of ``--workers``, the thread count of
+``compute`` and ``frame-sweep``; ``reproduce`` runs on one thread.
 """
 
 from __future__ import annotations
@@ -103,10 +104,11 @@ def _grid(args, spec):
 def _check_counts(args):
     """Reject ``--workers`` outside 1..``MAX_WORKERS``, a negative ``--seed`` and
     ``--samples`` over ``MAX_SAMPLES``, naming the flag."""
-    if args.workers < 1:
-        raise ConfigError("--workers must be at least 1, got %d" % args.workers)
-    if args.workers > MAX_WORKERS:
-        raise ConfigError("--workers must be at most %d, got %d" % (MAX_WORKERS, args.workers))
+    workers = getattr(args, "workers", 1)
+    if workers < 1:
+        raise ConfigError("--workers must be at least 1, got %d" % workers)
+    if workers > MAX_WORKERS:
+        raise ConfigError("--workers must be at most %d, got %d" % (MAX_WORKERS, workers))
     if getattr(args, "seed", 0) < 0:
         raise ConfigError("--seed must be non-negative, got %d" % args.seed)
     if (getattr(args, "samples", None) or 0) > MAX_SAMPLES:
@@ -228,7 +230,7 @@ def cmd_frame_sweep(args):
 
 def cmd_reproduce(args):
     cases = list(CASE_NAMES) if args.case == "all" else [args.case]
-    results = [r.to_record() for c in cases for r in run_case(c, workers=args.workers)]
+    results = [r.to_record() for c in cases for r in run_case(c)]
     failed = any(r["verdict"] == "FAIL" for r in results)
     return {"command": "reproduce", "cases": cases, "results": results}, 4 if failed else 0
 
@@ -349,7 +351,6 @@ def build_parser():
 
     pr = sub.add_parser("reproduce", help="re-derive published reference values")
     pr.add_argument("case", help="one of %s, or 'all'" % ", ".join(CASE_NAMES))
-    pr.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     pr.add_argument("--format", default="text", choices=("json", "csv", "text"))
     pr.add_argument("--out")
     pr.set_defaults(fn=cmd_reproduce)

@@ -93,7 +93,9 @@ class Jet2:
     def __truediv__(self, other):
         if isinstance(other, Jet2):
             return self * other._reciprocal()
-        return self * _invert_scalar(other)
+        if self.value.dtype == object and isinstance(other, (int, Fraction)):
+            return self * (Fraction(1, 1) / other)  # exact jets stay exact
+        return self * (np.float64(1.0) / other)  # 1 / 0 is inf, not ZeroDivisionError
 
     def __rtruediv__(self, other):
         return self._reciprocal() * other
@@ -134,12 +136,6 @@ class Jet2:
 
     def __repr__(self):
         return "%s(npoints=%d, nvars=%d)" % (type(self).__name__, *self.grad.shape)
-
-
-def _invert_scalar(c):
-    if isinstance(c, (int, Fraction)):
-        return Fraction(1, 1) / c
-    return np.float64(1.0) / c  # 1 / 0 is inf, as on an array, not ZeroDivisionError
 
 
 def _invert_array(v):

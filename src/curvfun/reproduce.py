@@ -32,7 +32,7 @@ from . import discrete as D
 from . import liegroups as LG
 from . import zoo
 from .errors import ConfigError
-from .frames import haar_orthogonal
+from .frames import rotate_frame
 from .functionals import gbc_raw_sum, k_discrete, matching_sum, perm_sum
 from .geometry import curvature_batch, curvature_chunk
 from .quadrature import integrate, integrate_functional
@@ -60,8 +60,6 @@ class CheckResult:
 def _jsonable(v):
     if isinstance(v, Fraction):
         return str(v)
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
     if isinstance(v, (tuple, list)):
         return [_jsonable(x) for x in v]
     if isinstance(v, (set, frozenset)):
@@ -86,22 +84,20 @@ def _check(case, quantity, expected, measured, tol, source, note="", discrepancy
     return CheckResult(case, quantity, expected, measured, tol, source, verdict, note)
 
 
-def _gamma(spec, workers=1, functional="gamma_d"):
-    return integrate_functional(
-        spec.metric, spec.default_grid, functional=functional, workers=workers
-    ).value
+def _gamma(spec, functional="gamma_d"):
+    return integrate_functional(spec.metric, spec.default_grid, functional=functional).value
 
 
 # -- cases ----------------------------------------------------------------------
 
 
-def _case_spheres(workers):
+def _case_spheres():
     out = []
     s2 = zoo.round_sphere(2)
-    out.append(_check("spheres", "gamma_d(S^2)", 2.0, _gamma(s2, workers), 1e-6, "quoted"))
+    out.append(_check("spheres", "gamma_d(S^2)", 2.0, _gamma(s2), 1e-6, "quoted"))
     s4 = zoo.round_sphere(4)
-    out.append(_check("spheres", "gamma_d(S^4)", 2.0, _gamma(s4, workers), 1e-3, "quoted"))
-    vol = _gamma(s4, workers, "volume")
+    out.append(_check("spheres", "gamma_d(S^4)", 2.0, _gamma(s4), 1e-3, "quoted"))
+    vol = _gamma(s4, "volume")
     out.append(
         _check("spheres", "volume(S^4)", 8 * math.pi**2 / 3, vol, 1e-6, "quoted")
     )
@@ -115,12 +111,12 @@ def _case_spheres(workers):
                "consistent with gamma_d = 2 and |S^4| = 8 pi^2/3 is 3/(4 pi^2)",
                discrepancy=True)
     )
-    gbc = _gamma(s4, workers, functional="gbc")
+    gbc = _gamma(s4, functional="gbc")
     out.append(_check("spheres", "gbc_total(S^4)", 2.0, gbc, 1e-3, "quoted"))
     return out
 
 
-def _case_taubes(workers):
+def _case_taubes():
     out = []
     spec = zoo.taubes_torus("cos(x2) + cos(x1)")
     pts = spec.interior_points(20, seed=5)
@@ -134,9 +130,9 @@ def _case_taubes(workers):
     out.append(
         _check("taubes", "k_d vs closed form (max dev, 20 pts)", 0.0, dev_kd, 1e-8, "quoted")
     )
-    g1 = _gamma(spec, workers)
+    g1 = _gamma(spec)
     spec2 = zoo.taubes_torus("cos(x1 + x2)")
-    g2 = _gamma(spec2, workers)
+    g2 = _gamma(spec2)
     out.append(_check("taubes", "gamma_d[u=cos(x1)+cos(x2)]", 2 * math.pi**2, g1, 1e-6,
                       "derived",
                       note="printed value pi^2; the displayed integral evaluates to twice "
@@ -151,19 +147,19 @@ def _case_taubes(workers):
     def oracle_density(p, idx):
         return spec.oracles["k_d"](p) * spec.oracles["dV"](p), None
 
-    g1_oracle, _ = integrate(oracle_density, spec.default_grid, workers=workers)
+    g1_oracle, _ = integrate(oracle_density, spec.default_grid)
     out.append(_check("taubes", "pipeline vs displayed-formula quadrature",
                       g1_oracle, g1, 1e-8, "derived"))
-    gbc_total = _gamma(spec, workers, functional="gbc")
+    gbc_total = _gamma(spec, functional="gbc")
     out.append(_check("taubes", "gbc_total(T^4)", 0.0, gbc_total, 1e-8, "identity",
                       note="chi(T^4) = 0"))
     return out
 
 
-def _case_ellipsoids(workers):
+def _case_ellipsoids():
     out = []
     e2 = zoo.two_ellipsoid(1.0, 2.0, 3.0)
-    out.append(_check("ellipsoids", "gamma_d(E(1,2,3))", 2.0, _gamma(e2, workers), 1e-5, "quoted"))
+    out.append(_check("ellipsoids", "gamma_d(E(1,2,3))", 2.0, _gamma(e2), 1e-5, "quoted"))
     e4 = zoo.ellipsoid_of_revolution(2.0)
     pts = e4.interior_points(20, seed=7)
     k, _, _, _ = curvature_batch(e4.metric, pts)
@@ -178,7 +174,7 @@ def _case_ellipsoids(workers):
                "sphere limit")
     )
     e2x = zoo.e2xe2()
-    out.append(_check("ellipsoids", "gamma_d(ExE)", 4.0, _gamma(e2x, workers), 1e-3, "quoted"))
+    out.append(_check("ellipsoids", "gamma_d(ExE)", 4.0, _gamma(e2x), 1e-3, "quoted"))
     smoke = zoo.general_4_ellipsoid([1.0, 1.1, 1.2, 1.3, 1.4])
     spts = smoke.interior_points(5, seed=3)
     _, riem_b, _, _ = curvature_batch(smoke.metric, spts)
@@ -191,7 +187,7 @@ def _case_ellipsoids(workers):
     return out
 
 
-def _case_rp2(workers):
+def _case_rp2():
     out = []
     spec = zoo.rp2()
     pts = spec.interior_points(10, seed=9)
@@ -199,17 +195,17 @@ def _case_rp2(workers):
     gauss_dev = float(np.max(np.abs(k[:, 0, 1] - 0.5)))
     out.append(_check("rp2", "gauss curvature constant 1/2 (max dev, 10 pts)", 0.0,
                       gauss_dev, 1e-8, "quoted"))
-    out.append(_check("rp2", "volume", 4 * math.pi, _gamma(spec, workers, "volume"),
+    out.append(_check("rp2", "volume", 4 * math.pi, _gamma(spec, "volume"),
                       1e-6, "quoted"))
-    out.append(_check("rp2", "gamma_d", 1.0, _gamma(spec, workers), 1e-5, "quoted",
+    out.append(_check("rp2", "gamma_d", 1.0, _gamma(spec), 1e-5, "quoted",
                       note="chi(RP^2) = 1"))
     return out
 
 
-def _case_products(workers):
+def _case_products():
     out = []
     s2s2 = zoo.s2xs2()
-    out.append(_check("products", "gamma_d(S^2xS^2)", 4.0, _gamma(s2s2, workers), 1e-3, "quoted"))
+    out.append(_check("products", "gamma_d(S^2xS^2)", 4.0, _gamma(s2s2), 1e-3, "quoted"))
     s3s1 = zoo.s3xs1()
     pts = s3s1.interior_points(1000, seed=13)
     k, _, _, _ = curvature_batch(s3s1.metric, pts)
@@ -217,14 +213,14 @@ def _case_products(workers):
     out.append(_check("products", "max |k_d| on S^3xS^1 (1000 pts)", 0.0, kd_max,
                       1e-10, "quoted"))
     flat = zoo.flat_torus(4)
-    out.append(_check("products", "gamma_d(flat T^4)", 0.0, _gamma(flat, workers),
+    out.append(_check("products", "gamma_d(flat T^4)", 0.0, _gamma(flat),
                       1e-12, "identity"))
     out.append(_check("products", "gbc_total(flat T^4)", 0.0,
-                      _gamma(flat, workers, functional="gbc"), 1e-12, "identity"))
+                      _gamma(flat, functional="gbc"), 1e-12, "identity"))
     return out
 
 
-def _case_cp2(workers):
+def _case_cp2():
     out = []
     std = zoo.cp2_sectional_exact([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     out.append(_check("cp2", "standard-basis permutation sum", Fraction(144),
@@ -243,7 +239,7 @@ def _case_cp2(workers):
     return out
 
 
-def _case_so4(workers):
+def _case_so4():
     out = []
     alg = LG.so4()
     out.append(_check("so4", "jacobi residual", 0.0, alg.jacobi_residual(), 1e-10, "identity"))
@@ -256,13 +252,13 @@ def _case_so4(workers):
                       None, "quoted"))
     out.append(_check("so4", "matching sum (exact)", Fraction(0), matching_sum(kx[None])[0],
                       None, "quoted", note="every pairing uses a mixed flat plane"))
-    gamma = _gamma(zoo.compact_group(alg), workers)
+    gamma = _gamma(zoo.compact_group(alg))
     out.append(_check("so4", "gamma_d", 0.0, gamma, None, "quoted",
                       note="density is exactly zero, so the volume is irrelevant"))
     return out
 
 
-def _case_su3(workers):
+def _case_su3():
     out = []
     alg = LG.su3()
     out.append(_check("su3", "jacobi residual", 0.0, alg.jacobi_residual(), 1e-10, "identity"))
@@ -278,12 +274,13 @@ def _case_su3(workers):
                       "index permutations = 2^4 4! times the 105-pairing sum 117/8192; "
                       "convention fixed by the brute-force permutation oracle"))
     spec = zoo.compact_group(alg)
-    gamma = _gamma(spec, workers)
+    gamma = _gamma(spec)
     out.append(_check("su3", "gamma_d (volume pi^5)", 117 * math.pi / 2**17, gamma,
                       1e-12, "quoted"))
-    rot = haar_orthogonal(8, np.random.Generator(np.random.PCG64(2)))
-    rotated = integrate_functional(spec.metric, spec.default_grid, frame=rot,
-                                   workers=workers).value
+    rot = np.eye(8)
+    for k in range(7):  # every frame vector mixes with its neighbours
+        rot = rotate_frame(rot, k, k + 1, 0.5)
+    rotated = integrate_functional(spec.metric, spec.default_grid, frame=rot).value
     out.append(_check("su3", "frame dependence (relative k_d change > 1e-3)", True,
                       bool(abs(rotated / gamma - 1.0) > 1e-3), None, "quoted",
                       note="a generic basis rotation shifts k_d by a few percent, far "
@@ -291,7 +288,7 @@ def _case_su3(workers):
     return out
 
 
-def _case_klembeck(workers):
+def _case_klembeck():
     out = []
     spec = zoo.klembeck_patch()
     origin = np.zeros((1, 6), dtype=object)
@@ -323,7 +320,7 @@ def _case_klembeck(workers):
     return out
 
 
-def _case_discrete(workers):
+def _case_discrete():
     out = []
     rng = np.random.Generator(np.random.PCG64(17))
     bad_ph = 0
@@ -404,8 +401,8 @@ _CASES = {
 CASE_NAMES = tuple(_CASES)
 
 
-def run_case(name, workers=1):
+def run_case(name):
     """Run one reproduction case; returns a list of CheckResults."""
     if name not in _CASES:
         raise ConfigError("unknown case %r (cases: %s)" % (name, ", ".join(CASE_NAMES)))
-    return _CASES[name](workers)
+    return _CASES[name]()

@@ -260,9 +260,7 @@ def rp2():
 
 
 def _as_scalar_field(u):
-    """Accept an expression string or a callable of two jet variables."""
-    if callable(u):
-        return u
+    """The function of two jet variables that the expression string ``u`` denotes."""
     expr = parse_expression(str(u))
     extra = expr.variables - {"x1", "x2"}
     if extra:

@@ -27,6 +27,13 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _src_env():
+    """The environment of a fresh ``python`` that imports curvfun from this checkout."""
+    root = Path(__file__).resolve().parents[1]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
+
+
 def test_compute_json_record(capsys):
     code, out, _ = run(capsys, S2_ARGS)
     assert code == 0
@@ -340,11 +347,8 @@ def test_a_huge_integral_exponent_finishes(tmp_path, source):
                 "metric": [["1 + x1^1000000", "0"], ["0", "1"]]}
         (tmp_path / "steep.json").write_text(json.dumps(spec))
         args = ["--spec-file", str(tmp_path / "steep.json")]
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "curvfun.cli", "compute", *args, "--no-timing"],
-                          env=env, capture_output=True, text=True, timeout=30)
+                          env=_src_env(), capture_output=True, text=True, timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert math.isfinite(json.loads(proc.stdout)["value"])
 
@@ -598,7 +602,6 @@ def test_bad_grid_exits_2(capsys, grid):
 @pytest.mark.parametrize("argv", [
     ["compute", "--manifold", "s2", "--grid", "5", "--no-timing"],
     ["frame-sweep", "--manifold", "s2", "--grid", "5", "--plane", "1,2", "--no-timing"],
-    ["reproduce", "discrete"],
 ])
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_one_exits_2(capsys, argv, workers):
@@ -612,7 +615,6 @@ def test_workers_below_one_exits_2(capsys, argv, workers):
 @pytest.mark.parametrize("argv", [
     ["compute", "--manifold", "s2", "--grid", "5", "--no-timing"],
     ["frame-sweep", "--manifold", "s2", "--grid", "5", "--plane", "1,2", "--no-timing"],
-    ["reproduce", "discrete"],
 ])
 def test_workers_above_the_ceiling_exits_2(capsys, argv):
     # the pool starts a thread per queued chunk up to the count, so it is capped
@@ -620,6 +622,38 @@ def test_workers_above_the_ceiling_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "--workers must be at most 256, got 257" in err
+
+
+def test_reproduce_has_no_workers_option(capsys):
+    # every case runs on one thread: none was faster with two
+    code, out, err = run(capsys, ["reproduce", "discrete", "--workers", "2"])
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --workers 2" in err
+
+
+def test_exact_reproductions_draw_no_random_numbers():
+    # su3's frame-dependence check used a one-off Haar draw; it now rotates neighbour planes
+    script = ("import os, sys\n"
+              "from curvfun.cli import main\n"
+              "codes = [main(['reproduce', c, '--format', 'json', '--out', os.devnull])\n"
+              "         for c in ('su3', 'so4', 'cp2', 'klembeck')]\n"
+              "print(codes, 'numpy.random' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=_src_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0, 0] False"
+
+
+@pytest.mark.parametrize("functional", ["gamma_d", "gbc"])
+def test_a_constant_taubes_warp_is_flat(capsys, functional):
+    code, out, err = run(capsys, ["compute", "--manifold", "taubes", "--param", "u=1",
+                                  "--functional", functional, "--no-timing"])
+    assert code == 0, err
+    rec = json.loads(out)
+    assert rec["value"] == 0.0
+    if functional == "gamma_d":
+        assert rec["oracle_value"] == 0.0
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from curvfun.expressions import parse_expression
 from curvfun.jets import (
     Jet2,
     cos,
@@ -164,3 +165,47 @@ def test_constant_base_with_a_jet_exponent():
     assert np.allclose(out.grad, ref.grad, rtol=1e-15, atol=0)
     assert np.allclose(out.hess, ref.hess, rtol=1e-15, atol=0)
     assert out.grad[0] == pytest.approx(math.log(2.0) * 2.0 ** (0.3 * -1.2) * np.array([-1.2, 0.3]))
+
+
+def test_a_float_jet_divided_by_an_int_stays_float():
+    # 1/int used to be a Fraction, which made the jet an object array that sin could not take
+    (x,) = variables(np.array([[0.3], [1.7]]))
+    half = x / 2
+    for part in ("value", "grad", "hess"):
+        assert getattr(half, part).dtype == np.float64
+    assert _bits(half) == _bits(x / 2.0)
+    assert np.array_equal(sin(half).value, np.sin([0.15, 0.85]))
+
+
+def test_an_exact_jet_divided_by_an_int_stays_exact():
+    pts = np.array([[Fraction(1, 3)], [Fraction(5, 2)]], dtype=object)
+    (x,) = variables(pts)
+    half = (x * x) / 2
+    assert list(half.value) == [Fraction(1, 18), Fraction(25, 8)]
+    assert list(half.grad[:, 0]) == [Fraction(1, 3), Fraction(5, 2)]
+    assert all(type(v) is Fraction for v in half.value)
+
+
+def test_the_exact_reciprocal_of_a_fraction_jet():
+    pts = np.array([[Fraction(1, 3)], [Fraction(5, 2)]], dtype=object)
+    (x,) = variables(pts)
+    inv = 1 / x
+    for row, t in enumerate((Fraction(1, 3), Fraction(5, 2))):
+        assert inv.value[row] == 1 / t and type(inv.value[row]) is Fraction
+        assert inv.grad[row, 0] == -1 / t**2
+        assert inv.hess[row, 0, 0] == 2 / t**3
+
+
+@pytest.mark.parametrize("text, f, df, d2f", [
+    ("x1^0.5", lambda t: t**0.5, lambda t: 0.5 * t**-0.5, lambda t: -0.25 * t**-1.5),
+    ("x1^2.5", lambda t: t**2.5, lambda t: 2.5 * t**1.5, lambda t: 3.75 * t**0.5),
+    ("x1^0", lambda t: 1.0, lambda t: 0.0, lambda t: 0.0),
+    ("1/x1", lambda t: 1 / t, lambda t: -1 / t**2, lambda t: 2 / t**3),
+])
+def test_parsed_powers_and_reciprocals_match_their_closed_forms(text, f, df, d2f):
+    (x,) = variables(np.array([[0.3], [1.7]]))
+    out = parse_expression(text)({"x1": x})
+    for row, t in enumerate((0.3, 1.7)):
+        assert out.value[row] == pytest.approx(f(t), rel=1e-14)
+        assert out.grad[row, 0] == pytest.approx(df(t), rel=1e-14)
+        assert out.hess[row, 0, 0] == pytest.approx(d2f(t), rel=1e-14)
